@@ -58,7 +58,6 @@ from .textfmt import (
 from .transducer import (
     Arc,
     FunctionalityReport,
-    Path,
     Transducer,
     check_functional,
     is_trim,
@@ -87,7 +86,6 @@ __all__ = [
     "Mismatch",
     "Nfa",
     "NonFunctionalError",
-    "Path",
     "PreconditionError",
     "ResourceLimitError",
     "SoundnessAlarm",

@@ -74,24 +74,6 @@ class Bimachine:
         problems: list[str] = []
         if self.left.alphabet.symbols != self.right.alphabet.symbols:
             problems.append("alphabet-mismatch: left and right automata disagree")
-        for side, dfa in (("left", self.left), ("right", self.right)):
-            if len(dfa.delta) != dfa.state_count:
-                problems.append(f"totality: {side} delta has {len(dfa.delta)} rows "
-                                f"for {dfa.state_count} states")
-                continue
-            for q, row in enumerate(dfa.delta):
-                if len(row) != len(dfa.alphabet):
-                    missing = len(dfa.alphabet) - len(row)
-                    problems.append(
-                        f"totality: {side} state {q} is missing {missing} transitions"
-                    )
-                else:
-                    for tok, target in zip(dfa.alphabet.symbols, row):
-                        if not 0 <= target < dfa.state_count:
-                            problems.append(
-                                f"totality: {side} delta({q},{tok}) targets "
-                                f"unknown state {target}"
-                            )
         for (l, a, r), out in sorted(self.psi.items()):
             if not 0 <= l < self.left.state_count:
                 problems.append(f"psi: unknown left state {l}")
@@ -110,50 +92,37 @@ class Bimachine:
                     )
         return problems
 
-    def _left_rows(self) -> list[tuple]:
-        syms = self.left.alphabet.symbols
-        nr = self.right.state_count
-        return [
-            tuple(self.psi.get((l, a, r)) for a in syms for r in range(nr))
-            for l in range(self.left.state_count)
-        ]
-
-    def _right_rows(self) -> list[tuple]:
-        syms = self.left.alphabet.symbols
-        nl = self.left.state_count
-        return [
-            tuple(self.psi.get((l, a, r)) for a in syms for l in range(nl))
-            for r in range(self.right.state_count)
-        ]
-
     def reduce(self) -> "Bimachine":
         """Merge states indistinguishable by their output rows and transitions,
         left side first, then the right side with recomputed rows.
 
         The represented function is unchanged. One pass per side reaches the
         fixpoint: merging one side never changes row-distinguishability on the
-        other, because merged states have literally identical rows.
+        other, because merged states have literally identical rows. The machine
+        must be valid (``validate()`` reports nothing).
         """
-        return self._reduce_left()._reduce_right()
+        return self._merge("left")._merge("right")
 
-    def _reduce_left(self) -> "Bimachine":
-        reduced, block = moore_reduce(self.left, self._left_rows())
+    def _merge(self, side: str) -> "Bimachine":
+        """Moore-reduce one side. A state's signature row lists its psi values
+        letter-major, then by the other side's state (None where undefined)."""
+        is_left = side == "left"
+        dfa, other = (self.left, self.right) if is_left else (self.right, self.left)
+        width = other.state_count
+        offset = {a: pos * width for pos, a in enumerate(self.input_alphabet.symbols)}
+        size = len(offset) * width
+        flat: list[Word | None] = [None] * (size * dfa.state_count)
+        for (l, a, r), out in self.psi.items():
+            q, o = (l, r) if is_left else (r, l)
+            flat[q * size + offset[a] + o] = out
+        rows = [tuple(flat[q * size : (q + 1) * size]) for q in range(dfa.state_count)]
+        del flat
+        reduced, block = moore_reduce(dfa, rows)
+        del rows  # free the signatures before the new psi table grows
         psi: dict[tuple[int, str, int], Word] = {}
         for (l, a, r), out in self.psi.items():
-            key = (block[l], a, r)
-            if key in psi and psi[key] != out:
-                raise AssertionError("internal: merged left states disagree on psi")
-            psi[key] = out
-        return Bimachine(reduced, self.right, psi, self.empty_word_output,
-                         self.output_alphabet)
-
-    def _reduce_right(self) -> "Bimachine":
-        reduced, block = moore_reduce(self.right, self._right_rows())
-        psi: dict[tuple[int, str, int], Word] = {}
-        for (l, a, r), out in self.psi.items():
-            key = (l, a, block[r])
-            if key in psi and psi[key] != out:
-                raise AssertionError("internal: merged right states disagree on psi")
-            psi[key] = out
-        return Bimachine(self.left, reduced, psi, self.empty_word_output,
-                         self.output_alphabet)
+            key = (block[l], a, r) if is_left else (l, a, block[r])
+            if psi.setdefault(key, out) != out:
+                raise AssertionError(f"internal: merged {side} states disagree on psi")
+        left, right = (reduced, self.right) if is_left else (self.left, reduced)
+        return Bimachine(left, right, psi, self.empty_word_output, self.output_alphabet)

@@ -12,7 +12,6 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from .bimachine import Bimachine
 from .construct import to_bimachine
 from .errors import (
     BimlabError,
@@ -37,7 +36,7 @@ from .textfmt import (
     word_from_text,
     word_to_text,
 )
-from .transducer import Transducer, check_functional, remove_input_epsilons, trim
+from .transducer import check_functional, remove_input_epsilons, trim
 
 
 def _params(args) -> InstanceParams:
@@ -91,12 +90,6 @@ def cmd_functional(args) -> int:
     return 1
 
 
-def _evaluator(machine):
-    if isinstance(machine, (Transducer, Bimachine)):
-        return machine.evaluate
-    raise TypeError("unsupported machine")
-
-
 def cmd_equiv(args) -> int:
     a = load_machine(Path(args.a).read_text(encoding="utf-8"))
     b = load_machine(Path(args.b).read_text(encoding="utf-8"))
@@ -104,7 +97,7 @@ def cmd_equiv(args) -> int:
     if b.input_alphabet.symbols != alphabet.symbols:
         print("error: machines have different input alphabets", file=sys.stderr)
         return 2
-    sides = [("a", _evaluator(a)), ("b", _evaluator(b))]
+    sides = [("a", a.evaluate), ("b", b.evaluate)]
     if args.oracle:
         k_text, n_text = args.oracle.split(",", 1)
         params = InstanceParams(int(k_text), int(n_text))

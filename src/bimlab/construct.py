@@ -6,9 +6,9 @@ automaton, first-match output selection.
 from __future__ import annotations
 
 from .bimachine import Bimachine
-from .errors import NonFunctionalError, PreconditionError, ResourceLimitError
-from .fsm import Dfa, Word, reverse, subset_construction
-from .transducer import Transducer, _letter_arcs, check_functional, is_trim
+from .errors import NonFunctionalError, PreconditionError
+from .fsm import STATE_CAP, Dfa, Word, explore, reverse, subset_construction
+from .transducer import Transducer, check_functional, is_trim
 
 
 def build_right_automaton(t: Transducer) -> tuple[Dfa, tuple[frozenset[int], ...]]:
@@ -21,7 +21,7 @@ def build_right_automaton(t: Transducer) -> tuple[Dfa, tuple[frozenset[int], ...
 
 
 def build_left_automaton(
-    t: Transducer, state_cap: int | None = None
+    t: Transducer, state_cap: int = STATE_CAP
 ) -> tuple[Dfa, tuple[tuple[int, ...], ...]]:
     """Priority-list determinization of the forward run.
 
@@ -34,40 +34,12 @@ def build_left_automaton(
     """
     if t.has_input_epsilons:
         raise PreconditionError("left automaton needs a letter-input machine")
-    arcs = _letter_arcs(t)
-    start = tuple(sorted(t.initial))
-    ids: dict[tuple[int, ...], int] = {start: 0}
-    order: list[tuple[int, ...]] = [start]
-    rows: list[list[int]] = []
-    pos = 0
-    while pos < len(order):
-        lst = order[pos]
-        pos += 1
-        row = []
-        for tok in t.input_alphabet.symbols:
-            expanded: list[int] = []
-            seen: set[int] = set()
-            for p in lst:
-                for _, d in arcs.get((p, tok), ()):
-                    if d not in seen:
-                        seen.add(d)
-                        expanded.append(d)
-            target = tuple(expanded)
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-                if state_cap is not None and len(order) > state_cap:
-                    raise ResourceLimitError(
-                        f"left automaton exceeded {state_cap} states"
-                    )
-            row.append(ids[target])
-        rows.append(row)
-    if () not in ids:
-        sink = len(order)
-        order.append(())
-        rows.append([sink] * len(t.input_alphabet))
-    dfa = Dfa(t.input_alphabet, len(order), 0, tuple(tuple(r) for r in rows))
-    return dfa, tuple(order)
+    arcs = t._letter_arcs
+
+    def step(lst: tuple[int, ...], tok: str) -> tuple[int, ...]:
+        return tuple(dict.fromkeys(d for p in lst for _, d in arcs.get((p, tok), ())))
+
+    return explore(t.input_alphabet, tuple(sorted(t.initial)), step, state_cap, sink=())
 
 
 def build_psi(
@@ -78,7 +50,7 @@ def build_psi(
     """First match wins: scan the priority list, each state's arcs in
     canonical order, and emit the first transition landing in the
     co-accessible subset. No matching transition means undefined."""
-    arcs = _letter_arcs(t)
+    arcs = t._letter_arcs
     psi: dict[tuple[int, str, int], Word] = {}
     for l_id, lst in enumerate(left_lists):
         for tok in t.input_alphabet.symbols:
@@ -95,7 +67,7 @@ def build_psi(
     return psi
 
 
-def to_bimachine(t: Transducer, state_cap: int | None = None) -> Bimachine:
+def to_bimachine(t: Transducer, state_cap: int = STATE_CAP) -> Bimachine:
     """Assemble the equivalent bimachine for a trimmed, letter-input,
     functional transducer; the result computes the same partial function.
 

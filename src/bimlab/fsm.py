@@ -1,5 +1,6 @@
-"""Automaton kernel: alphabets, NFAs, total DFAs, subset construction,
-reversal, and Moore partition-refinement reduction.
+"""Automaton kernel: alphabets, NFAs, total DFAs, the breadth-first
+exploration every determinization runs on, subset construction, reversal, and
+Moore partition-refinement reduction.
 
 States are dense integer indices and every iteration order is fixed by
 (state index, alphabet order), so repeated builds are byte-identical.
@@ -8,17 +9,24 @@ States are dense integer indices and every iteration order is fixed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import PreconditionError, UnknownSymbolError
+from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
 
 # A word is a sequence of alphabet tokens.
 Word = tuple[str, ...]
 
+# Default bound on the states any one exploration may discover.
+STATE_CAP = 10**5
+
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered set of symbol tokens; the order fixes deterministic iteration."""
+    """Ordered set of symbol tokens; the order fixes deterministic iteration.
+
+    Tokens are nonempty and free of whitespace and of the characters the text
+    format reserves: a token may not be ``-`` or contain ``.`` or ``#``.
+    """
 
     symbols: tuple[str, ...]
 
@@ -26,7 +34,8 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         index: dict[str, int] = {}
         for pos, tok in enumerate(self.symbols):
-            if not tok or any(c.isspace() for c in tok):
+            # split() == [tok]: nonempty and free of whitespace.
+            if tok.split() != [tok] or tok == "-" or "." in tok or "#" in tok:
                 raise ValueError(f"invalid symbol token {tok!r}")
             if tok in index:
                 raise ValueError(f"duplicate symbol token {tok!r}")
@@ -125,6 +134,41 @@ class Dfa:
         return state
 
 
+def explore(
+    alphabet: Alphabet,
+    start: Hashable,
+    step: Callable[[Hashable, str], Hashable],
+    cap: int = STATE_CAP,
+    sink: Hashable | None = None,
+) -> tuple[Dfa, tuple[Hashable, ...]]:
+    """Build the DFA of ``step`` reachable from ``start`` by breadth-first search.
+
+    States are hashable descriptions, numbered in discovery order (start
+    first, successors in alphabet order); the returned tuple gives each DFA
+    state its description. Discovering more than ``cap`` states raises
+    ResourceLimitError. A ``sink`` that was never reached is appended as a
+    self-looping last state, so callers can rely on it existing.
+    """
+    ids: dict[Hashable, int] = {start: 0}
+    order: list[Hashable] = [start]
+    rows: list[tuple[int, ...]] = []
+    for state in order:  # the queue: ``order`` grows while it is walked
+        row = []
+        for tok in alphabet.symbols:
+            target = step(state, tok)
+            if target not in ids:
+                if len(order) >= cap:
+                    raise ResourceLimitError(f"state space exceeded {cap} states")
+                ids[target] = len(order)
+                order.append(target)
+            row.append(ids[target])
+        rows.append(tuple(row))
+    if sink is not None and sink not in ids:
+        rows.append((len(order),) * len(alphabet))
+        order.append(sink)
+    return Dfa(alphabet, len(order), 0, tuple(rows)), tuple(order)
+
+
 def subset_construction(nfa: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     """Determinize by breadth-first subset expansion.
 
@@ -138,31 +182,10 @@ def subset_construction(nfa: Nfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     for src, label, dst in nfa.arcs:
         successors.setdefault((src, label), []).append(dst)
 
-    start = frozenset(nfa.initial)
-    ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    rows: list[list[int]] = []
-    pos = 0
-    while pos < len(order):
-        subset = order[pos]
-        pos += 1
-        row = []
-        for tok in nfa.alphabet.symbols:
-            image: set[int] = set()
-            for q in subset:
-                image.update(successors.get((q, tok), ()))
-            target = frozenset(image)
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-            row.append(ids[target])
-        rows.append(row)
-    if frozenset() not in ids:
-        sink = len(order)
-        order.append(frozenset())
-        rows.append([sink] * len(nfa.alphabet))
-    dfa = Dfa(nfa.alphabet, len(order), 0, tuple(tuple(r) for r in rows))
-    return dfa, tuple(order)
+    def step(subset: frozenset[int], tok: str) -> frozenset[int]:
+        return frozenset(d for q in subset for d in successors.get((q, tok), ()))
+
+    return explore(nfa.alphabet, frozenset(nfa.initial), step, sink=frozenset())
 
 
 def reverse(nfa: Nfa) -> Nfa:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bimachine import Bimachine
-from .fsm import Alphabet, Dfa, Word
+from .fsm import Alphabet, Word, explore
 from .transducer import Arc, Transducer
 
 
@@ -117,26 +117,6 @@ def instance_transducer(params: InstanceParams, merged: bool = True) -> Transduc
     return Transducer(sigma, sigma, count, initial, final, tuple(arcs))
 
 
-def _window_dfa(alphabet, start_state, step):
-    """Breadth-first DFA build over opaque state descriptions."""
-    ids = {start_state: 0}
-    order = [start_state]
-    rows = []
-    pos = 0
-    while pos < len(order):
-        state = order[pos]
-        pos += 1
-        row = []
-        for tok in alphabet.symbols:
-            nxt = step(state, tok)
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
-    return Dfa(alphabet, len(order), 0, tuple(rows)), tuple(order)
-
-
 def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     """Sliding-window bimachine for the instance family.
 
@@ -171,8 +151,8 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
             return state if tok in first else ("dead",)
         return ("dead",)
 
-    left, left_states = _window_dfa(sigma, ("first", ()), left_step)
-    right, right_states = _window_dfa(sigma, ("tail", ()), right_step)
+    left, left_states = explore(sigma, ("first", ()), left_step)
+    right, right_states = explore(sigma, ("tail", ()), right_step)
 
     def output(ls, tok, rs) -> Word | None:
         if ls[0] == "first":

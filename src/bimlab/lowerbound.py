@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .bimachine import Bimachine
 from .construct import to_bimachine
 from .errors import ConsistencyError, ExperimentError, ResourceLimitError
-from .fsm import Word
+from .fsm import STATE_CAP, Word
 from .instances import InstanceParams, handcrafted_bimachine, instance_transducer, oracle
 from .transducer import check_functional, remove_input_epsilons, trim
 
@@ -178,14 +178,12 @@ def refute(b: Bimachine, params: InstanceParams, cap: int = 10**6) -> Verdict:
     return SoundnessAlarm(candidates)
 
 
-def exponent_constant(k: int) -> tuple[float, bool]:
-    """The per-k exponent log2(k)/(2k) of the state blow-up bound, and a check
-    that k = 3 maximizes it over k in 2..64."""
+def exponent_constant(k: int) -> float:
+    """The per-k exponent log2(k)/(2k) of the state blow-up bound; over the
+    integers it peaks at k = 3."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    c3 = math.log2(3) / 6
-    argmax_ok = all(c3 >= math.log2(m) / (2 * m) for m in range(2, 65))
-    return math.log2(k) / (2 * k), argmax_ok
+    return math.log2(k) / (2 * k)
 
 
 CSV_HEADER = (
@@ -262,7 +260,7 @@ def run_experiment(
     generic_max_k: int = 3,
     generic_max_n: int = 3,
     handcrafted_max_n: int = 4,
-    list_state_cap: int = 10**5,
+    list_state_cap: int = STATE_CAP,
     exhaustive_word_cap: int = 10**5,
     sample_count: int = 2000,
     measure_timings: bool = False,

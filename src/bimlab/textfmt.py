@@ -3,7 +3,8 @@
 Both formats are versioned (`transducer v1`, `bimachine v1`), UTF-8 with LF
 line endings, and emit in canonical order so that parse/emit round-trips are
 byte-stable. Words are `.`-joined tokens; `-` stands for the empty word and,
-in arc input position, for an epsilon input.
+in arc input position, for an epsilon input. `Alphabet` rejects tokens that
+would collide with this syntax, so every constructible machine round-trips.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ class _Parser:
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
 
+    def here(self) -> int:
+        """Line of the next item; at end of file the last line read (0 if none)."""
+        if self.pos < len(self.items):
+            return self.items[self.pos][0]
+        return self.items[-1][0] if self.items else 0
+
     def next(self, expect: str | None = None):
         item = self.peek()
         if item is None:
-            raise FormatError(0, f"unexpected end of file (wanted {expect})")
+            raise FormatError(self.here(), f"unexpected end of file (wanted {expect})")
         self.pos += 1
         if expect is not None and item[1][0] != expect:
             raise FormatError(item[0], f"expected {expect!r}, got {item[1][0]!r}")
@@ -184,7 +191,7 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
         for tok in alphabet.symbols:
             if (state, tok) not in delta:
                 raise FormatError(
-                    item[0] if item else 0,
+                    parser.here(),
                     f"{side} automaton is not total: missing ({state}, {tok})",
                 )
     rows = tuple(

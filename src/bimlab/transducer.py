@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -79,8 +79,8 @@ class Transducer:
         output makes some image infinite.
         """
         word = self.input_alphabet.check_word(word)
-        closures = _epsilon_closures(self)
-        arcs = _letter_arcs(self)
+        closures = self._epsilon_closures
+        arcs = self._letter_arcs
         config: dict[int, set[Word]] = {}
         for q in sorted(self.initial):
             for q2, u in closures[q]:
@@ -110,93 +110,56 @@ class Transducer:
             raise NonFunctionalError(word, outputs[0], outputs[1])
         return outputs[0]
 
-
-@dataclass(frozen=True)
-class Path:
-    """A chained sequence of arcs; the empty path at a state has label (ε, ε)."""
-
-    source: int
-    arcs: tuple[Arc, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        prev = self.source
+    @cached_property
+    def _letter_arcs(self) -> dict[tuple[int, str], tuple[tuple[Word, int], ...]]:
+        """Letter arcs grouped by (source, token), in canonical order."""
+        grouped: dict[tuple[int, str], list[tuple[Word, int]]] = {}
         for arc in self.arcs:
-            if arc.src != prev:
-                raise ValueError("arcs do not chain")
-            prev = arc.dst
+            if arc.inp is not None:
+                grouped.setdefault((arc.src, arc.inp), []).append((arc.out, arc.dst))
+        return {k: tuple(v) for k, v in grouped.items()}
 
-    @property
-    def target(self) -> int:
-        return self.arcs[-1].dst if self.arcs else self.source
+    @cached_property
+    def _epsilon_closures(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
+        """Per state, all (target, output) pairs of epsilon paths (including the
+        trivial one). Raises DivergingRelationError when an epsilon cycle emits."""
+        eps: dict[int, list[tuple[Word, int]]] = {}
+        for arc in self.arcs:
+            if arc.inp is None:
+                eps.setdefault(arc.src, []).append((arc.out, arc.dst))
 
-    @property
-    def label(self) -> tuple[Word, Word]:
-        inp = tuple(a.inp for a in self.arcs if a.inp is not None)
-        out = tuple(tok for a in self.arcs for tok in a.out)
-        return inp, out
+        # Reachability over the epsilon graph, to spot emitting cycles.
+        reach: list[set[int]] = []
+        for q in range(self.state_count):
+            seen = {q}
+            stack = [q]
+            while stack:
+                p = stack.pop()
+                for _, d in eps.get(p, ()):
+                    if d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+            reach.append(seen)
+        for q, items in eps.items():
+            for out, d in items:
+                if out and q in reach[d]:
+                    raise DivergingRelationError(
+                        f"epsilon cycle through state {q} emits output"
+                    )
 
-    @property
-    def length(self) -> int:
-        return len(self.arcs)
-
-    def concat(self, other: "Path") -> "Path":
-        if other.source != self.target:
-            raise ValueError("paths do not chain")
-        return Path(self.source, self.arcs + other.arcs)
-
-
-@lru_cache(maxsize=None)
-def _letter_arcs(t: Transducer) -> dict[tuple[int, str], tuple[tuple[Word, int], ...]]:
-    """Letter arcs grouped by (source, token), in canonical order."""
-    grouped: dict[tuple[int, str], list[tuple[Word, int]]] = {}
-    for arc in t.arcs:
-        if arc.inp is not None:
-            grouped.setdefault((arc.src, arc.inp), []).append((arc.out, arc.dst))
-    return {k: tuple(v) for k, v in grouped.items()}
-
-
-@lru_cache(maxsize=None)
-def _epsilon_closures(t: Transducer) -> tuple[tuple[tuple[int, Word], ...], ...]:
-    """Per state, all (target, output) pairs of epsilon paths (including the
-    trivial one). Raises DivergingRelationError when an epsilon cycle emits."""
-    eps: dict[int, list[tuple[Word, int]]] = {}
-    for arc in t.arcs:
-        if arc.inp is None:
-            eps.setdefault(arc.src, []).append((arc.out, arc.dst))
-
-    # Reachability over the epsilon graph, to spot emitting cycles.
-    reach: list[set[int]] = []
-    for q in range(t.state_count):
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for _, d in eps.get(p, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        reach.append(seen)
-    for q, items in eps.items():
-        for out, d in items:
-            if out and q in reach[d]:
-                raise DivergingRelationError(
-                    f"epsilon cycle through state {q} emits output"
-                )
-
-    closures = []
-    for q in range(t.state_count):
-        found: set[tuple[int, Word]] = {(q, ())}
-        stack = [(q, ())]
-        while stack:
-            p, acc = stack.pop()
-            for out, d in eps.get(p, ()):
-                item = (d, acc + out)
-                if item not in found:
-                    found.add(item)
-                    stack.append(item)
-        closures.append(tuple(sorted(found)))
-    return tuple(closures)
+        closures = []
+        for q in range(self.state_count):
+            found: set[tuple[int, Word]] = {(q, ())}
+            stack = [(q, ())]
+            while stack:
+                p, acc = stack.pop()
+                for out, d in eps.get(p, ()):
+                    item = (d, acc + out)
+                    if item not in found:
+                        found.add(item)
+                        stack.append(item)
+            closures.append(tuple(sorted(found)))
+        return tuple(closures)
 
 
 def remove_input_epsilons(t: Transducer) -> Transducer:
@@ -207,7 +170,7 @@ def remove_input_epsilons(t: Transducer) -> Transducer:
     final; epsilon paths out of initial states are prepended to the first
     letter arc read from their endpoint.
     """
-    closures = _epsilon_closures(t)
+    closures = t._epsilon_closures
     letter = [a for a in t.arcs if a.inp is not None]
     by_src: dict[int, list[Arc]] = {}
     for a in letter:
@@ -324,7 +287,7 @@ def check_functional(t: Transducer) -> FunctionalityReport:
     """
     if t.has_input_epsilons:
         raise PreconditionError("functionality test needs a letter-input machine")
-    arcs = _letter_arcs(t)
+    arcs = t._letter_arcs
     tokens = t.input_alphabet.symbols
 
     start_pairs = sorted((p, q) for p in t.initial for q in t.initial)

@@ -124,10 +124,10 @@ def test_c5_refuter_guarantee():
 
 
 def test_c6_exponent_constant():
-    c3, argmax_ok = exponent_constant(3)
+    c3 = exponent_constant(3)
     assert abs(c3 - math.log2(3) / 6) < 1e-12
-    assert argmax_ok
-    best = max(range(2, 65), key=lambda k: exponent_constant(k)[0])
+    assert all(c3 >= math.log2(m) / (2 * m) for m in range(2, 65))
+    best = max(range(2, 65), key=exponent_constant)
     assert best == 3
     report("C6 c3 = log2(3)/6 within 1e-12; argmax over 2..64 is k=3", True,
            f"c3 = {c3:.10f}")

@@ -136,15 +136,6 @@ def test_validate_reports_bad_output_token():
     assert any("output token 'q'" in p for p in b.validate())
 
 
-def test_validate_reports_missing_transition():
-    b = tiny_bimachine()
-    broken = Dfa(b.left.alphabet, 1, 0, ((0, 0),))
-    # Sidestep the constructor check to exercise the defensive diagnostic.
-    object.__setattr__(broken, "delta", ((0,),))
-    b2 = Bimachine(broken, b.right, b.psi, None, b.output_alphabet)
-    assert any("totality: left state 0" in p for p in b2.validate())
-
-
 def test_validate_reports_alphabet_mismatch():
     ab = Alphabet(("a", "b"))
     cd = Alphabet(("c", "d"))

@@ -213,9 +213,7 @@ def test_generic_matches_oracle_random_3_2():
 
 def first_match_picks(t, lists, subsets, left, right, word):
     """Replay the construction's selection rule at every position."""
-    from bimlab.transducer import _letter_arcs
-
-    arcs = _letter_arcs(t)
+    arcs = t._letter_arcs
     picks = []
     for pos, tok in enumerate(word):
         lst = lists[left.run(word[:pos])]

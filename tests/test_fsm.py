@@ -7,11 +7,13 @@ from bimlab import (
     Dfa,
     Nfa,
     PreconditionError,
+    ResourceLimitError,
     UnknownSymbolError,
     moore_reduce,
     reverse,
     subset_construction,
 )
+from bimlab.fsm import explore
 from helpers import built, nfa_accepts, nfa_states_after, words_upto
 
 AB = Alphabet(("a", "b"))
@@ -24,6 +26,9 @@ def test_alphabet_rejects_bad_tokens():
         Alphabet(("a", ""))
     with pytest.raises(ValueError):
         Alphabet(("a", "b c"))
+    for reserved in ("-", "a.b", "x#y", "#", "."):
+        with pytest.raises(ValueError):
+            Alphabet(("a", reserved))
 
 
 def test_alphabet_lookup():
@@ -31,6 +36,13 @@ def test_alphabet_lookup():
     assert "a" in AB and "z" not in AB
     with pytest.raises(UnknownSymbolError):
         AB.index("z")
+
+
+def test_explore_caps_discovered_states():
+    with pytest.raises(ResourceLimitError):
+        explore(AB, 0, lambda state, tok: state + 1, cap=5)
+    dfa, states = explore(AB, 0, lambda state, tok: min(state + 1, 4), cap=5)
+    assert states == (0, 1, 2, 3, 4) and dfa.run(("a",) * 9) == 4
 
 
 def test_run_empty_word_is_start():

@@ -153,10 +153,10 @@ def test_refute_constant_machine():
 
 
 def test_exponent_constant_values():
-    c3, argmax_ok = exponent_constant(3)
+    c3 = exponent_constant(3)
     assert abs(c3 - math.log2(3) / 6) < 1e-12
-    assert argmax_ok
-    c2, _ = exponent_constant(2)
+    assert all(c3 >= math.log2(m) / (2 * m) for m in range(2, 65))
+    c2 = exponent_constant(2)
     assert abs(c2 - 0.25) < 1e-12
     with pytest.raises(ValueError):
         exponent_constant(1)
@@ -164,14 +164,14 @@ def test_exponent_constant_values():
 
 def test_exponent_constant_closed_form_range():
     for k in range(2, 65):
-        value, _ = exponent_constant(k)
+        value = exponent_constant(k)
         assert abs(value - math.log(k) / math.log(2) / (2 * k)) < 1e-12
 
 
 def test_exponent_argmax_is_three():
-    c3, _ = exponent_constant(3)
+    c3 = exponent_constant(3)
     for k in range(2, 65):
-        value, _ = exponent_constant(k)
+        value = exponent_constant(k)
         assert c3 >= value
 
 

@@ -106,6 +106,35 @@ def test_transducer_parse_errors_carry_line_numbers():
     assert "unknown output token 'q'" in str(info.value)
 
 
+def test_transducer_roundtrip_unusual_tokens():
+    inp = Alphabet(("a-b", "-c"))
+    out = Alphabet(("x_y", "z-"))
+    t = Transducer(inp, out, 2, {0}, {1}, (
+        Arc(0, "a-b", ("x_y", "z-"), 1), Arc(1, "-c", (), 1), Arc(0, None, ("z-",), 1),
+    ))
+    text = emit_transducer(t)
+    assert parse_transducer(text) == t
+    assert emit_transducer(parse_transducer(text)) == text
+
+
+def test_reserved_alphabet_tokens_are_format_errors():
+    for tokens in ("a -", "a a.b"):
+        with pytest.raises(FormatError) as info:
+            parse_transducer(f"transducer v1\nalphabet {tokens}\nstates 1\ninitial 0\nfinal 0\n")
+        assert "line 2" in str(info.value)
+
+
+def test_end_of_file_reports_last_line():
+    with pytest.raises(FormatError) as info:
+        parse_transducer("transducer v1\nalphabet a\n")
+    assert "line 2:" in str(info.value) and "end of file" in str(info.value)
+    text = ("bimachine v1\nalphabet a\noalphabet a\nleft states 1 start 0\n"
+            "larc 0 a 0\nright states 1 start 0\n# trailing comment\n")
+    with pytest.raises(FormatError) as info:
+        parse_bimachine(text)
+    assert "line 6:" in str(info.value) and "not total" in str(info.value)
+
+
 def test_bimachine_roundtrip_bytes():
     for (k, n) in [(2, 1), (2, 2)]:
         _, _, _, generic, handcrafted = built(k, n)
