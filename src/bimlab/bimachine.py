@@ -14,8 +14,6 @@ from typing import Iterable
 
 from .fsm import Alphabet, Dfa, Word, moore_reduce
 
-_ABSENT = object()
-
 
 @dataclass(frozen=True)
 class Bimachine:
@@ -55,8 +53,8 @@ class Bimachine:
         parts: list[Word] = []
         r = right_state
         for i in range(len(word) - 1, -1, -1):
-            piece = self.psi.get((prefix[i], word[i], r), _ABSENT)
-            if piece is _ABSENT:
+            piece = self.psi.get((prefix[i], word[i], r))
+            if piece is None:
                 return None
             parts.append(piece)
             r = self.right.step(r, word[i])

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from itertools import product
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .construct import to_bimachine
@@ -23,9 +24,12 @@ from .lowerbound import (
     BoundRespected,
     Mismatch,
     SoundnessAlarm,
+    first_mismatch,
+    random_words,
     refute,
     render_csv,
     run_experiment,
+    words_upto,
 )
 from .textfmt import (
     emit_bimachine,
@@ -43,6 +47,10 @@ def _params(args) -> InstanceParams:
     return InstanceParams(args.k, args.n)
 
 
+def _word_or_undefined(word) -> str:
+    return word_to_text(word) if word is not None else "UNDEFINED"
+
+
 def cmd_instance(args) -> int:
     t = instance_transducer(_params(args), merged=not args.unmerged)
     Path(args.out).write_text(emit_transducer(t), encoding="utf-8")
@@ -52,13 +60,11 @@ def cmd_instance(args) -> int:
 def cmd_construct(args) -> int:
     if args.method == "handcrafted":
         if args.k is None or args.n is None:
-            print("error: --method handcrafted needs --k and --n", file=sys.stderr)
-            return 2
+            raise ValueError("--method handcrafted needs --k and --n")
         machine = handcrafted_bimachine(_params(args))
     else:
         if args.infile is None:
-            print("error: --method generic needs --in", file=sys.stderr)
-            return 2
+            raise ValueError("--method generic needs --in")
         t = parse_transducer(Path(args.infile).read_text(encoding="utf-8"))
         machine = to_bimachine(trim(remove_input_epsilons(t)))
     if args.reduce:
@@ -71,7 +77,7 @@ def cmd_eval(args) -> int:
     machine = load_machine(Path(args.machine).read_text(encoding="utf-8"))
     word = word_from_text(args.word)
     out = machine.evaluate(word)
-    print(word_to_text(out) if out is not None else "UNDEFINED")
+    print(_word_or_undefined(out))
     return 0
 
 
@@ -95,43 +101,26 @@ def cmd_equiv(args) -> int:
     b = load_machine(Path(args.b).read_text(encoding="utf-8"))
     alphabet = a.input_alphabet
     if b.input_alphabet.symbols != alphabet.symbols:
-        print("error: machines have different input alphabets", file=sys.stderr)
-        return 2
+        raise ValueError("machines have different input alphabets")
     sides = [("a", a.evaluate), ("b", b.evaluate)]
     if args.oracle:
         k_text, n_text = args.oracle.split(",", 1)
         params = InstanceParams(int(k_text), int(n_text))
         if params.alphabet.symbols != alphabet.symbols:
-            print("error: oracle alphabet differs from the machines", file=sys.stderr)
-            return 2
-        sides.append(("oracle", lambda w: oracle(params, w)))
-
-    def check(word) -> bool:
-        results = [(name, fn(word)) for name, fn in sides]
-        if len({out for _, out in results}) > 1:
-            shown = " ".join(
-                f"{name}={word_to_text(out) if out is not None else 'UNDEFINED'}"
-                for name, out in results
-            )
-            print(f"MISMATCH word={word_to_text(word)} {shown}")
-            return False
-        return True
-
-    tested = 0
-    for length in range(args.max_len + 1):
-        for word in product(alphabet.symbols, repeat=length):
-            tested += 1
-            if not check(word):
-                return 1
-    rng = random.Random(args.seed)
-    for _ in range(args.samples):
-        length = rng.randint(args.max_len + 1, 2 * args.max_len + 2)
-        word = tuple(rng.choice(alphabet.symbols) for _ in range(length))
-        tested += 1
-        if not check(word):
-            return 1
-    print(f"EQUIVALENT(tested={tested})")
-    return 0
+            raise ValueError("oracle alphabet differs from the machines")
+        sides.append(("oracle", partial(oracle, params)))
+    tokens, low = alphabet.symbols, args.max_len + 1
+    words = chain(
+        words_upto(tokens, args.max_len),
+        random_words(random.Random(args.seed), tokens, args.samples, low, 2 * low),
+    )
+    tested, word = first_mismatch([fn for _, fn in sides], words)
+    if word is None:
+        print(f"EQUIVALENT(tested={tested})")
+        return 0
+    shown = " ".join(f"{name}={_word_or_undefined(fn(word))}" for name, fn in sides)
+    print(f"MISMATCH word={word_to_text(word)} {shown}")
+    return 1
 
 
 def cmd_refute(args) -> int:
@@ -144,10 +133,10 @@ def cmd_refute(args) -> int:
         )
         return 0
     if isinstance(verdict, Mismatch):
-        actual = word_to_text(verdict.actual) if verdict.actual is not None else "UNDEFINED"
         print(
             f"MISMATCH word={word_to_text(verdict.word)} "
-            f"expected={word_to_text(verdict.expected)} actual={actual}"
+            f"expected={word_to_text(verdict.expected)} "
+            f"actual={_word_or_undefined(verdict.actual)}"
         )
         return 1
     assert isinstance(verdict, SoundnessAlarm)
@@ -228,15 +217,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFunctionalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BimlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (NonFunctionalError, ExperimentError)) else 2
 
 
 if __name__ == "__main__":

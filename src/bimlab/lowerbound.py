@@ -10,7 +10,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bimachine import Bimachine
 from .construct import to_bimachine
@@ -42,18 +43,29 @@ class FoolingPair:
     residue2: Word
 
 
-def _decompose_left(w1: Word, w2: Word, state: int) -> FoolingPair:
+def _decompose(side: str, w1: Word, w2: Word, state: int) -> FoolingPair:
+    """Split colliding probe words where they first differ (from the end on the right side)."""
+    step = 1 if side == "left" else -1
+    v1, v2 = w1[::step], w2[::step]
     d = 0
-    while w1[d] == w2[d]:
+    while v1[d] == v2[d]:
         d += 1
-    return FoolingPair("left", w1, w2, state, w1[:d], w1[d], w2[d], w1[d + 1 :], w2[d + 1 :])
+    return FoolingPair(
+        side, w1, w2, state, v1[:d][::step], v1[d], v2[d], v1[d + 1 :][::step], v2[d + 1 :][::step]
+    )
 
 
-def _decompose_right(w1: Word, w2: Word, state: int) -> FoolingPair:
-    d = len(w1) - 1
-    while w1[d] == w2[d]:
-        d -= 1
-    return FoolingPair("right", w1, w2, state, w1[d + 1 :], w1[d], w2[d], w1[:d], w2[:d])
+def _first_collision(b: Bimachine, params: InstanceParams, side: str) -> FoolingPair | None:
+    """The first two probe words of one side, in lexicographic order, that reach one state."""
+    left = side == "left"
+    dfa, half = (b.left, params.first_half) if left else (b.right, params.second_half)
+    seen: dict[int, Word] = {}
+    for word in itertools.product(half, repeat=params.n):
+        state = dfa.run(word if left else reversed(word))
+        if state in seen:
+            return _decompose(side, seen[state], word, state)
+        seen[state] = word
+    return None
 
 
 def find_collisions(
@@ -66,23 +78,7 @@ def find_collisions(
         raise ResourceLimitError(
             f"{params.k}^{params.n} probe words exceed the cap of {cap}"
         )
-    left_pair = None
-    seen: dict[int, Word] = {}
-    for tup in itertools.product(params.first_half, repeat=params.n):
-        state = b.left.run(tup)
-        if state in seen:
-            left_pair = _decompose_left(seen[state], tup, state)
-            break
-        seen[state] = tup
-    right_pair = None
-    seen = {}
-    for tup in itertools.product(params.second_half, repeat=params.n):
-        state = b.right.run(reversed(tup))
-        if state in seen:
-            right_pair = _decompose_right(seen[state], tup, state)
-            break
-        seen[state] = tup
-    return left_pair, right_pair
+    return _first_collision(b, params, "left"), _first_collision(b, params, "right")
 
 
 @dataclass(frozen=True)
@@ -220,6 +216,34 @@ def render_csv(rows: Iterable[ExperimentRow]) -> str:
     return "\n".join([CSV_HEADER, *(row.csv_line() for row in rows)]) + "\n"
 
 
+def words_upto(tokens: Sequence[str], max_len: int) -> Iterator[Word]:
+    """Every word of length 0..max_len, shortest first, in alphabet order."""
+    for length in range(max_len + 1):
+        yield from itertools.product(tokens, repeat=length)
+
+
+def random_words(
+    rng: random.Random, tokens: Sequence[str], count: int, low: int, high: int
+) -> Iterator[Word]:
+    """``count`` random words; each draws its length from [low, high] first,
+    then its tokens one by one."""
+    for _ in range(count):
+        yield tuple(rng.choice(tokens) for _ in range(rng.randint(low, high)))
+
+
+def first_mismatch(sides: Sequence[Callable], words: Iterable[Word]) -> tuple[int, Word | None]:
+    """Evaluate every side on each word in turn. Returns how many words were
+    tested and the first word on which the sides disagree, or None."""
+    head, *rest = sides
+    tested = 0
+    for tested, word in enumerate(words, 1):
+        out = head(word)
+        for side in rest:
+            if side(word) != out:
+                return tested, word
+    return tested, None
+
+
 def _spot_check(
     machine: Bimachine,
     params: InstanceParams,
@@ -228,29 +252,19 @@ def _spot_check(
     exhaustive_word_cap: int,
     sample_count: int,
 ) -> None:
+    """All words of lengths 0..L <= 2n+2 that fit the cap, then samples of lengths 0..4n."""
     tokens = params.alphabet.symbols
-    budget = exhaustive_word_cap
-    for length in range(0, 2 * params.n + 3):
-        block = len(tokens) ** length
-        if block > budget:
-            break
-        budget -= block
-        for word in itertools.product(tokens, repeat=length):
-            if machine.evaluate(word) != oracle(params, word):
-                raise ExperimentError(
-                    f"cell k={params.k} n={params.n} {tag}: mismatch on "
-                    f"{'.'.join(word) or '-'}"
-                )
+    totals = itertools.accumulate(len(tokens) ** n for n in range(2 * params.n + 3))
+    max_len = sum(total <= exhaustive_word_cap for total in totals) - 1
     rng = random.Random(f"{seed}:{params.k}:{params.n}:{tag}")
-    for _ in range(sample_count):
-        word = tuple(
-            rng.choice(tokens) for _ in range(rng.randint(0, 4 * params.n))
+    words = itertools.chain(
+        words_upto(tokens, max_len), random_words(rng, tokens, sample_count, 0, 4 * params.n)
+    )
+    _, word = first_mismatch((machine.evaluate, partial(oracle, params)), words)
+    if word is not None:
+        raise ExperimentError(
+            f"cell k={params.k} n={params.n} {tag}: mismatch on {'.'.join(word) or '-'}"
         )
-        if machine.evaluate(word) != oracle(params, word):
-            raise ExperimentError(
-                f"cell k={params.k} n={params.n} {tag}: mismatch on "
-                f"{'.'.join(word) or '-'}"
-            )
 
 
 def run_experiment(

@@ -38,9 +38,12 @@ def _lines(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, kind: str):
         self.items = list(_lines(text))
         self.pos = 0
+        line_no, fields = self.next()
+        if fields != [kind, "v1"]:
+            raise FormatError(line_no, f"expected header '{kind} v1'")
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -86,9 +89,10 @@ def _parse_word(line_no: int, text: str, alphabet: Alphabet, what: str) -> Word:
     return word
 
 
-def _parse_alphabet(line_no: int, tokens: list[str]) -> Alphabet:
+def _parse_alphabet(item: tuple[int, list[str]]) -> Alphabet:
+    line_no, fields = item
     try:
-        return Alphabet(tuple(tokens))
+        return Alphabet(tuple(fields[1:]))
     except ValueError as exc:
         raise FormatError(line_no, str(exc)) from None
 
@@ -107,17 +111,12 @@ def emit_transducer(t: Transducer) -> str:
 
 
 def parse_transducer(text: str) -> Transducer:
-    parser = _Parser(text)
-    line_no, fields = parser.next()
-    if fields != ["transducer", "v1"]:
-        raise FormatError(line_no, "expected header 'transducer v1'")
-    line_no, fields = parser.next("alphabet")
-    alphabet = _parse_alphabet(line_no, fields[1:])
+    parser = _Parser(text, "transducer")
+    alphabet = _parse_alphabet(parser.next("alphabet"))
     oalphabet = alphabet
     item = parser.peek()
     if item and item[1][0] == "oalphabet":
-        line_no, fields = parser.next()
-        oalphabet = _parse_alphabet(line_no, fields[1:])
+        oalphabet = _parse_alphabet(parser.next())
     line_no, fields = parser.next("states")
     if len(fields) != 2:
         raise FormatError(line_no, "expected 'states <count>'")
@@ -149,14 +148,11 @@ def emit_bimachine(b: Bimachine) -> str:
     lines = ["bimachine v1"]
     lines.append("alphabet " + " ".join(alphabet.symbols))
     lines.append("oalphabet " + " ".join(b.output_alphabet.symbols))
-    lines.append(f"left states {b.left.state_count} start {b.left.start}")
-    for state in range(b.left.state_count):
-        for pos, tok in enumerate(alphabet.symbols):
-            lines.append(f"larc {state} {tok} {b.left.delta[state][pos]}")
-    lines.append(f"right states {b.right.state_count} start {b.right.start}")
-    for state in range(b.right.state_count):
-        for pos, tok in enumerate(alphabet.symbols):
-            lines.append(f"rarc {state} {tok} {b.right.delta[state][pos]}")
+    for side, arc_word, dfa in (("left", "larc", b.left), ("right", "rarc", b.right)):
+        lines.append(f"{side} states {dfa.state_count} start {dfa.start}")
+        for state, row in enumerate(dfa.delta):
+            for tok, target in zip(alphabet.symbols, row):
+                lines.append(f"{arc_word} {state} {tok} {target}")
     if b.empty_word_output is not None:
         lines.append(f"epsout {word_to_text(b.empty_word_output)}")
     index = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
@@ -201,14 +197,9 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
 
 
 def parse_bimachine(text: str) -> Bimachine:
-    parser = _Parser(text)
-    line_no, fields = parser.next()
-    if fields != ["bimachine", "v1"]:
-        raise FormatError(line_no, "expected header 'bimachine v1'")
-    line_no, fields = parser.next("alphabet")
-    alphabet = _parse_alphabet(line_no, fields[1:])
-    line_no, fields = parser.next("oalphabet")
-    oalphabet = _parse_alphabet(line_no, fields[1:])
+    parser = _Parser(text, "bimachine")
+    alphabet = _parse_alphabet(parser.next("alphabet"))
+    oalphabet = _parse_alphabet(parser.next("oalphabet"))
     left = _parse_side(parser, "left", alphabet, "larc")
     right = _parse_side(parser, "right", alphabet, "rarc")
     empty_out: Word | None = None

@@ -11,14 +11,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .errors import (
     DivergingRelationError,
     NonFunctionalError,
     PreconditionError,
+    ResourceLimitError,
 )
-from .fsm import Alphabet, Nfa, Word
+from .fsm import STATE_CAP, Alphabet, Nfa, Word
 
 
 class Arc(NamedTuple):
@@ -43,6 +44,8 @@ class Transducer:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
+        if self.state_count > STATE_CAP:
+            raise ResourceLimitError(f"{self.state_count} states exceed the cap of {STATE_CAP}")
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
         arcs = {Arc(a[0], a[1], tuple(a[2]), a[3]) for a in self.arcs}
@@ -76,7 +79,8 @@ class Transducer:
         """All outputs of accepting paths reading ``word``, in sorted order.
 
         Raises DivergingRelationError when an epsilon cycle with nonempty
-        output makes some image infinite.
+        output makes some image infinite, and ResourceLimitError when one step
+        holds more than STATE_CAP (state, output) pairs.
         """
         word = self.input_alphabet.check_word(word)
         closures = self._epsilon_closures
@@ -87,12 +91,16 @@ class Transducer:
                 config.setdefault(q2, set()).add(u)
         for tok in word:
             nxt: dict[int, set[Word]] = {}
+            pairs = 0
             for q, outs in config.items():
                 for w, d in arcs.get((q, tok), ()):
                     for d2, u in closures[d]:
                         bucket = nxt.setdefault(d2, set())
-                        for o in outs:
-                            bucket.add(o + w + u)
+                        pairs -= len(bucket)
+                        bucket.update([o + w + u for o in outs])
+                        pairs += len(bucket)
+                        if pairs > STATE_CAP:
+                            raise ResourceLimitError(f"relation step exceeds {STATE_CAP} pairs")
             config = nxt
         results: set[Word] = set()
         for q in self.final:
@@ -122,44 +130,42 @@ class Transducer:
     @cached_property
     def _epsilon_closures(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
         """Per state, all (target, output) pairs of epsilon paths (including the
-        trivial one). Raises DivergingRelationError when an epsilon cycle emits."""
+        trivial one). Raises DivergingRelationError when an epsilon cycle emits,
+        and ResourceLimitError when one closure exceeds STATE_CAP pairs."""
         eps: dict[int, list[tuple[Word, int]]] = {}
         for arc in self.arcs:
             if arc.inp is None:
                 eps.setdefault(arc.src, []).append((arc.out, arc.dst))
 
-        # Reachability over the epsilon graph, to spot emitting cycles.
-        reach: list[set[int]] = []
-        for q in range(self.state_count):
-            seen = {q}
-            stack = [q]
-            while stack:
-                p = stack.pop()
-                for _, d in eps.get(p, ()):
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-            reach.append(seen)
+        def targets(p: int):
+            return [d for _, d in eps.get(p, ())]
+
         for q, items in eps.items():
             for out, d in items:
-                if out and q in reach[d]:
+                if out and q in _reachable((d,), targets):
                     raise DivergingRelationError(
                         f"epsilon cycle through state {q} emits output"
                     )
 
-        closures = []
-        for q in range(self.state_count):
-            found: set[tuple[int, Word]] = {(q, ())}
-            stack = [(q, ())]
-            while stack:
-                p, acc = stack.pop()
-                for out, d in eps.get(p, ()):
-                    item = (d, acc + out)
-                    if item not in found:
-                        found.add(item)
-                        stack.append(item)
-            closures.append(tuple(sorted(found)))
-        return tuple(closures)
+        def extend(item: tuple[int, Word]):
+            return [(d, item[1] + out) for out, d in eps.get(item[0], ())]
+
+        return tuple(tuple(sorted(_reachable([(q, ())], extend))) for q in range(self.state_count))
+
+
+def _reachable(starts: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    """Every node reachable from ``starts`` along ``succ``, starts included.
+    Raises ResourceLimitError once more than STATE_CAP nodes are found."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for node in succ(stack.pop()):
+            if node not in seen:
+                if len(seen) >= STATE_CAP:
+                    raise ResourceLimitError(f"a search reached more than {STATE_CAP} nodes")
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def remove_input_epsilons(t: Transducer) -> Transducer:
@@ -171,35 +177,31 @@ def remove_input_epsilons(t: Transducer) -> Transducer:
     letter arc read from their endpoint.
     """
     closures = t._epsilon_closures
-    letter = [a for a in t.arcs if a.inp is not None]
-    by_src: dict[int, list[Arc]] = {}
-    for a in letter:
-        by_src.setdefault(a.src, []).append(a)
-
-    new_arcs: set[Arc] = set()
-    for a in letter:
-        for q2, u in closures[a.dst]:
-            new_arcs.add(Arc(a.src, a.inp, a.out + u, q2))
-
+    sources = [(q, q, ()) for q in range(t.state_count)]  # (new source, state, prefix)
     new_initial = set(t.initial)
     for s in t.initial:
         for p, u in closures[s]:
             if not u:
                 new_initial.add(p)
-                continue
-            if p in t.final:
+            elif p in t.final:
                 raise PreconditionError(
                     "empty input maps to nonempty output; not expressible "
                     "with letter-input arcs"
                 )
-            for b in by_src.get(p, ()):
-                for q2, u2 in closures[b.dst]:
-                    new_arcs.add(Arc(s, b.inp, u + b.out + u2, q2))
+            else:
+                sources.append((s, p, u))
+    arcs = t._letter_arcs
+    new_arcs = {
+        Arc(s, tok, u + out + u2, q2)
+        for s, p, u in sources
+        for tok in t.input_alphabet.symbols
+        for out, d in arcs.get((p, tok), ())
+        for q2, u2 in closures[d]
+    }
 
-    new_final = set(t.final)
-    for q in range(t.state_count):
-        if any(p in t.final and not u for p, u in closures[q]):
-            new_final.add(q)
+    new_final = {
+        q for q, items in enumerate(closures) if any(p in t.final and not u for p, u in items)
+    }
 
     return Transducer(
         t.input_alphabet,
@@ -213,28 +215,12 @@ def remove_input_epsilons(t: Transducer) -> Transducer:
 
 def useful_states(t: Transducer) -> set[int]:
     """States that lie on some accepting path (accessible and co-accessible)."""
-    fwd: set[int] = set(t.initial)
-    queue = deque(fwd)
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
+    succ: list[list[int]] = [[] for _ in range(t.state_count)]
+    pred: list[list[int]] = [[] for _ in range(t.state_count)]
     for a in t.arcs:
-        succ.setdefault(a.src, []).append(a.dst)
-        pred.setdefault(a.dst, []).append(a.src)
-    while queue:
-        q = queue.popleft()
-        for d in succ.get(q, ()):
-            if d not in fwd:
-                fwd.add(d)
-                queue.append(d)
-    bwd: set[int] = set(t.final)
-    queue = deque(bwd)
-    while queue:
-        q = queue.popleft()
-        for s in pred.get(q, ()):
-            if s not in bwd:
-                bwd.add(s)
-                queue.append(s)
-    return fwd & bwd
+        succ[a.src].append(a.dst)
+        pred[a.dst].append(a.src)
+    return _reachable(t.initial, succ.__getitem__) & _reachable(t.final, pred.__getitem__)
 
 
 def trim(t: Transducer) -> Transducer:

@@ -158,3 +158,39 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["instance", "--k", "2"])
     assert info.value.code == 2
+
+
+def test_equiv_mismatch_line_shows_every_side(tmp_path, capsys):
+    _, _, _, _, hc = built(2, 1)
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    good.write_text(emit_bimachine(hc), encoding="utf-8")
+    corrupted = merge_bimachine_states(
+        hc, left_pair=(hc.left.run(("1",)), hc.left.run(("2",)))
+    )
+    bad.write_text(emit_bimachine(corrupted), encoding="utf-8")
+    assert run_cli(
+        "equiv", "--a", str(good), "--b", str(bad), "--oracle", "2,1", "--max-len", "3",
+    ) == 1
+    assert capsys.readouterr().out == "MISMATCH word=2.3 a=3.2 b=3.1 oracle=3.2\n"
+
+
+def test_too_many_states_is_input_error(tmp_path, capsys):
+    machine = tmp_path / "big.txt"
+    machine.write_text(
+        "transducer v1\nalphabet a\nstates 200000\ninitial 0\nfinal 1\narc 0 1 - -\n",
+        encoding="utf-8",
+    )
+    assert run_cli("functional", "--in", str(machine)) == 2
+    assert "200000 states" in capsys.readouterr().err
+
+
+def test_exponential_relation_is_input_error(tmp_path, capsys):
+    machine = tmp_path / "fan.txt"
+    machine.write_text(
+        "transducer v1\nalphabet a\noalphabet x y\nstates 1\ninitial 0\nfinal 0\n"
+        "arc 0 0 a x\narc 0 0 a y\n",
+        encoding="utf-8",
+    )
+    assert run_cli("eval", "--machine", str(machine), "--word", ".".join("a" * 17)) == 2
+    assert "error:" in capsys.readouterr().err

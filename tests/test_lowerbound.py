@@ -20,7 +20,9 @@ from bimlab import (
     render_csv,
     run_experiment,
 )
-from bimlab.lowerbound import CSV_HEADER
+from bimlab import ExperimentError, handcrafted_bimachine
+from bimlab import lowerbound
+from bimlab.lowerbound import CSV_HEADER, first_mismatch, random_words, words_upto
 from helpers import built, corrupt_handcrafted, merge_bimachine_states
 
 
@@ -217,3 +219,47 @@ def test_experiment_row_ratio():
     row = ExperimentRow(2, 2, "handcrafted", 10, 9, 7, 16, 5, 0)
     assert row.ratio == 4.0
     assert row.csv_line().endswith(",4.0000")
+
+
+def test_words_upto_is_shortest_first_in_alphabet_order():
+    words = list(words_upto(("b", "a"), 2))
+    assert words == [(), ("b",), ("a",), ("b", "b"), ("b", "a"), ("a", "b"), ("a", "a")]
+    assert list(words_upto(("a",), -1)) == []
+
+
+def test_random_words_draw_the_length_first():
+    tokens = ("a", "b", "c")
+    ref = random.Random(4)
+    want = []
+    for _ in range(20):
+        length = ref.randint(2, 6)
+        want.append(tuple(ref.choice(tokens) for _ in range(length)))
+    assert list(random_words(random.Random(4), tokens, 20, 2, 6)) == want
+
+
+def test_first_mismatch_counts_words_up_to_the_first_disagreement():
+    words = list(words_upto(("a", "b"), 3))
+
+    def capped(word):
+        return min(len(word), 2)
+
+    assert first_mismatch([len, len], words) == (15, None)
+    # 1 + 2 + 4 words agree; the first word of length 3 is the 8th tested.
+    assert first_mismatch([len, capped], words) == (8, ("a", "a", "a"))
+    assert first_mismatch([capped, capped, len], words) == (8, ("a", "a", "a"))
+    assert first_mismatch([len], []) == (0, None)
+
+
+def test_run_experiment_names_the_shortest_mismatch(monkeypatch):
+    def corrupted(params):
+        m = handcrafted_bimachine(params)
+        # The psi entry the word 1.3 emits its output (3, 1) from.
+        key = (m.left.run(("1",)), "3", m.right.start)
+        assert m.psi[key] == ("3", "1")
+        psi = {**m.psi, key: ("4", "1")}
+        return Bimachine(m.left, m.right, psi, m.empty_word_output, m.output_alphabet)
+
+    monkeypatch.setattr(lowerbound, "handcrafted_bimachine", corrupted)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment([(2, 1)], constructions=("handcrafted",))
+    assert str(info.value) == "cell k=2 n=1 handcrafted: mismatch on 1.3"

@@ -16,6 +16,8 @@ from bimlab import (
     remove_input_epsilons,
     trim,
 )
+from bimlab import ResourceLimitError, parse_transducer
+from bimlab.fsm import STATE_CAP
 from helpers import built, random_letter_transducer, relation_by_paths, words_upto
 
 AB = Alphabet(("a", "b"))
@@ -290,3 +292,29 @@ def test_instance_transducers_are_functional():
     for (k, n) in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         _, _, prepared, _, _ = built(k, n)
         assert check_functional(prepared).functional
+
+
+def test_state_count_is_capped():
+    assert Transducer(AB, XY, STATE_CAP, {0}, {0}, ()).state_count == STATE_CAP
+    with pytest.raises(ResourceLimitError):
+        Transducer(AB, XY, STATE_CAP + 1, {0}, {0}, ())
+    text = "transducer v1\nalphabet a\nstates 200000\ninitial 0\nfinal 1\narc 0 1 - -\n"
+    with pytest.raises(ResourceLimitError):
+        parse_transducer(text)
+
+
+def test_epsilon_closure_is_capped():
+    # 17 epsilon steps that each emit x or y: state 0 reaches 2^18 - 1
+    # (state, output) pairs without reading a letter.
+    steps = [Arc(q, None, (o,), q + 1) for q in range(17) for o in ("x", "y")]
+    t = Transducer(AB, XY, 19, {0}, {18}, (*steps, Arc(17, "a", (), 18)))
+    with pytest.raises(ResourceLimitError):
+        t.relation(("a",))
+
+
+def test_relation_step_is_capped():
+    # Every letter doubles the outputs: 2^17 after 17 letters.
+    t = Transducer(AB, XY, 1, {0}, {0}, (Arc(0, "a", ("x",), 0), Arc(0, "a", ("y",), 0)))
+    assert len(t.relation(("a",) * 16)) == 2**16
+    with pytest.raises(ResourceLimitError):
+        t.relation(("a",) * 17)
