@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import PreconditionError
 from .fsm import Alphabet, Dfa, Word, moore_reduce
 
 
@@ -44,20 +45,30 @@ class Bimachine:
         Unfolds from the right: the last letter is looked up against
         ``right_state`` directly, earlier letters against the right state
         advanced over the reversed suffix behind them. Undefined as soon as
-        one lookup is undefined.
+        one lookup is undefined. A token outside either automaton's alphabet
+        raises UnknownSymbolError, wherever it sits in the word.
         """
         word = tuple(word)
-        prefix = [left_state]
-        for tok in word:
-            prefix.append(self.left.step(prefix[-1], tok))
+        left_index = self.left.alphabet.indices(word)
+        right_index = (
+            left_index
+            if self.right.alphabet is self.left.alphabet
+            else self.right.alphabet.indices(word)
+        )
+        left_delta, right_delta, psi = self.left.delta, self.right.delta, self.psi
+        l = left_state
+        prefix = [l]
+        for i in left_index:
+            l = left_delta[l][i]
+            prefix.append(l)
         parts: list[Word] = []
         r = right_state
-        for i in range(len(word) - 1, -1, -1):
-            piece = self.psi.get((prefix[i], word[i], r))
+        for pos in range(len(word) - 1, -1, -1):
+            piece = psi.get((prefix[pos], word[pos], r))
             if piece is None:
                 return None
             parts.append(piece)
-            r = self.right.step(r, word[i])
+            r = right_delta[r][right_index[pos]]
         return tuple(tok for piece in reversed(parts) for tok in piece)
 
     def evaluate(self, word: Iterable[str]) -> Word | None:
@@ -97,8 +108,14 @@ class Bimachine:
         The represented function is unchanged. One pass per side reaches the
         fixpoint: merging one side never changes row-distinguishability on the
         other, because merged states have literally identical rows. The machine
-        must be valid (``validate()`` reports nothing).
+        must be valid (``validate()`` reports nothing); a psi key naming a
+        state the machine lacks raises PreconditionError. The keys are checked
+        once here: the right pass only reads keys the left pass built.
         """
+        left_count, right_count = self.left.state_count, self.right.state_count
+        for l, a, r in self.psi:
+            if not (0 <= l < left_count and 0 <= r < right_count):
+                raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
         return self._merge("left")._merge("right")
 
     def _merge(self, side: str) -> "Bimachine":

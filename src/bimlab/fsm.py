@@ -57,10 +57,17 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
+    def indices(self, word: Iterable[str]) -> list[int]:
+        """The position of each token of ``word``; raises UnknownSymbolError
+        as ``index`` does at the first token outside the alphabet."""
+        try:
+            return list(map(self._index.__getitem__, word))
+        except KeyError as exc:
+            raise UnknownSymbolError(f"unknown symbol {exc.args[0]!r}") from None
+
     def check_word(self, word: Iterable[str]) -> Word:
         word = tuple(word)
-        for tok in word:
-            self.index(tok)
+        self.indices(word)
         return word
 
 
@@ -129,8 +136,9 @@ class Dfa:
     def run(self, word: Iterable[str], start: int | None = None) -> int:
         """Fold the transition function over ``word`` from the left."""
         state = self.start if start is None else start
-        for tok in word:
-            state = self.delta[state][self.alphabet.index(tok)]
+        delta = self.delta
+        for i in self.alphabet.indices(word):
+            state = delta[state][i]
         return state
 
 

@@ -14,6 +14,7 @@ head and tail), and a sliding-window bimachine of size Θ(k^n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .bimachine import Bimachine
@@ -32,15 +33,17 @@ class InstanceParams:
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
-    @property
+    # Cached in the instance __dict__, which a frozen dataclass without
+    # __slots__ still has; equality and hashing keep using (k, n) alone.
+    @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(tuple(str(i) for i in range(1, 2 * self.k + 1)))
 
-    @property
+    @cached_property
     def first_half(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(1, self.k + 1))
 
-    @property
+    @cached_property
     def second_half(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(self.k + 1, 2 * self.k + 1))
 
@@ -48,17 +51,19 @@ class InstanceParams:
 def oracle(params: InstanceParams, word: Iterable[str]) -> Word | None:
     """Reference semantics straight from the definition; the single source of
     truth every machine is tested against."""
-    word = params.alphabet.check_word(word)
-    first = set(params.first_half)
+    word = tuple(word)
+    # The first half {1..k} is exactly the letters at positions 0..k-1.
+    positions = params.alphabet.indices(word)
+    k, n = params.k, params.n
     split = 0
-    while split < len(word) and word[split] in first:
+    while split < len(word) and positions[split] < k:
         split += 1
     block1, block2 = word[:split], word[split:]
-    if any(tok in first for tok in block2):
+    if any(pos < k for pos in positions[split:]):
         return None
-    if len(block1) < params.n or len(block2) < params.n:
+    if len(block1) < n or len(block2) < n:
         return None
-    return (block2[params.n - 1], block1[-params.n])
+    return (block2[n - 1], block1[-n])
 
 
 def instance_transducer(params: InstanceParams, merged: bool = True) -> Transducer:

@@ -131,7 +131,8 @@ class Transducer:
     def _epsilon_closures(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
         """Per state, all (target, output) pairs of epsilon paths (including the
         trivial one). Raises DivergingRelationError when an epsilon cycle emits,
-        and ResourceLimitError when one closure exceeds STATE_CAP pairs."""
+        and ResourceLimitError when the closures together hold more than
+        STATE_CAP pairs besides each state's trivial one."""
         eps: dict[int, list[tuple[Word, int]]] = {}
         for arc in self.arcs:
             if arc.inp is None:
@@ -150,7 +151,15 @@ class Transducer:
         def extend(item: tuple[int, Word]):
             return [(d, item[1] + out) for out, d in eps.get(item[0], ())]
 
-        return tuple(tuple(sorted(_reachable([(q, ())], extend))) for q in range(self.state_count))
+        closures = []
+        pairs = 0
+        for q in range(self.state_count):
+            closure = _reachable([(q, ())], extend)
+            pairs += len(closure) - 1
+            if pairs > STATE_CAP:
+                raise ResourceLimitError(f"epsilon closures exceed {STATE_CAP} pairs")
+            closures.append(tuple(sorted(closure)))
+        return tuple(closures)
 
 
 def _reachable(starts: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> set:

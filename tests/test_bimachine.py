@@ -1,9 +1,10 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
-from bimlab import Alphabet, Bimachine, Dfa, UnknownSymbolError
+from bimlab import Alphabet, Bimachine, Dfa, PreconditionError, UnknownSymbolError
 from helpers import built, random_word, words_upto
 
 
@@ -66,6 +67,29 @@ def test_psi_star_unknown_symbol():
     b = tiny_bimachine()
     with pytest.raises(UnknownSymbolError):
         b.psi_star(0, ("z",), 0)
+
+
+def test_unknown_symbol_raises_where_the_output_is_undefined():
+    b = tiny_bimachine()
+    del b.psi[(0, "b", 0)]
+    assert b.evaluate(("a", "b")) is None
+    # Each word's output is undefined, but its unknown "z" must still raise.
+    for word in (("b", "z"), ("z", "b"), ("a", "b", "z", "a")):
+        with pytest.raises(UnknownSymbolError):
+            b.evaluate(word)
+
+
+def test_each_automaton_reads_its_own_alphabet():
+    # The right automaton lists the letters in the other order; validate()
+    # reports that, but evaluation still steps each side by its own letters.
+    ab, ba = Alphabet(("a", "b")), Alphabet(("b", "a"))
+    left = Dfa(ab, 1, 0, ((0, 0),))
+    right = Dfa(ba, 2, 0, ((0, 1), (0, 1)))  # state 1: an "a" lies behind
+    psi = {(0, tok, r): (tok,) * (r + 1) for tok in "ab" for r in (0, 1)}
+    b = Bimachine(left, right, psi, (), ab)
+    for word in words_upto(ab.symbols, 4):
+        assert b.evaluate(word) == psi_star_positionwise(b, 0, word, 0)
+    assert b.evaluate(("b", "a")) == ("b", "b", "a")
 
 
 def test_psi_star_matches_positionwise_product():
@@ -143,6 +167,14 @@ def test_validate_reports_alphabet_mismatch():
         Dfa(ab, 1, 0, ((0, 0),)), Dfa(cd, 1, 0, ((0, 0),)), {}, None, ab
     )
     assert any("alphabet-mismatch" in p for p in b.validate())
+
+
+def test_reduce_rejects_psi_keys_outside_the_machine():
+    for key in ((0, "a", 1), (0, "a", -1), (1, "b", 0), (-1, "b", 0)):
+        b = tiny_bimachine()
+        b.psi[key] = ("x",)
+        with pytest.raises(PreconditionError, match=re.escape(f"psi key {key}")):
+            b.reduce()
 
 
 def test_reduce_merges_duplicate_state():

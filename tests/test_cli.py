@@ -185,6 +185,19 @@ def test_too_many_states_is_input_error(tmp_path, capsys):
     assert "200000 states" in capsys.readouterr().err
 
 
+def test_long_epsilon_chain_is_input_error(tmp_path, capsys):
+    # 2000 output-free epsilon steps: about 2 million closure pairs.
+    arcs = "".join(f"arc {q} {q + 1} - -\n" for q in range(2000))
+    machine = tmp_path / "chain.txt"
+    machine.write_text(
+        "transducer v1\nalphabet a\nstates 2002\ninitial 0\nfinal 2001\n"
+        + arcs + "arc 2000 2001 a a\n",
+        encoding="utf-8",
+    )
+    assert run_cli("functional", "--in", str(machine)) == 2
+    assert "epsilon closures exceed" in capsys.readouterr().err
+
+
 def test_exponential_relation_is_input_error(tmp_path, capsys):
     machine = tmp_path / "fan.txt"
     machine.write_text(

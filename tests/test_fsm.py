@@ -38,6 +38,16 @@ def test_alphabet_lookup():
         AB.index("z")
 
 
+def test_alphabet_indices_fail_as_index_does():
+    assert AB.indices(("b", "a", "b")) == [1, 0, 1]
+    assert AB.indices(iter(())) == []
+    with pytest.raises(UnknownSymbolError) as one:
+        AB.index("z")
+    with pytest.raises(UnknownSymbolError) as many:
+        AB.indices(("a", "z", "q"))
+    assert str(many.value) == str(one.value) == "unknown symbol 'z'"
+
+
 def test_explore_caps_discovered_states():
     with pytest.raises(ResourceLimitError):
         explore(AB, 0, lambda state, tok: state + 1, cap=5)
@@ -58,8 +68,9 @@ def test_run_two_state_cycle():
 
 def test_run_unknown_symbol():
     d = Dfa(AB, 1, 0, ((0, 0),))
-    with pytest.raises(UnknownSymbolError):
-        d.run(("z",))
+    for word in (("z",), ("a", "b", "z"), ("z", "a")):
+        with pytest.raises(UnknownSymbolError):
+            d.run(word)
 
 
 def test_dfa_must_be_total():

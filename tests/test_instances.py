@@ -52,8 +52,20 @@ def test_oracle_rejects_malformed_blocks():
 
 
 def test_oracle_unknown_symbol():
-    with pytest.raises(UnknownSymbolError):
-        oracle(InstanceParams(2, 1), ("9",))
+    # The later words are undefined from their first letter on.
+    for word in (("9",), ("3", "9"), ("3", "1", "9")):
+        with pytest.raises(UnknownSymbolError):
+            oracle(InstanceParams(2, 1), word)
+
+
+def test_params_cache_keeps_equality_and_hash():
+    p = InstanceParams(3, 2)
+    assert p.alphabet is p.alphabet
+    assert p.first_half + p.second_half == p.alphabet.symbols
+    q = InstanceParams(3, 2)
+    assert p == q and hash(p) == hash(q)
+    assert {p: "cell"}[q] == "cell" and {q: "cell"}[p] == "cell"
+    assert p != InstanceParams(2, 3)
 
 
 def test_oracle_undefined_below_2n():

@@ -250,6 +250,22 @@ def test_first_mismatch_counts_words_up_to_the_first_disagreement():
     assert first_mismatch([len], []) == (0, None)
 
 
+def test_run_experiment_checks_every_word(monkeypatch):
+    tested = []
+
+    def counting(sides, words):
+        result = first_mismatch(sides, words)
+        tested.append(result[0])
+        return result
+
+    monkeypatch.setattr(lowerbound, "first_mismatch", counting)
+    rows = run_experiment([(2, 2)], sample_count=2000)
+    # Per construction: the 4^0 + ... + 4^6 = 5461 words of length <= 2n+2,
+    # then the samples.
+    assert [row.construction for row in rows] == ["generic", "handcrafted"]
+    assert tested == [5461 + 2000] * 2
+
+
 def test_run_experiment_names_the_shortest_mismatch(monkeypatch):
     def corrupted(params):
         m = handcrafted_bimachine(params)

@@ -312,6 +312,22 @@ def test_epsilon_closure_is_capped():
         t.relation(("a",))
 
 
+def test_epsilon_closures_are_capped_in_total():
+    def chain(m):
+        arcs = [Arc(q, None, (), q + 1) for q in range(m)] + [Arc(m, "a", ("x",), m + 1)]
+        return Transducer(AB, XY, m + 2, {0}, {m + 1}, arcs)
+
+    # 300 steps: 300 * 301 / 2 = 45150 pairs besides the trivial ones.
+    assert remove_input_epsilons(chain(300)) == Transducer(
+        AB, XY, 302, set(range(301)), {301}, (Arc(300, "a", ("x",), 301),)
+    )
+    with pytest.raises(ResourceLimitError):
+        remove_input_epsilons(chain(2000))
+    # Only the pairs besides each state's trivial one count toward the cap.
+    at_cap = Transducer(AB, XY, STATE_CAP, {0}, {1}, (Arc(0, None, (), 1),))
+    assert at_cap.relation(()) == ((),)
+
+
 def test_relation_step_is_capped():
     # Every letter doubles the outputs: 2^17 after 17 letters.
     t = Transducer(AB, XY, 1, {0}, {0}, (Arc(0, "a", ("x",), 0), Arc(0, "a", ("y",), 0)))
