@@ -25,9 +25,15 @@ class Bimachine:
     output_alphabet: Alphabet
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "psi", {(l, a, r): tuple(out) for (l, a, r), out in self.psi.items()}
-        )
+        psi = self.psi
+        # A table whose keys are 3-tuples and whose values are tuples is
+        # already normalised (parsed and reduced tables are); copy it whole.
+        if (set(map(type, psi)) <= {tuple} and set(map(len, psi)) <= {3}
+                and set(map(type, psi.values())) <= {tuple}):
+            psi = dict(psi)
+        else:
+            psi = {(l, a, r): tuple(out) for (l, a, r), out in psi.items()}
+        object.__setattr__(self, "psi", psi)
         if self.empty_word_output is not None:
             object.__setattr__(self, "empty_word_output", tuple(self.empty_word_output))
 

@@ -32,9 +32,9 @@ def word_to_text(word: Word) -> str:
 def _lines(text: str):
     """Yield (line_no, fields) for nonblank lines, with comments stripped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield line_no, body.split()
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if fields:
+            yield line_no, fields
 
 
 class _Parser:
@@ -62,6 +62,41 @@ class _Parser:
         if expect is not None and item[1][0] != expect:
             raise FormatError(item[0], f"expected {expect!r}, got {item[1][0]!r}")
         return item
+
+    def section(self, keyword: str):
+        """Yield the items from here on that start with keyword, up to the
+        first that does not, reading ``items`` directly."""
+        items = self.items
+        for pos in range(self.pos, len(items)):
+            if items[pos][1][0] != keyword:
+                self.pos = pos
+                return
+            yield items[pos]
+        self.pos = len(items)
+
+    def finish(self, keyword: str) -> None:
+        """Reject what is left after the last section (its lines start with keyword)."""
+        if self.peek() is not None:
+            self.next(keyword)
+
+
+class _Memo(dict):
+    """One field's parsed values in one section, keyed by the field's text.
+
+    It fills on demand, never from a declared count. A miss runs the checked
+    parse, so an error keeps its line and message, and a spelling such as
+    ``07`` or ``+1`` parses as ``int()`` does. It lives for one parse call.
+    """
+
+    def __init__(self, parse, *args):
+        super().__init__()
+        self.parse, self.args = parse, args
+
+    def read(self, line_no: int, text: str):
+        value = self.get(text)
+        if value is None:
+            value = self[text] = self.parse(line_no, text, *self.args)
+        return value
 
 
 def _parse_int(line_no: int, text: str, what: str) -> int:
@@ -125,21 +160,24 @@ def parse_transducer(text: str) -> Transducer:
     initial = frozenset(_parse_state(line_no, f, count, "initial state") for f in fields[1:])
     line_no, fields = parser.next("final")
     final = frozenset(_parse_state(line_no, f, count, "final state") for f in fields[1:])
+    sources = _Memo(_parse_state, count, "arc source")
+    targets = _Memo(_parse_state, count, "arc target")
+    outputs = _Memo(_parse_word, oalphabet, "output")
     arcs = []
-    while parser.peek() is not None:
-        line_no, fields = parser.next("arc")
+    for line_no, fields in parser.section("arc"):
         if len(fields) != 5:
             raise FormatError(line_no, "expected 'arc <src> <dst> <in> <out>'")
-        src = _parse_state(line_no, fields[1], count, "arc source")
-        dst = _parse_state(line_no, fields[2], count, "arc target")
+        src = sources.read(line_no, fields[1])
+        dst = targets.read(line_no, fields[2])
         if fields[3] == "-":
             inp = None
         else:
             inp = fields[3]
             if inp not in alphabet:
                 raise FormatError(line_no, f"unknown input token {inp!r}")
-        out = _parse_word(line_no, fields[4], oalphabet, "output")
+        out = outputs.read(line_no, fields[4])
         arcs.append(Arc(src, inp, out, dst))
+    parser.finish("arc")
     return Transducer(alphabet, oalphabet, count, initial, final, tuple(arcs))
 
 
@@ -167,19 +205,17 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
         raise FormatError(line_no, f"expected '{side} states <count> start <id>'")
     count = _parse_int(line_no, fields[2], "state count")
     start = _parse_state(line_no, fields[4], count, "start state")
+    sources = _Memo(_parse_state, count, "arc source")
+    targets = _Memo(_parse_state, count, "arc target")
     delta: dict[tuple[int, str], int] = {}
-    while True:
-        item = parser.peek()
-        if not item or item[1][0] != arc_word:
-            break
-        line_no, fields = parser.next()
+    for line_no, fields in parser.section(arc_word):
         if len(fields) != 4:
             raise FormatError(line_no, f"expected '{arc_word} <state> <token> <state>'")
-        src = _parse_state(line_no, fields[1], count, "arc source")
+        src = sources.read(line_no, fields[1])
         tok = fields[2]
         if tok not in alphabet:
             raise FormatError(line_no, f"unknown token {tok!r}")
-        dst = _parse_state(line_no, fields[3], count, "arc target")
+        dst = targets.read(line_no, fields[3])
         if (src, tok) in delta:
             raise FormatError(line_no, f"duplicate transition ({src}, {tok})")
         delta[(src, tok)] = dst
@@ -209,19 +245,32 @@ def parse_bimachine(text: str) -> Bimachine:
         if len(fields) != 2:
             raise FormatError(line_no, "expected 'epsout <word>'")
         empty_out = _parse_word(line_no, fields[1], oalphabet, "output")
+    lefts = _Memo(_parse_state, left.state_count, "left state")
+    rights = _Memo(_parse_state, right.state_count, "right state")
+    outputs = _Memo(_parse_word, oalphabet, "output")
     psi: dict[tuple[int, str, int], Word] = {}
-    while parser.peek() is not None:
-        line_no, fields = parser.next("psi")
+    # This loop runs once per psi entry, Θ(k^{2n}) times, so it looks a memo
+    # up inline and calls ``read`` only on a miss.
+    for line_no, fields in parser.section("psi"):
         if len(fields) != 5:
             raise FormatError(line_no, "expected 'psi <left> <token> <right> <out>'")
-        l = _parse_state(line_no, fields[1], left.state_count, "left state")
+        l = lefts.get(fields[1])
+        if l is None:
+            l = lefts.read(line_no, fields[1])
         tok = fields[2]
         if tok not in alphabet:
             raise FormatError(line_no, f"unknown token {tok!r}")
-        r = _parse_state(line_no, fields[3], right.state_count, "right state")
-        if (l, tok, r) in psi:
+        r = rights.get(fields[3])
+        if r is None:
+            r = rights.read(line_no, fields[3])
+        key = (l, tok, r)
+        if key in psi:
             raise FormatError(line_no, f"duplicate psi entry ({l}, {tok}, {r})")
-        psi[(l, tok, r)] = _parse_word(line_no, fields[4], oalphabet, "output")
+        out = outputs.get(fields[4])
+        if out is None:
+            out = outputs.read(line_no, fields[4])
+        psi[key] = out
+    parser.finish("psi")
     return Bimachine(left, right, psi, empty_out, oalphabet)
 
 

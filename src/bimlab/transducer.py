@@ -279,16 +279,21 @@ def check_functional(t: Transducer) -> FunctionalityReport:
     delay with both sides outstanding, or a final pair with a nonzero delay
     certifies two distinct outputs for one input word; that word is
     reconstructed from the search tree and verified before being returned.
+    The product is capped: more than STATE_CAP start pairs, reached pairs or
+    edges raise ResourceLimitError.
     """
     if t.has_input_epsilons:
         raise PreconditionError("functionality test needs a letter-input machine")
     arcs = t._letter_arcs
     tokens = t.input_alphabet.symbols
 
+    if len(t.initial) ** 2 > STATE_CAP:
+        raise ResourceLimitError(f"functionality check exceeds {STATE_CAP} state pairs")
     start_pairs = sorted((p, q) for p in t.initial for q in t.initial)
     reached: set[tuple[int, int]] = set(start_pairs)
     queue = deque(start_pairs)
     succ: dict[tuple[int, int], list[tuple[str, Word, Word, tuple[int, int]]]] = {}
+    edge_count = 0
     while queue:
         pair = queue.popleft()
         p, q = pair
@@ -301,6 +306,11 @@ def check_functional(t: Transducer) -> FunctionalityReport:
                     if nxt not in reached:
                         reached.add(nxt)
                         queue.append(nxt)
+                if len(reached) > STATE_CAP or edge_count + len(edges) > STATE_CAP:
+                    raise ResourceLimitError(
+                        f"functionality check exceeds {STATE_CAP} state pairs or edges"
+                    )
+        edge_count += len(edges)
         succ[pair] = edges
 
     final_pairs = {pr for pr in reached if pr[0] in t.final and pr[1] in t.final}

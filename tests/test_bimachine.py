@@ -124,6 +124,31 @@ def test_suffix_compositionality():
                 assert whole == first + second
 
 
+def test_construction_owns_a_normalised_psi():
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    d = Dfa(ab, 1, 0, ((0, 0),))
+    for psi in ({(0, "a", 0): ("x",)}, {(0, "a", 0): ["x"]}):
+        b = Bimachine(d, d, psi, None, xy)
+        psi[(0, "b", 0)] = ("y",)
+        psi[(0, "a", 0)] = ("y",)
+        assert b.psi == {(0, "a", 0): ("x",)}
+        assert type(b.psi[(0, "a", 0)]) is tuple
+    b = Bimachine(d, d, {(0, "a", 0): ["x", "y"], (0, "b", 0): []}, [], xy)
+    assert b.psi == {(0, "a", 0): ("x", "y"), (0, "b", 0): ()}
+    assert all(type(out) is tuple for out in b.psi.values())
+    assert b.empty_word_output == () and type(b.empty_word_output) is tuple
+    # Keys are unpacked as (left, letter, right), as before the whole-table copy.
+    assert Bimachine(d, d, {"0a0": ("x",)}, None, xy).psi == {("0", "a", "0"): ("x",)}
+    for key, error, message in (
+        ((0, "a"), ValueError, "not enough values to unpack (expected 3, got 2)"),
+        ((0, "a", 0, 0), ValueError, "too many values to unpack (expected 3)"),
+        (0, TypeError, "cannot unpack non-iterable int object"),
+    ):
+        with pytest.raises(error) as info:
+            Bimachine(d, d, {(0, "a", 0): ("x",), key: ("y",)}, None, xy)
+        assert str(info.value) == message
+
+
 def test_evaluate_empty_word_flag():
     assert tiny_bimachine().evaluate(()) is None
     assert tiny_bimachine(empty_word_output=()).evaluate(()) == ()

@@ -185,6 +185,17 @@ def test_too_many_states_is_input_error(tmp_path, capsys):
     assert "200000 states" in capsys.readouterr().err
 
 
+def test_squared_machine_too_large_is_input_error(tmp_path, capsys):
+    states = " ".join(map(str, range(700)))
+    machine = tmp_path / "starts.txt"
+    machine.write_text(
+        f"transducer v1\nalphabet a\nstates 700\ninitial {states}\nfinal {states}\n",
+        encoding="utf-8",
+    )
+    assert run_cli("functional", "--in", str(machine)) == 2
+    assert "functionality check exceeds 100000 state pairs" in capsys.readouterr().err
+
+
 def test_long_epsilon_chain_is_input_error(tmp_path, capsys):
     # 2000 output-free epsilon steps: about 2 million closure pairs.
     arcs = "".join(f"arc {q} {q + 1} - -\n" for q in range(2000))

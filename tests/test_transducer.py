@@ -334,3 +334,24 @@ def test_relation_step_is_capped():
     assert len(t.relation(("a",) * 16)) == 2**16
     with pytest.raises(ResourceLimitError):
         t.relation(("a",) * 17)
+
+
+def test_functionality_check_is_capped():
+    # 317 initial states: 100489 start pairs, refused before any is built.
+    many_starts = Transducer(AB, XY, 317, set(range(317)), {0}, ())
+    with pytest.raises(ResourceLimitError, match="state pairs"):
+        check_functional(many_starts)
+    assert check_functional(Transducer(AB, XY, 316, set(range(316)), {0}, ())).functional
+    # One state fanning out to 400 states: 160000 reached pairs.
+    fan = Transducer(AB, XY, 401, {0}, set(range(1, 401)),
+                     [Arc(0, "a", ("x",), q) for q in range(1, 401)])
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(fan)
+    # One state with 400 loops of distinct outputs: one pair, 160000 edges.
+    outputs = [tuple("xy"[int(b)] for b in format(i, "b")) for i in range(1, 401)]
+    loops = Transducer(AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs])
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(loops)
+    assert not check_functional(Transducer(
+        AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs[:300]]
+    )).functional
