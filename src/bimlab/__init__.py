@@ -60,6 +60,7 @@ from .transducer import (
     FunctionalityReport,
     Transducer,
     check_functional,
+    equivalent,
     is_trim,
     remove_input_epsilons,
     trim,
@@ -99,6 +100,7 @@ __all__ = [
     "check_functional",
     "emit_bimachine",
     "emit_transducer",
+    "equivalent",
     "exponent_constant",
     "find_collisions",
     "handcrafted_bimachine",

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError
-from .fsm import Alphabet, Dfa, Word, moore_reduce
+from .errors import PreconditionError, ResourceLimitError
+from .fsm import STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore, moore_reduce
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,100 @@ class Bimachine:
         if not word:
             return self.empty_word_output
         return self.psi_star(self.left.start, word, self.right.start)
+
+    def letter_machine(self) -> LetterMachine:
+        """The bimachine as an unambiguous letter transducer.
+
+        State ``l * |R| + r`` is left state ``l`` with right state ``r`` for
+        the unread suffix. Wherever ``psi(l, a, r')`` is defined there is an
+        arc ``(l, δR(r', a)) --a/psi(l, a, r')--> (δL(l, a), r')``. Every
+        ``(L.start, r)`` is initial and every ``(l, R.start)`` final, so a
+        nonempty word of the domain has one accepting path, and it emits the
+        word's output. The empty word is left to ``empty_word_output``.
+        """
+        left_count, right_count = self.left.state_count, self.right.state_count
+        left_col = {tok: pos for pos, tok in enumerate(self.left.alphabet.symbols)}
+        right_col = {tok: self.right.alphabet.index(tok) for tok in self.input_alphabet.symbols}
+        left_delta, right_delta = self.left.delta, self.right.delta
+
+        def arcs():
+            for (l, a, r), out in self.psi.items():
+                if not (0 <= l < left_count and 0 <= r < right_count):
+                    raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
+                yield (l * right_count + right_delta[r][right_col[a]], a, out,
+                       left_delta[l][left_col[a]] * right_count + r)
+
+        return LetterMachine.build(
+            self.input_alphabet,
+            left_count * right_count,
+            (self.left.start * right_count + r for r in range(right_count)),
+            (l * right_count + self.right.start for l in range(left_count)),
+            arcs(),
+            self.empty_word_output,
+        )
+
+    def paired_letter_machines(self, other: Bimachine) -> tuple[LetterMachine, LetterMachine]:
+        """This bimachine and ``other`` as two letter transducers with one
+        path per word between them, for the product searches.
+
+        Alone, each view of ``letter_machine`` guesses its right state anew
+        at every step, so a product of two such views pairs every guess of
+        one with every guess of the other. Here both views read with the same
+        automata: the pairs of left states that ``L`` and ``L'`` reach
+        together, and the pairs of right states that ``R`` and ``R'`` reach
+        together (``J``). State ``i * |J| + j`` is left pair ``i`` with right
+        pair ``j`` for the unread suffix, and the arc for left pair ``i``,
+        letter ``a`` and right pair ``j`` is labelled ``(a, i, j)``. So a
+        product pairs each arc of one view only with its twin in the other,
+        and each path with the other machine's path on the same word. The
+        last state is the only initial one; it has the arcs of every
+        ``(i0, j)``, where ``i0`` is the start pair. Raises
+        ResourceLimitError when a view would have more than STATE_CAP states
+        or more than 3 * STATE_CAP arcs, the edge cap of the search.
+        """
+        alphabet, machines = self.input_alphabet, (self, other)
+        lefts, left_pairs = explore(alphabet, tuple(m.left.start for m in machines),
+                                    lambda i, tok: tuple(m.left.step(l, tok)
+                                                         for m, l in zip(machines, i)))
+        rights, right_pairs = explore(alphabet, tuple(m.right.start for m in machines),
+                                      lambda j, tok: tuple(m.right.step(r, tok)
+                                                           for m, r in zip(machines, j)))
+        width = rights.state_count
+        start = lefts.state_count * width
+        too_large = f"paired views exceed {STATE_CAP} states or {3 * STATE_CAP} arcs"
+        if start >= STATE_CAP:
+            raise ResourceLimitError(too_large)
+
+        def arcs(k: int, psi: dict):
+            lefts_of: dict[int, list[int]] = {}
+            rights_of: dict[int, list[int]] = {}
+            for i, pair in enumerate(left_pairs):
+                lefts_of.setdefault(pair[k], []).append(i)
+            for j, pair in enumerate(right_pairs):
+                rights_of.setdefault(pair[k], []).append(j)
+            budget = 3 * STATE_CAP
+            for (l, tok, r), out in psi.items():
+                pos = alphabet.index(tok)
+                for i in lefts_of.get(l, ()):
+                    budget -= len(rights_of.get(r, ())) * (1 + (i == lefts.start))
+                    if budget < 0:
+                        raise ResourceLimitError(too_large)
+                    dst = lefts.delta[i][pos] * width
+                    for j in rights_of.get(r, ()):
+                        arc = (tok, i, j), out, dst + j
+                        yield (i * width + rights.delta[j][pos], *arc)
+                        if i == lefts.start:
+                            yield (start, *arc)
+
+        def label_key(label):
+            return (alphabet.index(label[0]), *label[1:])
+
+        finals = [i * width + rights.start for i in range(lefts.state_count)]
+        return tuple(
+            LetterMachine.build(alphabet, start + 1, (start,), finals, arcs(k, m.psi),
+                                m.empty_word_output, label_key)
+            for k, m in enumerate(machines)
+        )
 
     def validate(self) -> list[str]:
         """Diagnostics for structural problems; an empty list means valid."""

@@ -7,15 +7,14 @@ refuted bound, non-functional machine), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from functools import partial
-from itertools import chain
+from functools import cache, partial
 from pathlib import Path
 
 from .construct import to_bimachine
 from .errors import (
     BimlabError,
+    ConsistencyError,
     ExperimentError,
     NonFunctionalError,
 )
@@ -24,12 +23,9 @@ from .lowerbound import (
     BoundRespected,
     Mismatch,
     SoundnessAlarm,
-    first_mismatch,
-    random_words,
     refute,
     render_csv,
     run_experiment,
-    words_upto,
 )
 from .textfmt import (
     emit_bimachine,
@@ -40,7 +36,7 @@ from .textfmt import (
     word_from_text,
     word_to_text,
 )
-from .transducer import check_functional, remove_input_epsilons, trim
+from .transducer import Transducer, _compare, check_functional, remove_input_epsilons, trim
 
 
 def _params(args) -> InstanceParams:
@@ -102,25 +98,31 @@ def cmd_equiv(args) -> int:
     alphabet = a.input_alphabet
     if b.input_alphabet.symbols != alphabet.symbols:
         raise ValueError("machines have different input alphabets")
-    sides = [("a", a.evaluate), ("b", b.evaluate)]
+    # (name, machine compared, function shown on a mismatch)
+    sides = [("a", a, a.evaluate), ("b", b, b.evaluate)]
     if args.oracle:
         k_text, n_text = args.oracle.split(",", 1)
         params = InstanceParams(int(k_text), int(n_text))
         if params.alphabet.symbols != alphabet.symbols:
             raise ValueError("oracle alphabet differs from the machines")
-        sides.append(("oracle", partial(oracle, params)))
-    tokens, low = alphabet.symbols, args.max_len + 1
-    words = chain(
-        words_upto(tokens, args.max_len),
-        random_words(random.Random(args.seed), tokens, args.samples, low, 2 * low),
-    )
-    tested, word = first_mismatch([fn for _, fn in sides], words)
-    if word is None:
-        print(f"EQUIVALENT(tested={tested})")
-        return 0
-    shown = " ".join(f"{name}={_word_or_undefined(fn(word))}" for name, fn in sides)
-    print(f"MISMATCH word={word_to_text(word)} {shown}")
-    return 1
+        prepared = trim(remove_input_epsilons(instance_transducer(params)))
+        sides.append(("oracle", prepared, partial(oracle, params)))
+    pivot = next((m for _, m, _ in sides if isinstance(m, Transducer)), a)
+    pairs = 0
+    for _, machine, _ in sides:
+        if machine is pivot:
+            continue
+        word, reached = _compare(machine, pivot)
+        pairs += reached
+        if word is not None:
+            shown = [(name, fn(word)) for name, _, fn in sides]
+            if len({out for _, out in shown}) < 2:
+                raise ConsistencyError(f"every side agrees on {word_to_text(word)}")
+            outputs = " ".join(f"{name}={_word_or_undefined(out)}" for name, out in shown)
+            print(f"MISMATCH word={word_to_text(word)} {outputs}")
+            return 1
+    print(f"EQUIVALENT(pairs={pairs})")
+    return 0
 
 
 def cmd_refute(args) -> int:
@@ -152,7 +154,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="bimlab",
         description="Transducer/bimachine laboratory for the hard instance family.",
@@ -165,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unmerged", action="store_true",
                    help="keep separate heads and tails (2k(n+1) states)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_instance)
 
     p = sub.add_parser("construct", help="build a bimachine")
     p.add_argument("--in", dest="infile", help="transducer file (generic method)")
@@ -174,49 +177,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--reduce", action="store_true", help="reduce before writing")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("eval", help="evaluate a machine on one word")
     p.add_argument("--machine", required=True)
     p.add_argument("--word", required=True, help="`.`-joined tokens; '-' for empty")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("functional", help="decide functionality of a transducer")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_functional)
 
-    p = sub.add_parser("equiv", help="compare two machines (and optionally the "
-                                     "reference function) on enumerated words")
+    p = sub.add_parser("equiv", help="decide whether two machines (and optionally "
+                                     "the reference function) are equivalent")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--oracle", help="k,n of the reference function")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_equiv)
+    p.add_argument("--max-len", type=int, default=6, help="no effect: the check is exact")
+    p.add_argument("--samples", type=int, default=0, help="no effect: the check is exact")
+    p.add_argument("--seed", type=int, default=0, help="no effect: the check is exact")
 
     p = sub.add_parser("refute", help="collision search plus candidate words")
     p.add_argument("--machine", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("experiment", help="run the grid and write the CSV report")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--csv", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: the machines are checked exactly")
     p.add_argument("--timings", action="store_true",
                    help="record real elapsed_ms (breaks byte-determinism)")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up at each call, so that a rebinding of cmd_<name> is seen.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (BimlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (NonFunctionalError, ExperimentError)) else 2

@@ -1,6 +1,7 @@
-"""Automaton kernel: alphabets, NFAs, total DFAs, the breadth-first
-exploration every determinization runs on, subset construction, reversal, and
-Moore partition-refinement reduction.
+"""Automaton kernel: alphabets, NFAs, total DFAs, letter machines with
+outputs for the product searches, the breadth-first exploration every
+determinization runs on, subset construction, reversal, and Moore
+partition-refinement reduction.
 
 States are dense integer indices and every iteration order is fixed by
 (state index, alphabet order), so repeated builds are byte-identical.
@@ -9,7 +10,7 @@ States are dense integer indices and every iteration order is fixed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
 
@@ -140,6 +141,46 @@ class Dfa:
         for i in self.alphabet.indices(word):
             state = delta[state][i]
         return state
+
+
+class LetterMachine(NamedTuple):
+    """A letter-input machine with outputs, as the product searches of
+    ``bimlab.transducer`` read it. States are integers below
+    ``state_count``. ``arcs[q][label]`` lists the (output, target) arcs that
+    read ``label`` from ``q``, and ``preds[q][label]`` the source of each of
+    the arcs that read ``label`` into ``q``, one entry per arc; a state or
+    label without such arcs has no entry, so no scan of a state costs more
+    than its own arcs. A label is a letter, or a tuple that starts with the
+    letter when two machines' arcs must agree on more than it
+    (``Bimachine.paired_letter_machines``). ``empty_output`` is the output
+    at the empty word, or None where it is undefined."""
+
+    alphabet: Alphabet
+    state_count: int
+    initial: tuple[int, ...]
+    final: frozenset[int]
+    arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]]
+    preds: dict[int, dict[Hashable, list[int]]]
+    empty_output: Word | None
+
+    @classmethod
+    def build(cls, alphabet: Alphabet, state_count: int, initial: Iterable[int],
+              final: Iterable[int], arcs: Iterable[tuple[int, Hashable, Word, int]],
+              empty_output: Word | None,
+              label_key: Callable[[Hashable], Hashable] | None = None) -> LetterMachine:
+        """The machine of the (source, label, output, target) ``arcs``. The
+        labels are letters in alphabet order, unless ``label_key`` gives
+        each label its sort key. Both tables list labels in that order, arcs
+        in (output, target) order and sources in ascending order, so every
+        search over them is deterministic."""
+        key = alphabet.index if label_key is None else label_key
+        out_arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]] = {}
+        in_arcs: dict[int, dict[Hashable, list[int]]] = {}
+        for src, label, out, dst in sorted(arcs, key=lambda a: (key(a[1]), a[0], a[2], a[3])):
+            out_arcs.setdefault(src, {}).setdefault(label, []).append((out, dst))
+            in_arcs.setdefault(dst, {}).setdefault(label, []).append(src)
+        return cls(alphabet, state_count, tuple(initial), frozenset(final), out_arcs, in_arcs,
+                   empty_output)
 
 
 def explore(

@@ -3,12 +3,12 @@
 Arcs carry a single input letter (or epsilon) and an output word; the machine
 recognizes a relation between input and output words via accepting paths. The
 module provides relation/function evaluation, epsilon-input removal, trimming,
-and an exact functionality test.
+and one delay search over a product of two letter-input machines, which runs
+both the exact functionality test and the exact equivalence test.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple
@@ -19,7 +19,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .fsm import STATE_CAP, Alphabet, Nfa, Word
+from .bimachine import Bimachine
+from .fsm import STATE_CAP, Alphabet, LetterMachine, Nfa, Word, explore
 
 
 class Arc(NamedTuple):
@@ -117,6 +118,17 @@ class Transducer:
         if len(outputs) > 1:
             raise NonFunctionalError(word, outputs[0], outputs[1])
         return outputs[0]
+
+    def letter_machine(self) -> LetterMachine:
+        """This machine as the product searches read it. Raises
+        PreconditionError when the machine has epsilon inputs."""
+        if self.has_input_epsilons:
+            raise PreconditionError("the product searches need a letter-input machine")
+        return LetterMachine.build(
+            self.input_alphabet, self.state_count, sorted(self.initial), self.final,
+            ((arc.src, arc.inp, arc.out, arc.dst) for arc in self.arcs),
+            () if self.initial & self.final else None,
+        )
 
     @cached_property
     def _letter_arcs(self) -> dict[tuple[int, str], tuple[tuple[Word, int], ...]]:
@@ -269,117 +281,259 @@ def _strip_common_prefix(u: Word, v: Word) -> tuple[Word, Word]:
     return u[i:], v[i:]
 
 
-def check_functional(t: Transducer) -> FunctionalityReport:
-    """Exact functionality test by squaring with delay tracking.
+def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[Word], int]:
+    """Look for two accepting paths, one in ``x`` and one in ``y``, that read
+    the same word and emit different outputs.
 
-    Runs the input-synchronized product of the machine with itself, keeping
-    for each reached pair of states the two outstanding outputs with their
-    common prefix cancelled (the delay). Only pairs that can still reach a
-    final pair are considered. A pair reached with two distinct delays, a
-    delay with both sides outstanding, or a final pair with a nonzero delay
-    certifies two distinct outputs for one input word; that word is
-    reconstructed from the search tree and verified before being returned.
-    The product is capped: more than STATE_CAP start pairs, reached pairs or
-    edges raise ResourceLimitError.
+    Three breadth-first passes run over the input-synchronized product, whose
+    pairs are ids ``p * y.state_count + q``; two arcs pair up when they carry
+    the same label, so the words found are words of labels. The first pass
+    finds the pairs reachable from the pairs of initial states. The second
+    walks back from the final pairs among them and keeps the live ones, those
+    that can still reach a final pair, each with one step towards it. The
+    third walks forward over live pairs only and keeps, per pair, the two
+    outstanding outputs with their common prefix cancelled (the delay). A
+    pair reached with two different delays, a delay with both sides
+    outstanding, or a final pair with a nonzero delay shows such paths
+    exist. The search then stops and returns the words that can show it;
+    the caller checks which one does. Otherwise the list is empty. The
+    second value counts the reached pairs.
+
+    No pass stores an edge: each recomputes a pair's arcs, with their
+    outputs, when it scans the pair. The cap is one rule, the same for every
+    alphabet: the search holds at most STATE_CAP pairs, and its first two
+    passes together examine at most 3 * STATE_CAP edges. An edge is one pair
+    of arcs with the same label. The start pairs are counted before
+    any is built, and each pair's edges before they are scanned; the third
+    pass scans only edges the first pass counted. More raise
+    ResourceLimitError. The largest product of the experiment grid, reduced
+    (3,4) handcrafted against its transducer, examines 255,111 edges.
     """
-    if t.has_input_epsilons:
-        raise PreconditionError("functionality test needs a letter-input machine")
-    arcs = t._letter_arcs
-    tokens = t.input_alphabet.symbols
+    width = y.state_count
+    budget = 3 * STATE_CAP
+    too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {budget})"
+    if len(x.initial) * len(y.initial) > STATE_CAP:
+        raise ResourceLimitError(too_large)
+    starts = sorted({p * width + q for p in x.initial for q in y.initial})
+    xarcs, yarcs = x.arcs, y.arcs
 
-    if len(t.initial) ** 2 > STATE_CAP:
-        raise ResourceLimitError(f"functionality check exceeds {STATE_CAP} state pairs")
-    start_pairs = sorted((p, q) for p in t.initial for q in t.initial)
-    reached: set[tuple[int, int]] = set(start_pairs)
-    queue = deque(start_pairs)
-    succ: dict[tuple[int, int], list[tuple[str, Word, Word, tuple[int, int]]]] = {}
-    edge_count = 0
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        edges = []
-        for tok in tokens:
-            for w1, d1 in arcs.get((p, tok), ()):
-                for w2, d2 in arcs.get((q, tok), ()):
-                    nxt = (d1, d2)
-                    edges.append((tok, w1, w2, nxt))
+    reached = set(starts)
+    order = list(starts)  # the queue: it grows while it is walked
+    for pair in order:
+        p, q = divmod(pair, width)
+        xout = xarcs.get(p)
+        yout = xout and yarcs.get(q)
+        if not yout:
+            continue
+        for tok, left in xout.items():
+            right = yout.get(tok)
+            if not right:
+                continue
+            budget -= len(left) * len(right)
+            if budget < 0:
+                raise ResourceLimitError(too_large)
+            for _, d1 in left:
+                base = d1 * width
+                for _, d2 in right:
+                    nxt = base + d2
                     if nxt not in reached:
+                        if len(order) >= STATE_CAP:
+                            raise ResourceLimitError(too_large)
                         reached.add(nxt)
-                        queue.append(nxt)
-                if len(reached) > STATE_CAP or edge_count + len(edges) > STATE_CAP:
-                    raise ResourceLimitError(
-                        f"functionality check exceeds {STATE_CAP} state pairs or edges"
-                    )
-        edge_count += len(edges)
-        succ[pair] = edges
+                        order.append(nxt)
 
-    final_pairs = {pr for pr in reached if pr[0] in t.final and pr[1] in t.final}
+    # Live pairs, each with one (token, pair) step towards a final pair.
+    finals = sorted(pr for pr in reached if pr // width in x.final and pr % width in y.final)
+    step: dict[int, tuple[str, int] | None] = dict.fromkeys(finals)
+    xpreds, ypreds = x.preds, y.preds
+    queue = list(finals)
+    for pair in queue:
+        p, q = divmod(pair, width)
+        xin = xpreds.get(p)
+        yin = xin and ypreds.get(q)
+        if not yin:
+            continue
+        for tok, left in xin.items():
+            right = yin.get(tok)
+            if not right:
+                continue
+            budget -= len(left) * len(right)
+            if budget < 0:
+                raise ResourceLimitError(too_large)
+            for s1 in left:
+                base = s1 * width
+                for s2 in right:
+                    prev = base + s2
+                    if prev in reached and prev not in step:
+                        step[prev] = (tok, pair)
+                        queue.append(prev)
+    count = len(order)
+    del reached, order, queue
 
-    # Restrict to pairs that can reach a final pair; keep one continuation
-    # step per pair for witness reconstruction.
-    pred: dict[tuple[int, int], list[tuple[tuple[int, int], str]]] = {}
-    for pair, edges in succ.items():
-        for tok, _, _, nxt in edges:
-            pred.setdefault(nxt, []).append((pair, tok))
-    continue_step: dict[tuple[int, int], tuple[str, tuple[int, int]] | None] = {}
-    queue = deque(sorted(final_pairs))
-    for pr in final_pairs:
-        continue_step[pr] = None
-    while queue:
-        pair = queue.popleft()
-        for prev, tok in pred.get(pair, ()):
-            if prev not in continue_step:
-                continue_step[prev] = (tok, pair)
-                queue.append(prev)
-    live = set(continue_step)
-
-    def word_to(pair) -> Word:
+    def word_to(pair: int) -> Word:
         toks = []
         while parents[pair] is not None:
-            prev, tok = parents[pair]
+            pair, tok = parents[pair]
             toks.append(tok)
-            pair = prev
         return tuple(reversed(toks))
 
-    def continuation(pair) -> Word:
+    def continuation(pair: int) -> Word:
         toks = []
-        while continue_step[pair] is not None:
-            tok, pair = continue_step[pair]
+        while step[pair] is not None:
+            tok, pair = step[pair]
             toks.append(tok)
         return tuple(toks)
 
-    def verified(words: list[Word]) -> FunctionalityReport:
-        for word in words:
-            outputs = t.relation(word)
-            if len(outputs) >= 2:
-                return FunctionalityReport(False, word, (outputs[0], outputs[1]))
-        raise AssertionError("internal: conflicting delays without a witness")
-
-    delays: dict[tuple[int, int], tuple[Word, Word]] = {}
-    parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
-    queue = deque()
-    for pr in start_pairs:
-        if pr in live and pr not in delays:
-            delays[pr] = ((), ())
-            parents[pr] = None
-            queue.append(pr)
-    while queue:
-        pair = queue.popleft()
-        d = delays[pair]
-        for tok, w1, w2, nxt in succ[pair]:
-            if nxt not in live:
+    empty = ((), ())
+    delays: dict[int, tuple[Word, Word]] = {}
+    parents: dict[int, tuple[int, str] | None] = {}
+    for pair in starts:
+        if pair in step:
+            delays[pair] = empty
+            parents[pair] = None
+    queue = list(delays)
+    for pair in queue:
+        p, q = divmod(pair, width)
+        xout = xarcs.get(p)
+        yout = xout and yarcs.get(q)
+        if not yout:
+            continue
+        d1, d2 = delays[pair]
+        for tok, left in xout.items():
+            right = yout.get(tok)
+            if not right:
                 continue
-            delay = _strip_common_prefix(d[0] + w1, d[1] + w2)
-            if delay[0] and delay[1]:
-                return verified([word_to(pair) + (tok,) + continuation(nxt)])
-            if nxt in final_pairs and delay != ((), ()):
-                return verified([word_to(pair) + (tok,)])
-            if nxt in delays:
-                if delays[nxt] != delay:
-                    z = continuation(nxt)
-                    return verified([word_to(pair) + (tok,) + z, word_to(nxt) + z])
-            else:
-                delays[nxt] = delay
-                parents[nxt] = (pair, tok)
-                queue.append(nxt)
-    return FunctionalityReport(True)
+            for w1, t1 in left:
+                base = t1 * width
+                for w2, t2 in right:
+                    nxt = base + t2
+                    if nxt not in step:
+                        continue
+                    if w1 or w2:
+                        u, v = d1 + w1, d2 + w2
+                        if u and v:
+                            u, v = _strip_common_prefix(u, v)
+                            if u and v:
+                                return [word_to(pair) + (tok,) + continuation(nxt)], count
+                        delay = (u, v)
+                    else:
+                        delay = (d1, d2)
+                    if step[nxt] is None and delay != empty:
+                        return [word_to(pair) + (tok,)], count
+                    seen = delays.get(nxt)
+                    if seen is None:
+                        delays[nxt] = delay
+                        parents[nxt] = (pair, tok)
+                        queue.append(nxt)
+                    elif seen != delay:
+                        z = continuation(nxt)
+                        return [word_to(pair) + (tok,) + z, word_to(nxt) + z], count
+    return [], count
+
+
+def check_functional(t: Transducer) -> FunctionalityReport:
+    """Exact functionality test: the delay search over the machine squared.
+
+    A letter-input machine is functional exactly when no two of its
+    accepting paths read one word and emit different outputs. The word the
+    search reports is checked with ``relation`` before it is returned. Caps
+    as in ``_delay_search``.
+    """
+    m = t.letter_machine()
+    words, _ = _delay_search(m, m, "functionality check")
+    if not words:
+        return FunctionalityReport(True)
+    for word in words:
+        outputs = t.relation(word)
+        if len(outputs) >= 2:
+            return FunctionalityReport(False, word, (outputs[0], outputs[1]))
+    raise AssertionError("internal: conflicting delays without a witness")
+
+
+def _domain_difference(x: LetterMachine, y: LetterMachine) -> Word | None:
+    """The length-lex least word on which exactly one machine is defined, or
+    the empty word when the two disagree there. Runs the subset construction
+    of both machines side by side, breadth-first in alphabet order."""
+    if x.empty_output != y.empty_output:
+        return ()
+
+    no_arcs: dict = {}
+
+    def step(state, tok: str):
+        subsets = (frozenset(x.initial), frozenset(y.initial)) if state is None else state
+        return tuple(
+            frozenset(d for q in subset for _, d in m.arcs.get(q, no_arcs).get(tok, ()))
+            for m, subset in zip((x, y), subsets)
+        )
+
+    # A start of its own keeps the empty word, which the letter machines do
+    # not read, apart from every word that returns to the start subsets.
+    dfa, states = explore(x.alphabet, None, step)
+    for target in range(1, dfa.state_count):
+        sx, sy = states[target]
+        if sx.isdisjoint(x.final) != sy.isdisjoint(y.final):
+            # Breadth-first: the first (state, letter) leading to a state
+            # is its parent.
+            parent: dict[int, tuple[int, str]] = {}
+            for src, row in enumerate(dfa.delta):
+                for tok, dst in zip(x.alphabet.symbols, row):
+                    parent.setdefault(dst, (src, tok))
+            word = []
+            while target:
+                target, tok = parent[target]
+                word.append(tok)
+            return tuple(reversed(word))
+    return None
+
+
+def _letter_machine(machine) -> LetterMachine:
+    if isinstance(machine, Transducer) and machine.has_input_epsilons:
+        machine = trim(remove_input_epsilons(machine))
+    return machine.letter_machine()
+
+
+def _compare(x, y) -> tuple[Word | None, int]:
+    """``equivalent``, together with the number of product pairs its delay
+    search reached (0 when the domains already differ). ``bimlab equiv``
+    prints that number."""
+    mx, my = _letter_machine(x), _letter_machine(y)
+    if mx.alphabet.symbols != my.alphabet.symbols:
+        raise ValueError("machines have different input alphabets")
+    word = _domain_difference(mx, my)
+    if word is not None:
+        words, pairs = [word], 0
+    elif isinstance(x, Bimachine) and isinstance(y, Bimachine):
+        labelled, pairs = _delay_search(*x.paired_letter_machines(y), "equivalence check")
+        words = [tuple(label[0] for label in word) for word in labelled]
+    else:
+        words, pairs = _delay_search(mx, my, "equivalence check")
+    for word in words:
+        if x.evaluate(word) != y.evaluate(word):
+            return word, pairs
+    if words:
+        raise AssertionError("internal: a difference without a witness")
+    return None, pairs
+
+
+def equivalent(x, y) -> Word | None:
+    """Exact equivalence of two machines, each a Transducer or a Bimachine:
+    None when they compute the same partial function, else a word on which
+    they differ.
+
+    Two checks run. The domains are compared first, and a difference there
+    yields the length-lex least word (in ``x``'s alphabet order) on which
+    exactly one machine is defined. On the common domain the delay search
+    then pairs each accepting path of ``x`` with each of ``y`` on the same
+    word; a word it yields comes from its breadth-first search trees and
+    need not be the least. Two bimachines enter that search as their
+    ``paired_letter_machines``, so that both guess the same suffix. Every
+    returned word is checked with both machines' ``evaluate``.
+
+    A transducer with epsilon inputs is compared through
+    ``trim(remove_input_epsilons(...))``, which raises PreconditionError when
+    the empty word maps to a nonempty output. A transducer that is not
+    functional may make ``evaluate`` raise NonFunctionalError. Raises
+    ValueError when the input alphabets differ and ResourceLimitError past
+    the caps of ``_delay_search``, ``explore`` and the paired views.
+    """
+    return _compare(x, y)[0]

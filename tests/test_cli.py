@@ -1,6 +1,6 @@
 import pytest
 
-from bimlab import emit_bimachine, parse_bimachine
+from bimlab import cli, emit_bimachine, parse_bimachine
 from bimlab.cli import main
 from helpers import built, merge_bimachine_states
 
@@ -90,9 +90,22 @@ def test_equiv_machines_agree(tmp_path, capsys):
         "equiv", "--a", str(generic), "--b", str(handcrafted),
         "--oracle", "2,1", "--max-len", "4", "--samples", "25", "--seed", "5",
     ) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("EQUIVALENT(tested=")
-    assert "366" in out  # 341 exhaustive + 25 sampled
+    # The oracle's prepared transducer is the pivot: a and b are each
+    # compared with it, and the product pairs of both searches are summed.
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=44)\n"
+    # Without --oracle the first transducer side is the pivot.
+    assert run_cli("equiv", "--a", str(handcrafted), "--b", str(machine)) == 0
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=27)\n"
+
+
+def test_equiv_two_bimachines_without_a_transducer(tmp_path, capsys):
+    _, _, _, _, hc = built(3, 4)
+    raw, reduced = tmp_path / "raw.txt", tmp_path / "reduced.txt"
+    raw.write_text(emit_bimachine(hc), encoding="utf-8")
+    reduced.write_text(emit_bimachine(hc.reduce()), encoding="utf-8")
+    # Side a is the pivot; the two machines guess their right states together.
+    assert run_cli("equiv", "--a", str(reduced), "--b", str(raw)) == 0
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=9962)\n"
 
 
 def test_equiv_reports_first_mismatch(tmp_path, capsys):
@@ -154,6 +167,14 @@ def test_bad_format_is_usage_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+    assert main(["eval", "--machine", "m.txt", "--word", "1"]) == 7
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["instance", "--k", "2"])
@@ -173,6 +194,37 @@ def test_equiv_mismatch_line_shows_every_side(tmp_path, capsys):
         "equiv", "--a", str(good), "--b", str(bad), "--oracle", "2,1", "--max-len", "3",
     ) == 1
     assert capsys.readouterr().out == "MISMATCH word=2.3 a=3.2 b=3.1 oracle=3.2\n"
+
+
+def test_equiv_shows_only_a_word_every_side_was_evaluated_on(tmp_path, capsys, monkeypatch):
+    _, _, _, _, hc = built(2, 1)
+    good = tmp_path / "good.txt"
+    good.write_text(emit_bimachine(hc), encoding="utf-8")
+    monkeypatch.setattr(cli, "_compare", lambda x, y: (("1",), 0))
+    assert run_cli("equiv", "--a", str(good), "--b", str(good), "--oracle", "2,1") == 2
+    assert "every side agrees on 1" in capsys.readouterr().err
+
+
+def test_equiv_product_too_large_is_input_error(tmp_path, capsys):
+    states = " ".join(map(str, range(317)))
+    machine = tmp_path / "starts.txt"
+    machine.write_text(
+        f"transducer v1\nalphabet a\nstates 317\ninitial {states}\nfinal 0\n",
+        encoding="utf-8",
+    )
+    assert run_cli("equiv", "--a", str(machine), "--b", str(machine)) == 2
+    assert "equivalence check exceeds 100000 state pairs" in capsys.readouterr().err
+
+
+def test_equiv_empty_word_with_output_is_input_error(tmp_path, capsys):
+    machine = tmp_path / "eps.txt"
+    machine.write_text(
+        "transducer v1\nalphabet a\noalphabet x\nstates 2\ninitial 0\nfinal 1\n"
+        "arc 0 1 - x\n",
+        encoding="utf-8",
+    )
+    assert run_cli("equiv", "--a", str(machine), "--b", str(machine)) == 2
+    assert "empty input maps to nonempty output" in capsys.readouterr().err
 
 
 def test_too_many_states_is_input_error(tmp_path, capsys):

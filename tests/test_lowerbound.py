@@ -22,7 +22,8 @@ from bimlab import (
 )
 from bimlab import ExperimentError, handcrafted_bimachine
 from bimlab import lowerbound
-from bimlab.lowerbound import CSV_HEADER, first_mismatch, random_words, words_upto
+from bimlab.lowerbound import CSV_HEADER
+from bimlab.transducer import equivalent
 from helpers import built, corrupt_handcrafted, merge_bimachine_states
 
 
@@ -221,49 +222,28 @@ def test_experiment_row_ratio():
     assert row.csv_line().endswith(",4.0000")
 
 
-def test_words_upto_is_shortest_first_in_alphabet_order():
-    words = list(words_upto(("b", "a"), 2))
-    assert words == [(), ("b",), ("a",), ("b", "b"), ("b", "a"), ("a", "b"), ("a", "a")]
-    assert list(words_upto(("a",), -1)) == []
+def test_run_experiment_verifies_without_evaluating(monkeypatch):
+    compared = []
+
+    def counting(x, y):
+        compared.append((type(x).__name__, type(y).__name__))
+        return equivalent(x, y)
+
+    def forbidden(*args):
+        raise AssertionError("a passing cell evaluated a word")
+
+    monkeypatch.setattr(lowerbound, "equivalent", counting)
+    monkeypatch.setattr(lowerbound, "oracle", forbidden)
+    monkeypatch.setattr(Bimachine, "evaluate", forbidden)
+    rows = run_experiment([(2, 2), (3, 1)])
+    assert [row.construction for row in rows] == ["generic", "handcrafted"] * 2
+    assert compared == [("Bimachine", "Transducer")] * 4
 
 
-def test_random_words_draw_the_length_first():
-    tokens = ("a", "b", "c")
-    ref = random.Random(4)
-    want = []
-    for _ in range(20):
-        length = ref.randint(2, 6)
-        want.append(tuple(ref.choice(tokens) for _ in range(length)))
-    assert list(random_words(random.Random(4), tokens, 20, 2, 6)) == want
-
-
-def test_first_mismatch_counts_words_up_to_the_first_disagreement():
-    words = list(words_upto(("a", "b"), 3))
-
-    def capped(word):
-        return min(len(word), 2)
-
-    assert first_mismatch([len, len], words) == (15, None)
-    # 1 + 2 + 4 words agree; the first word of length 3 is the 8th tested.
-    assert first_mismatch([len, capped], words) == (8, ("a", "a", "a"))
-    assert first_mismatch([capped, capped, len], words) == (8, ("a", "a", "a"))
-    assert first_mismatch([len], []) == (0, None)
-
-
-def test_run_experiment_checks_every_word(monkeypatch):
-    tested = []
-
-    def counting(sides, words):
-        result = first_mismatch(sides, words)
-        tested.append(result[0])
-        return result
-
-    monkeypatch.setattr(lowerbound, "first_mismatch", counting)
-    rows = run_experiment([(2, 2)], sample_count=2000)
-    # Per construction: the 4^0 + ... + 4^6 = 5461 words of length <= 2n+2,
-    # then the samples.
-    assert [row.construction for row in rows] == ["generic", "handcrafted"]
-    assert tested == [5461 + 2000] * 2
+def test_run_experiment_ignores_the_sampling_arguments():
+    base = render_csv(run_experiment([(2, 2)]))
+    assert render_csv(run_experiment(
+        [(2, 2)], seed=5, exhaustive_word_cap=1, sample_count=0)) == base
 
 
 def test_run_experiment_names_the_shortest_mismatch(monkeypatch):

@@ -12,6 +12,7 @@ from bimlab import (
     PreconditionError,
     Transducer,
     check_functional,
+    equivalent,
     is_trim,
     remove_input_epsilons,
     trim,
@@ -355,3 +356,15 @@ def test_functionality_check_is_capped():
     assert not check_functional(Transducer(
         AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs[:300]]
     )).functional
+
+
+def test_edge_cap_does_not_grow_with_the_alphabet():
+    # The 400 loops above, over an alphabet padded with 10,000 letters that
+    # no arc reads. Letters cost nothing to add, so they add no room.
+    padded = Alphabet(("a", "b", *(f"u{i}" for i in range(10_000))))
+    outputs = [tuple("xy"[int(b)] for b in format(i, "b")) for i in range(1, 401)]
+    loops = Transducer(padded, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs])
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(loops)
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        equivalent(loops, loops)
