@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import PreconditionError, ResourceLimitError
-from .fsm import STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore, moore_reduce
+from .fsm import EDGE_CAP, STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore, moore_reduce
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class Bimachine:
         last state is the only initial one; it has the arcs of every
         ``(i0, j)``, where ``i0`` is the start pair. Raises
         ResourceLimitError when a view would have more than STATE_CAP states
-        or more than 3 * STATE_CAP arcs, the edge cap of the search.
+        or more than EDGE_CAP arcs, the edge cap of the search.
         """
         alphabet, machines = self.input_alphabet, (self, other)
         lefts, left_pairs = explore(alphabet, tuple(m.left.start for m in machines),
@@ -143,7 +143,7 @@ class Bimachine:
                                                            for m, r in zip(machines, j)))
         width = rights.state_count
         start = lefts.state_count * width
-        too_large = f"paired views exceed {STATE_CAP} states or {3 * STATE_CAP} arcs"
+        too_large = f"paired views exceed {STATE_CAP} states or {EDGE_CAP} arcs"
         if start >= STATE_CAP:
             raise ResourceLimitError(too_large)
 
@@ -154,7 +154,7 @@ class Bimachine:
                 lefts_of.setdefault(pair[k], []).append(i)
             for j, pair in enumerate(right_pairs):
                 rights_of.setdefault(pair[k], []).append(j)
-            budget = 3 * STATE_CAP
+            budget = EDGE_CAP
             for (l, tok, r), out in psi.items():
                 pos = alphabet.index(tok)
                 for i in lefts_of.get(l, ()):

@@ -20,6 +20,10 @@ Word = tuple[str, ...]
 # Default bound on the states any one exploration may discover.
 STATE_CAP = 10**5
 
+# Bound on the edges (pairs of arcs with one label) one product search may
+# examine in all, and on the arcs of a view built for such a search.
+EDGE_CAP = 3 * STATE_CAP // 2
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -145,22 +149,20 @@ class Dfa:
 
 class LetterMachine(NamedTuple):
     """A letter-input machine with outputs, as the product searches of
-    ``bimlab.transducer`` read it. States are integers below
-    ``state_count``. ``arcs[q][label]`` lists the (output, target) arcs that
-    read ``label`` from ``q``, and ``preds[q][label]`` the source of each of
-    the arcs that read ``label`` into ``q``, one entry per arc; a state or
-    label without such arcs has no entry, so no scan of a state costs more
-    than its own arcs. A label is a letter, or a tuple that starts with the
-    letter when two machines' arcs must agree on more than it
-    (``Bimachine.paired_letter_machines``). ``empty_output`` is the output
-    at the empty word, or None where it is undefined."""
+    ``bimlab.transducer`` read it; they only walk forward, so it keeps no
+    table of predecessors. States are integers below ``state_count``.
+    ``arcs[q][label]`` lists the (output, target) arcs that read ``label``
+    from ``q``; a state or label without such arcs has no entry, so no scan
+    of a state costs more than its own arcs. A label is a letter, or a tuple
+    that starts with the letter when two machines' arcs must agree on more
+    than it (``Bimachine.paired_letter_machines``). ``empty_output`` is the
+    output at the empty word, or None where it is undefined."""
 
     alphabet: Alphabet
     state_count: int
     initial: tuple[int, ...]
     final: frozenset[int]
     arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]]
-    preds: dict[int, dict[Hashable, list[int]]]
     empty_output: Word | None
 
     @classmethod
@@ -170,16 +172,14 @@ class LetterMachine(NamedTuple):
               label_key: Callable[[Hashable], Hashable] | None = None) -> LetterMachine:
         """The machine of the (source, label, output, target) ``arcs``. The
         labels are letters in alphabet order, unless ``label_key`` gives
-        each label its sort key. Both tables list labels in that order, arcs
-        in (output, target) order and sources in ascending order, so every
-        search over them is deterministic."""
+        each label its sort key. The table lists labels in that order and
+        arcs in (output, target) order, so every search over it is
+        deterministic."""
         key = alphabet.index if label_key is None else label_key
         out_arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]] = {}
-        in_arcs: dict[int, dict[Hashable, list[int]]] = {}
         for src, label, out, dst in sorted(arcs, key=lambda a: (key(a[1]), a[0], a[2], a[3])):
             out_arcs.setdefault(src, {}).setdefault(label, []).append((out, dst))
-            in_arcs.setdefault(dst, {}).setdefault(label, []).append(src)
-        return cls(alphabet, state_count, tuple(initial), frozenset(final), out_arcs, in_arcs,
+        return cls(alphabet, state_count, tuple(initial), frozenset(final), out_arcs,
                    empty_output)
 
 

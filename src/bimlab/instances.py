@@ -18,7 +18,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .bimachine import Bimachine
-from .fsm import Alphabet, Word, explore
+from .errors import ResourceLimitError
+from .fsm import STATE_CAP, Alphabet, Word, explore
 from .transducer import Arc, Transducer
 
 
@@ -32,6 +33,11 @@ class InstanceParams:
             raise ValueError("k must be at least 2")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        states = 2 * self.k * (self.n + 1)  # of the unmerged transducer
+        if states > STATE_CAP:
+            raise ResourceLimitError(
+                f"k={self.k}, n={self.n} needs {states} states, over the cap of {STATE_CAP}"
+            )
 
     # Cached in the instance __dict__, which a frozen dataclass without
     # __slots__ still has; equality and hashing keep using (k, n) alone.

@@ -3,8 +3,9 @@
 Arcs carry a single input letter (or epsilon) and an output word; the machine
 recognizes a relation between input and output words via accepting paths. The
 module provides relation/function evaluation, epsilon-input removal, trimming,
-and one delay search over a product of two letter-input machines, which runs
-both the exact functionality test and the exact equivalence test.
+and one delay search, a single forward pass over the product of two
+letter-input machines, which runs both the exact functionality test and the
+exact equivalence test.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .bimachine import Bimachine
-from .fsm import STATE_CAP, Alphabet, LetterMachine, Nfa, Word, explore
+from .fsm import EDGE_CAP, STATE_CAP, Alphabet, LetterMachine, Nfa, Word, explore
 
 
 class Arc(NamedTuple):
@@ -281,118 +282,92 @@ def _strip_common_prefix(u: Word, v: Word) -> tuple[Word, Word]:
     return u[i:], v[i:]
 
 
+def _word_to(parents: dict[int, tuple[int, str] | None], pair: int) -> Word:
+    """The labels along the ``parents`` links from a root to ``pair``."""
+    toks = []
+    while parents[pair] is not None:
+        pair, tok = parents[pair]
+        toks.append(tok)
+    return tuple(reversed(toks))
+
+
 def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[Word], int]:
     """Look for two accepting paths, one in ``x`` and one in ``y``, that read
     the same word and emit different outputs.
 
-    Three breadth-first passes run over the input-synchronized product, whose
+    One breadth-first pass runs over the input-synchronized product, whose
     pairs are ids ``p * y.state_count + q``; two arcs pair up when they carry
-    the same label, so the words found are words of labels. The first pass
-    finds the pairs reachable from the pairs of initial states. The second
-    walks back from the final pairs among them and keeps the live ones, those
-    that can still reach a final pair, each with one step towards it. The
-    third walks forward over live pairs only and keeps, per pair, the two
-    outstanding outputs with their common prefix cancelled (the delay). A
-    pair reached with two different delays, a delay with both sides
-    outstanding, or a final pair with a nonzero delay shows such paths
-    exist. The search then stops and returns the words that can show it;
-    the caller checks which one does. Otherwise the list is empty. The
-    second value counts the reached pairs.
+    the same label, so the words found are words of labels. The pass keeps,
+    for every pair reached from the pairs of initial states, its parent and
+    the two outstanding outputs with their common prefix cancelled (the
+    delay). A final pair reached with a nonzero delay shows such paths exist.
+    So does a conflict, a pair reached with two different delays or a delay
+    with both sides outstanding, but only if a final pair can be reached from
+    it: a shortest forward search from the conflict checks that and gives the
+    continuation. A failed search puts every pair it met into one shared dead
+    set, and later conflicts there are skipped, so the failed searches
+    together scan each pair at most once. Dead pairs never pass a delay on to
+    a live pair (one that can reach a final pair), because every reached
+    predecessor of a live pair is live. On a witness the pass stops and
+    returns the words that can show it; the caller checks which one does.
+    Otherwise the list is empty. The second value counts the pairs reached
+    by then. No edge is stored: the searches read the arcs again.
 
-    No pass stores an edge: each recomputes a pair's arcs, with their
-    outputs, when it scans the pair. The cap is one rule, the same for every
-    alphabet: the search holds at most STATE_CAP pairs, and its first two
-    passes together examine at most 3 * STATE_CAP edges. An edge is one pair
-    of arcs with the same label. The start pairs are counted before
-    any is built, and each pair's edges before they are scanned; the third
-    pass scans only edges the first pass counted. More raise
-    ResourceLimitError. The largest product of the experiment grid, reduced
-    (3,4) handcrafted against its transducer, examines 255,111 edges.
+    The cap is one rule, the same for every alphabet: the search holds at
+    most STATE_CAP pairs, and the pass and the continuation searches together
+    examine at most EDGE_CAP edges. An edge is one pair of arcs with the same
+    label. The start pairs are counted before any is built, and each pair's
+    edges before they are scanned. More raise ResourceLimitError. The largest
+    product of the experiment grid, reduced (3,4) handcrafted against its
+    transducer, examines 109,155 edges.
     """
     width = y.state_count
-    budget = 3 * STATE_CAP
-    too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {budget})"
+    too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
     if len(x.initial) * len(y.initial) > STATE_CAP:
         raise ResourceLimitError(too_large)
-    starts = sorted({p * width + q for p in x.initial for q in y.initial})
-    xarcs, yarcs = x.arcs, y.arcs
+    xarcs, yarcs, xfinal, yfinal = x.arcs, y.arcs, x.final, y.final
+    budget = EDGE_CAP
+    dead: set[int] = set()
 
-    reached = set(starts)
-    order = list(starts)  # the queue: it grows while it is walked
-    for pair in order:
-        p, q = divmod(pair, width)
-        xout = xarcs.get(p)
-        yout = xout and yarcs.get(q)
-        if not yout:
-            continue
-        for tok, left in xout.items():
-            right = yout.get(tok)
-            if not right:
+    def continuation(start: int) -> Word | None:
+        """The shortest word from ``start`` to a final pair, or None when
+        there is none; then every pair met is dead."""
+        nonlocal budget
+        back: dict[int, tuple[int, str] | None] = {start: None}
+        queue = [start]
+        for pair in queue:
+            p, q = divmod(pair, width)
+            if p in xfinal and q in yfinal:
+                return _word_to(back, pair)
+            xout = xarcs.get(p)
+            yout = xout and yarcs.get(q)
+            if not yout:
                 continue
-            budget -= len(left) * len(right)
-            if budget < 0:
-                raise ResourceLimitError(too_large)
-            for _, d1 in left:
-                base = d1 * width
-                for _, d2 in right:
-                    nxt = base + d2
-                    if nxt not in reached:
-                        if len(order) >= STATE_CAP:
-                            raise ResourceLimitError(too_large)
-                        reached.add(nxt)
-                        order.append(nxt)
-
-    # Live pairs, each with one (token, pair) step towards a final pair.
-    finals = sorted(pr for pr in reached if pr // width in x.final and pr % width in y.final)
-    step: dict[int, tuple[str, int] | None] = dict.fromkeys(finals)
-    xpreds, ypreds = x.preds, y.preds
-    queue = list(finals)
-    for pair in queue:
-        p, q = divmod(pair, width)
-        xin = xpreds.get(p)
-        yin = xin and ypreds.get(q)
-        if not yin:
-            continue
-        for tok, left in xin.items():
-            right = yin.get(tok)
-            if not right:
-                continue
-            budget -= len(left) * len(right)
-            if budget < 0:
-                raise ResourceLimitError(too_large)
-            for s1 in left:
-                base = s1 * width
-                for s2 in right:
-                    prev = base + s2
-                    if prev in reached and prev not in step:
-                        step[prev] = (tok, pair)
-                        queue.append(prev)
-    count = len(order)
-    del reached, order, queue
-
-    def word_to(pair: int) -> Word:
-        toks = []
-        while parents[pair] is not None:
-            pair, tok = parents[pair]
-            toks.append(tok)
-        return tuple(reversed(toks))
-
-    def continuation(pair: int) -> Word:
-        toks = []
-        while step[pair] is not None:
-            tok, pair = step[pair]
-            toks.append(tok)
-        return tuple(toks)
+            for tok, left in xout.items():
+                right = yout.get(tok)
+                if not right:
+                    continue
+                budget -= len(left) * len(right)
+                if budget < 0:
+                    raise ResourceLimitError(too_large)
+                for _, d1 in left:
+                    base = d1 * width
+                    for _, d2 in right:
+                        nxt = base + d2
+                        if nxt not in back and nxt not in dead:
+                            if len(queue) >= STATE_CAP:
+                                raise ResourceLimitError(too_large)
+                            back[nxt] = (pair, tok)
+                            queue.append(nxt)
+        dead.update(queue)
+        return None
 
     empty = ((), ())
-    delays: dict[int, tuple[Word, Word]] = {}
-    parents: dict[int, tuple[int, str] | None] = {}
-    for pair in starts:
-        if pair in step:
-            delays[pair] = empty
-            parents[pair] = None
-    queue = list(delays)
-    for pair in queue:
+    starts = sorted({p * width + q for p in x.initial for q in y.initial})
+    delays: dict[int, tuple[Word, Word]] = dict.fromkeys(starts, empty)
+    parents: dict[int, tuple[int, str] | None] = dict.fromkeys(starts)
+    order = list(starts)  # the queue: it grows while it is walked
+    for pair in order:
         p, q = divmod(pair, width)
         xout = xarcs.get(p)
         yout = xout and yarcs.get(q)
@@ -403,32 +378,40 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
             right = yout.get(tok)
             if not right:
                 continue
+            budget -= len(left) * len(right)
+            if budget < 0:
+                raise ResourceLimitError(too_large)
             for w1, t1 in left:
                 base = t1 * width
                 for w2, t2 in right:
                     nxt = base + t2
-                    if nxt not in step:
-                        continue
                     if w1 or w2:
                         u, v = d1 + w1, d2 + w2
                         if u and v:
-                            u, v = _strip_common_prefix(u, v)
-                            if u and v:
-                                return [word_to(pair) + (tok,) + continuation(nxt)], count
+                            if u[0] == v[0]:  # else there is nothing to cancel
+                                u, v = _strip_common_prefix(u, v)
+                            if u and v and nxt not in dead:
+                                z = continuation(nxt)
+                                if z is not None:
+                                    return [_word_to(parents, pair) + (tok,) + z], len(order)
                         delay = (u, v)
                     else:
                         delay = (d1, d2)
-                    if step[nxt] is None and delay != empty:
-                        return [word_to(pair) + (tok,)], count
+                    if delay != empty and t1 in xfinal and t2 in yfinal:
+                        return [_word_to(parents, pair) + (tok,)], len(order)
                     seen = delays.get(nxt)
                     if seen is None:
+                        if len(order) >= STATE_CAP:
+                            raise ResourceLimitError(too_large)
                         delays[nxt] = delay
                         parents[nxt] = (pair, tok)
-                        queue.append(nxt)
-                    elif seen != delay:
+                        order.append(nxt)
+                    elif seen != delay and nxt not in dead:
                         z = continuation(nxt)
-                        return [word_to(pair) + (tok,) + z, word_to(nxt) + z], count
-    return [], count
+                        if z is not None:
+                            words = [_word_to(parents, pair) + (tok,) + z, _word_to(parents, nxt) + z]
+                            return words, len(order)
+    return [], len(order)
 
 
 def check_functional(t: Transducer) -> FunctionalityReport:
@@ -494,8 +477,8 @@ def _letter_machine(machine) -> LetterMachine:
 
 def _compare(x, y) -> tuple[Word | None, int]:
     """``equivalent``, together with the number of product pairs its delay
-    search reached (0 when the domains already differ). ``bimlab equiv``
-    prints that number."""
+    search reached before it stopped (0 when the domains already differ).
+    ``bimlab equiv`` prints that number when the machines are equivalent."""
     mx, my = _letter_machine(x), _letter_machine(y)
     if mx.alphabet.symbols != my.alphabet.symbols:
         raise ValueError("machines have different input alphabets")

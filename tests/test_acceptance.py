@@ -10,6 +10,7 @@ to see the lines as they happen. Any violated criterion fails its test.
 import math
 import random
 import time
+from pathlib import Path
 
 from bimlab import (
     InstanceParams,
@@ -21,6 +22,7 @@ from bimlab import (
     oracle,
     refute,
     remove_input_epsilons,
+    render_csv,
     run_experiment,
     trim,
 )
@@ -85,6 +87,9 @@ def test_c3_lower_bound_after_reduce():
         assert row.left_states + row.right_states >= bound + 1, row
     both = {(r.k, r.n) for r in rows if r.construction == "generic"}
     assert both == {(k, n) for k, n in GRID_FULL if n <= 3}
+    # Every cell's reduced counts, as the benchmark's fixture records them.
+    fixture = Path(__file__).parent.parent / "perfbench" / "fixtures" / "grid.csv"
+    assert render_csv(rows).encode("utf-8") == fixture.read_bytes()
     report(
         "C3 reduced machines respect max >= k^n and total >= k^n+1",
         True,

@@ -26,6 +26,20 @@ def test_instance_unmerged_state_count(tmp_path):
     assert "states 30" in machine.read_text(encoding="utf-8")
 
 
+def test_oversized_instance_params_are_input_errors(tmp_path, capsys):
+    # Refused before anything of the size of k^n or 2k(n+1) is built.
+    _, _, _, _, hc = built(2, 1)
+    machine = tmp_path / "m.txt"
+    machine.write_text(emit_bimachine(hc), encoding="utf-8")
+    huge = "1000000000"
+    assert run_cli("instance", "--k", "2", "--n", huge, "--out", str(tmp_path / "t.txt")) == 2
+    assert run_cli("refute", "--machine", str(machine), "--k", "3", "--n", huge) == 2
+    assert run_cli("equiv", "--a", str(machine), "--b", str(machine), "--oracle", f"2,{huge}") == 2
+    err = capsys.readouterr().err
+    assert err.count("over the cap of 100000") == 3
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_functional_verdict(tmp_path, capsys):
     machine = tmp_path / "t.txt"
     run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine))

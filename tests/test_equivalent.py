@@ -64,7 +64,7 @@ def test_every_grid_machine_is_equivalent_to_its_transducer(k, n):
         reduced = raw.reduce()
         assert equivalent(reduced, prepared) is None
         # Raw (3,4) handcrafted against the transducer is over the edge cap
-        # (492,279 edges); against its reduced machine it is not.
+        # (280,551 edges); against its reduced machine it is not.
         assert equivalent(raw, reduced) is None
     assert equivalent(prepared, reduced) is None
     assert equivalent(generated, reduced) is None
@@ -251,18 +251,23 @@ def test_product_over_the_cap_is_refused():
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
         equivalent(fan, fan)
     # Few pairs with many edges each: 200 states with an arc from each to
-    # each; the eighth pair scanned passes 3 * STATE_CAP edges.
+    # each; the fourth pair scanned passes EDGE_CAP edges.
     dense = Transducer(ab, xy, 200, {0}, {0},
                        [Arc(p, "a", (), q) for p in range(200) for q in range(200)])
-    # Many edges into the one reached pair, from 2500 arcs of unreached states.
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        equivalent(dense, dense)
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(dense)
+    # Many arcs into the one reached pair, all from unreached states: the
+    # search only goes forward, so they cost nothing.
     outputs = [tuple("xy"[int(b)] for b in format(i, "b")) for i in range(1, 51)]
     into = Transducer(ab, xy, 51, {0}, {0},
                       [Arc(p, "a", out, 0) for p in range(1, 51) for out in outputs])
-    for machine in (dense, into):
-        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
-            equivalent(machine, machine)
-        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
-            check_functional(machine)
+    assert check_functional(into).functional
+    assert equivalent(into, into) is None
+    # By brute force: the empty word alone is in the domain, with one output.
+    assert [w for w in words_upto(("a", "b"), 6) if into.relation(w)] == [()]
+    assert into.relation(()) == ((),)
 
 
 def test_paired_views_over_the_cap_are_refused():

@@ -4,6 +4,7 @@ import pytest
 
 from bimlab import (
     InstanceParams,
+    ResourceLimitError,
     UnknownSymbolError,
     check_functional,
     handcrafted_bimachine,
@@ -28,6 +29,14 @@ def test_params_validation():
     assert p.alphabet.symbols == ("1", "2", "3", "4", "5", "6")
     assert p.first_half == ("1", "2", "3")
     assert p.second_half == ("4", "5", "6")
+
+
+def test_params_over_the_state_cap_are_refused():
+    # The unmerged transducer has 2k(n+1) states: 100,000 at (2, 24999).
+    assert InstanceParams(2, 24999).n == 24999
+    for k, n in ((2, 25000), (3, 16666), (2, 10**9)):
+        with pytest.raises(ResourceLimitError, match="over the cap"):
+            InstanceParams(k, n)
 
 
 def test_oracle_basic_values():

@@ -289,6 +289,75 @@ def test_check_functional_matches_exhaustive_singleton_test():
             assert len(set(t.relation(report.witness))) >= 2
 
 
+def conflicting_words(t, max_len):
+    return [w for w in words_upto(("a", "b"), max_len) if len(t.relation(w)) > 1]
+
+
+def test_dead_conflicts_with_successors_come_before_a_live_one():
+    # On "a", states 1 and 2 owe x and y: conflicts scanned first, whose
+    # pairs read on through 3 and 4 but never accept. On "b" the live one:
+    # "ba" emits x and then nothing, or nothing and then y.
+    dead_part = (Arc(0, "a", ("x",), 1), Arc(0, "a", ("y",), 2), Arc(1, "a", (), 3),
+                 Arc(2, "a", (), 4), Arc(3, "a", ("x",), 3), Arc(3, "a", (), 4),
+                 Arc(4, "a", ("y",), 4))
+    live_part = (Arc(0, "b", ("x",), 5), Arc(0, "b", (), 6), Arc(5, "a", (), 7))
+    t = Transducer(AB, XY, 8, {0}, {7}, (*dead_part, *live_part, Arc(6, "a", ("y",), 7)))
+    assert conflicting_words(t, 6) == [("b", "a")]
+    report = check_functional(t)
+    assert (report.functional, report.witness) == (False, ("b", "a"))
+    # With x on the last arc, only the dead conflicts are left.
+    ok = Transducer(AB, XY, 8, {0}, {7}, (*dead_part, *live_part, Arc(6, "a", ("x",), 7)))
+    assert conflicting_words(ok, 6) == []
+    assert check_functional(ok).functional
+    plain = Transducer(AB, XY, 3, {0}, {2}, (Arc(0, "b", ("x",), 1), Arc(1, "a", (), 2)))
+    assert equivalent(ok, plain) is None
+
+
+def test_dead_conflicts_draining_into_one_region_are_searched_once():
+    # 40 arcs on "a" with distinct 6-letter outputs give 1560 conflicting
+    # pairs. Each goes on into one 200-state cycle that never accepts. One
+    # search per conflict through the cycle would examine 1560 * 201 edges,
+    # past EDGE_CAP; the failed searches share their dead pairs instead.
+    outputs = [tuple("xy"[int(b)] for b in format(i, "06b")) for i in range(40)]
+    arcs = [Arc(0, "a", out, 1 + i) for i, out in enumerate(outputs)]
+    arcs += [Arc(1 + i, "a", (), 41) for i in range(40)]
+    arcs += [Arc(41 + c, "a", (), 41 + (c + 1) % 200) for c in range(200)]
+    t = Transducer(AB, XY, 242, {0}, {241}, (*arcs, Arc(0, "b", ("y",), 241)))
+    assert conflicting_words(t, 3) == []
+    assert check_functional(t).functional
+    assert equivalent(t, t) is None
+
+
+def with_dead_conflicts(rng):
+    """A random letter machine, and the same machine with a dead part: two
+    arcs with different outputs from one of its states into new states that
+    read on among themselves but accept nothing."""
+    t = random_letter_transducer(rng)
+    n = t.state_count
+    src, tok = rng.randrange(n), rng.choice("ab")
+    arcs = [Arc(src, tok, ("x",), n), Arc(src, tok, ("y",), n + 1)]
+    for _ in range(rng.randint(1, 5)):
+        out = tuple(rng.choice("xy") for _ in range(rng.randint(0, 2)))
+        arcs.append(Arc(rng.randrange(n, n + 3), rng.choice("ab"), out, rng.randrange(n, n + 3)))
+    return t, Transducer(AB, XY, n + 3, t.initial, t.final, (*t.arcs, *arcs))
+
+
+def test_random_machines_with_dead_conflicts_agree_with_brute_force():
+    rng = random.Random(2003)
+    verdicts = []
+    for _ in range(300):
+        t, dead = with_dead_conflicts(rng)
+        report = check_functional(dead)
+        verdicts.append(report.functional)
+        assert report.functional == (conflicting_words(t, 2 * t.state_count) == [])
+        assert report.functional == check_functional(t).functional
+        if report.functional:
+            assert equivalent(dead, t) is None
+        else:
+            assert len(dead.relation(report.witness)) >= 2
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
+
+
 def test_instance_transducers_are_functional():
     for (k, n) in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         _, _, prepared, _, _ = built(k, n)
