@@ -305,21 +305,24 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
     with both sides outstanding, but only if a final pair can be reached from
     it: a shortest forward search from the conflict checks that and gives the
     continuation. A failed search puts every pair it met into one shared dead
-    set, and later conflicts there are skipped, so the failed searches
-    together scan each pair at most once. Dead pairs never pass a delay on to
-    a live pair (one that can reach a final pair), because every reached
-    predecessor of a live pair is live. On a witness the pass stops and
+    set, so the failed searches together scan each pair at most once. Every
+    pair reachable from a dead pair is dead, and no delay at a dead pair can
+    matter, so an edge into one builds no delay. Dead pairs never pass a delay
+    on to a live pair (one that can reach a final pair), because every
+    reached predecessor of a live pair is live. On a witness the pass stops and
     returns the words that can show it; the caller checks which one does.
     Otherwise the list is empty. The second value counts the pairs reached
     by then. No edge is stored: the searches read the arcs again.
 
     The cap is one rule, the same for every alphabet: the search holds at
-    most STATE_CAP pairs, and the pass and the continuation searches together
-    examine at most EDGE_CAP edges. An edge is one pair of arcs with the same
-    label. The start pairs are counted before any is built, and each pair's
-    edges before they are scanned. More raise ResourceLimitError. The largest
+    most STATE_CAP pairs and delay tokens together, and the pass and the
+    continuation searches together examine at most EDGE_CAP edges. An edge
+    is one pair of arcs with the same label. The start pairs are counted
+    before any is built, each pair's edges before they are scanned and each
+    delay before it is stored. More raise ResourceLimitError. The largest
     product of the experiment grid, reduced (3,4) handcrafted against its
-    transducer, examines 109,155 edges.
+    transducer, holds 20,440 pairs and 14,040 delay tokens and examines
+    109,155 edges.
     """
     width = y.state_count
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
@@ -367,6 +370,7 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
     delays: dict[int, tuple[Word, Word]] = dict.fromkeys(starts, empty)
     parents: dict[int, tuple[int, str] | None] = dict.fromkeys(starts)
     order = list(starts)  # the queue: it grows while it is walked
+    held = len(order)  # pairs, and the tokens of their delays
     for pair in order:
         p, q = divmod(pair, width)
         xout = xarcs.get(p)
@@ -385,12 +389,13 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
                 base = t1 * width
                 for w2, t2 in right:
                     nxt = base + t2
-                    if w1 or w2:
+                    if nxt in dead:  # no delay there can matter
+                        delay = empty
+                    elif w1 or w2:
                         u, v = d1 + w1, d2 + w2
                         if u and v:
-                            if u[0] == v[0]:  # else there is nothing to cancel
-                                u, v = _strip_common_prefix(u, v)
-                            if u and v and nxt not in dead:
+                            u, v = _strip_common_prefix(u, v)
+                            if u and v:
                                 z = continuation(nxt)
                                 if z is not None:
                                     return [_word_to(parents, pair) + (tok,) + z], len(order)
@@ -401,7 +406,8 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
                         return [_word_to(parents, pair) + (tok,)], len(order)
                     seen = delays.get(nxt)
                     if seen is None:
-                        if len(order) >= STATE_CAP:
+                        held += 1 + len(delay[0]) + len(delay[1])
+                        if held > STATE_CAP:
                             raise ResourceLimitError(too_large)
                         delays[nxt] = delay
                         parents[nxt] = (pair, tok)

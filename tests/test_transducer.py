@@ -17,7 +17,7 @@ from bimlab import (
     remove_input_epsilons,
     trim,
 )
-from bimlab import ResourceLimitError, parse_transducer
+from bimlab import ResourceLimitError, parse_transducer, transducer
 from bimlab.fsm import STATE_CAP
 from helpers import built, random_letter_transducer, relation_by_paths, words_upto
 
@@ -437,3 +437,44 @@ def test_edge_cap_does_not_grow_with_the_alphabet():
         check_functional(loops)
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
         equivalent(loops, loops)
+
+
+def two_chains(n, live):
+    """From state 0, "a" leads into chains A (states 1..n, every arc emits x)
+    and B (states n+1..2n, no output). Live: both chains accept after "b", and
+    B's last arc pays the n x's back. Dead: A accepts after "b" and B after
+    "a", so the cross pairs of A and B states never accept."""
+    arcs = [Arc(0, "a", ("x",), 1), Arc(0, "a", (), n + 1)]
+    arcs += [Arc(i, "a", ("x",), i + 1) for i in range(1, n)]
+    arcs += [Arc(n + i, "a", (), n + i + 1) for i in range(1, n)]
+    arcs += [Arc(n, "b", (), 2 * n + 1)]
+    arcs += [Arc(2 * n, "b", ("x",) * n, 2 * n + 2) if live else Arc(2 * n, "a", (), 2 * n + 2)]
+    return Transducer(AB, XY, 2 * n + 3, {0}, {2 * n + 1, 2 * n + 2}, arcs)
+
+
+def test_delays_count_against_the_pair_cap():
+    # The cross pair of A_i and B_i owes x^i: about n^2 delay tokens over
+    # 4n pairs, which must not be held whether or not the pairs can accept.
+    # n = 200 holds about 41,000 pairs and tokens; n = 2,000 would hold four
+    # million.
+    for live in (False, True):
+        assert check_functional(two_chains(200, live)).functional
+        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+            check_functional(two_chains(2_000, live))
+
+
+def test_edges_into_dead_pairs_build_no_delay(monkeypatch):
+    # States 1 and 2, one owing 1,000 x's to the other, each have 130 arcs
+    # on "b" into state 3, which never accepts. Delays are cancelled on the
+    # way to (1, 1) and on the first two of its edges into (3, 3); the second
+    # is a conflict that makes (3, 3) dead, so the other 67,598 edges into it
+    # extend no delay.
+    outputs = [("y", *("xy"[int(b)] for b in format(i, "b"))) for i in range(1, 131)]
+    arcs = [Arc(0, "a", ("x",) * 1000, 1), Arc(0, "a", (), 2)]
+    arcs += [Arc(q, "b", out, 3) for q in (1, 2) for out in outputs]
+    t = Transducer(AB, XY, 5, {0}, {4}, (*arcs, Arc(0, "b", (), 4)))
+    calls = []
+    strip = transducer._strip_common_prefix
+    monkeypatch.setattr(transducer, "_strip_common_prefix", lambda u, v: calls.append(1) or strip(u, v))
+    assert check_functional(t).functional
+    assert len(calls) == 3
