@@ -1,39 +1,135 @@
 """Bimachines: a left-to-right DFA, a right-to-left DFA, and a partial output
 table indexed by (left state, letter, right state).
 
-The output table is stored sparsely; an absent triple means undefined, and
-that partiality is what carves out the domain of the represented function.
-The empty word gets its own explicit output slot so that machines whose
-function is undefined at the empty word can say so.
+The output table is dense: one cell per (left state, letter, right state),
+undefined cells included, and that partiality is what carves out the domain
+of the represented function. The empty word gets its own explicit output
+slot so that machines whose function is undefined at the empty word can say
+so.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceLimitError
-from .fsm import EDGE_CAP, STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore, moore_reduce
+from .fsm import (EDGE_CAP, PSI_CAP, STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore,
+                  moore_reduce)
+
+
+def psi_cells(left_count: int, letters: int, right_count: int) -> array:
+    """The cells of an output table of this shape, all undefined (-1).
+    Every table is allocated here; more than PSI_CAP cells raises
+    ResourceLimitError before any memory is taken."""
+    size = left_count * letters * right_count
+    if size > PSI_CAP:
+        raise ResourceLimitError(
+            f"psi table of {left_count} x {letters} x {right_count} cells exceeds {PSI_CAP}"
+        )
+    return array("i", [-1]) * size
+
+
+class PsiTable(Mapping):
+    """A bimachine's output table, read-only.
+
+    Cell ``(l * |Σ| + a) * right_count + r`` of ``cells`` belongs to left
+    state ``l``, the ``a``-th letter of ``alphabet`` and right state ``r``.
+    It holds an index into ``words``, where each output word appears once
+    (``Bimachine.reduce`` compares rows of indices), or -1 where the output
+    is undefined. As a Mapping, the keys are the
+    defined ``(l, letter, r)`` triples in cell order and the values their
+    output words, so ``len`` counts the defined cells.
+    """
+
+    __slots__ = ("alphabet", "left_count", "right_count", "cells", "words", "_len")
+
+    def __init__(self, alphabet: Alphabet, left_count: int, right_count: int,
+                 cells: array, words: tuple[Word, ...]):
+        if len(cells) != left_count * len(alphabet) * right_count:
+            raise ValueError("psi cells do not match the table's shape")
+        self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
+        self.cells, self.words = cells, words
+        self._len: int | None = None
+
+    @classmethod
+    def from_items(cls, alphabet: Alphabet, left_count: int, right_count: int,
+                   items: Iterable[tuple[tuple[int, str, int], Iterable[str]]]) -> PsiTable:
+        """The table of ``((l, letter, r), output)`` pairs. Raises
+        PreconditionError on a key that names a state or letter the shape
+        lacks."""
+        letters = len(alphabet)
+        cells = psi_cells(left_count, letters, right_count)
+        ids: dict[Word, int] = {}
+        for (l, a, r), out in items:
+            if not (a in alphabet and isinstance(l, int) and isinstance(r, int)
+                    and 0 <= l < left_count and 0 <= r < right_count):
+                raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
+            out = tuple(out)
+            cells[(l * letters + alphabet.index(a)) * right_count + r] = ids.setdefault(
+                out, len(ids))
+        return cls(alphabet, left_count, right_count, cells, tuple(ids))
+
+    @property
+    def shape(self) -> tuple[Alphabet, int, int]:
+        return self.alphabet, self.left_count, self.right_count
+
+    def entries(self) -> Iterator[tuple[int, int, int, Word]]:
+        """``(l, letter position, r, output)`` for each defined cell, in cell order."""
+        cells, words, width = self.cells, self.words, self.right_count
+        base = 0
+        for l in range(self.left_count):
+            for pos in range(len(self.alphabet)):
+                for r, v in enumerate(cells[base : base + width]):
+                    if v >= 0:
+                        yield l, pos, r, words[v]
+                base += width
+
+    def items(self):
+        symbols = self.alphabet.symbols
+        return (((l, symbols[pos], r), out) for l, pos, r, out in self.entries())
+
+    def __iter__(self):
+        symbols = self.alphabet.symbols
+        return ((l, symbols[pos], r) for l, pos, r, _ in self.entries())
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = len(self.cells) - self.cells.count(-1)
+        return self._len
+
+    def __getitem__(self, key) -> Word:
+        try:
+            l, a, r = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not (a in self.alphabet and isinstance(l, int) and isinstance(r, int)
+                and 0 <= l < self.left_count and 0 <= r < self.right_count):
+            raise KeyError(key)
+        v = self.cells[(l * len(self.alphabet) + self.alphabet.index(a)) * self.right_count + r]
+        if v < 0:
+            raise KeyError(key)
+        return self.words[v]
 
 
 @dataclass(frozen=True)
 class Bimachine:
+    """``psi`` may be given as any mapping from ``(l, letter, r)`` to output
+    words; construction stores it as a PsiTable over the left automaton's
+    alphabet and raises PreconditionError on a key outside the machine."""
+
     left: Dfa
     right: Dfa
-    psi: dict[tuple[int, str, int], Word]
+    psi: PsiTable
     empty_word_output: Word | None
     output_alphabet: Alphabet
 
     def __post_init__(self):
-        psi = self.psi
-        # A table whose keys are 3-tuples and whose values are tuples is
-        # already normalised (parsed and reduced tables are); copy it whole.
-        if (set(map(type, psi)) <= {tuple} and set(map(len, psi)) <= {3}
-                and set(map(type, psi.values())) <= {tuple}):
-            psi = dict(psi)
-        else:
-            psi = {(l, a, r): tuple(out) for (l, a, r), out in psi.items()}
-        object.__setattr__(self, "psi", psi)
+        shape = (self.left.alphabet, self.left.state_count, self.right.state_count)
+        if not (isinstance(self.psi, PsiTable) and self.psi.shape == shape):
+            object.__setattr__(self, "psi", PsiTable.from_items(*shape, self.psi.items()))
         if self.empty_word_output is not None:
             object.__setattr__(self, "empty_word_output", tuple(self.empty_word_output))
 
@@ -61,7 +157,9 @@ class Bimachine:
             if self.right.alphabet is self.left.alphabet
             else self.right.alphabet.indices(word)
         )
-        left_delta, right_delta, psi = self.left.delta, self.right.delta, self.psi
+        left_delta, right_delta = self.left.delta, self.right.delta
+        cells, words = self.psi.cells, self.psi.words
+        letters, width = len(self.left.alphabet), self.right.state_count
         l = left_state
         prefix = [l]
         for i in left_index:
@@ -70,10 +168,10 @@ class Bimachine:
         parts: list[Word] = []
         r = right_state
         for pos in range(len(word) - 1, -1, -1):
-            piece = psi.get((prefix[pos], word[pos], r))
-            if piece is None:
+            v = cells[(prefix[pos] * letters + left_index[pos]) * width + r]
+            if v < 0:
                 return None
-            parts.append(piece)
+            parts.append(words[v])
             r = right_delta[r][right_index[pos]]
         return tuple(tok for piece in reversed(parts) for tok in piece)
 
@@ -92,26 +190,36 @@ class Bimachine:
         arc ``(l, δR(r', a)) --a/psi(l, a, r')--> (δL(l, a), r')``. Every
         ``(L.start, r)`` is initial and every ``(l, R.start)`` final, so a
         nonempty word of the domain has one accepting path, and it emits the
-        word's output. The empty word is left to ``empty_word_output``.
+        word's output. The empty word is left to ``empty_word_output``. Only
+        states that can reach a final state keep their arcs and initial
+        marks; the others are wrong guesses of the suffix, which no product
+        search needs to visit.
         """
         left_count, right_count = self.left.state_count, self.right.state_count
-        left_col = {tok: pos for pos, tok in enumerate(self.left.alphabet.symbols)}
-        right_col = {tok: self.right.alphabet.index(tok) for tok in self.input_alphabet.symbols}
+        symbols = self.input_alphabet.symbols
+        right_col = [self.right.alphabet.index(tok) for tok in symbols]
         left_delta, right_delta = self.left.delta, self.right.delta
-
-        def arcs():
-            for (l, a, r), out in self.psi.items():
-                if not (0 <= l < left_count and 0 <= r < right_count):
-                    raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
-                yield (l * right_count + right_delta[r][right_col[a]], a, out,
-                       left_delta[l][left_col[a]] * right_count + r)
-
+        arcs = []
+        sources: dict[int, list[int]] = {}
+        for l, pos, r, out in self.psi.entries():
+            src = l * right_count + right_delta[r][right_col[pos]]
+            dst = left_delta[l][pos] * right_count + r
+            arcs.append((src, symbols[pos], out, dst))
+            sources.setdefault(dst, []).append(src)
+        finals = [l * right_count + self.right.start for l in range(left_count)]
+        live, stack = set(finals), list(finals)
+        while stack:
+            for src in sources.get(stack.pop(), ()):
+                if src not in live:
+                    live.add(src)
+                    stack.append(src)
+        starts = (self.left.start * right_count + r for r in range(right_count))
         return LetterMachine.build(
             self.input_alphabet,
             left_count * right_count,
-            (self.left.start * right_count + r for r in range(right_count)),
-            (l * right_count + self.right.start for l in range(left_count)),
-            arcs(),
+            (q for q in starts if q in live),
+            finals,
+            (arc for arc in arcs if arc[3] in live),
             self.empty_word_output,
         )
 
@@ -147,7 +255,7 @@ class Bimachine:
         if start >= STATE_CAP:
             raise ResourceLimitError(too_large)
 
-        def arcs(k: int, psi: dict):
+        def arcs(k: int, psi: PsiTable):
             lefts_of: dict[int, list[int]] = {}
             rights_of: dict[int, list[int]] = {}
             for i, pair in enumerate(left_pairs):
@@ -155,8 +263,10 @@ class Bimachine:
             for j, pair in enumerate(right_pairs):
                 rights_of.setdefault(pair[k], []).append(j)
             budget = EDGE_CAP
-            for (l, tok, r), out in psi.items():
-                pos = alphabet.index(tok)
+            symbols = psi.alphabet.symbols
+            columns = [alphabet.index(tok) for tok in symbols]
+            for l, col, r, out in psi.entries():
+                tok, pos = symbols[col], columns[col]
                 for i in lefts_of.get(l, ()):
                     budget -= len(rights_of.get(r, ())) * (1 + (i == lefts.start))
                     if budget < 0:
@@ -179,17 +289,12 @@ class Bimachine:
         )
 
     def validate(self) -> list[str]:
-        """Diagnostics for structural problems; an empty list means valid."""
+        """Diagnostics for structural problems; an empty list means valid.
+        Construction has already refused psi keys outside the machine."""
         problems: list[str] = []
         if self.left.alphabet.symbols != self.right.alphabet.symbols:
             problems.append("alphabet-mismatch: left and right automata disagree")
-        for (l, a, r), out in sorted(self.psi.items()):
-            if not 0 <= l < self.left.state_count:
-                problems.append(f"psi: unknown left state {l}")
-            if not 0 <= r < self.right.state_count:
-                problems.append(f"psi: unknown right state {r}")
-            if a not in self.left.alphabet:
-                problems.append(f"psi: unknown input symbol {a!r}")
+        for out in dict.fromkeys(self.psi.values()):
             for tok in out:
                 if tok not in self.output_alphabet:
                     problems.append(f"psi: output token {tok!r} not in output alphabet")
@@ -207,37 +312,39 @@ class Bimachine:
 
         The represented function is unchanged. One pass per side reaches the
         fixpoint: merging one side never changes row-distinguishability on the
-        other, because merged states have literally identical rows. The machine
-        must be valid (``validate()`` reports nothing); a psi key naming a
-        state the machine lacks raises PreconditionError. The keys are checked
-        once here: the right pass only reads keys the left pass built.
+        other, because merged states have literally identical rows.
         """
-        left_count, right_count = self.left.state_count, self.right.state_count
-        for l, a, r in self.psi:
-            if not (0 <= l < left_count and 0 <= r < right_count):
-                raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
         return self._merge("left")._merge("right")
 
     def _merge(self, side: str) -> "Bimachine":
-        """Moore-reduce one side. A state's signature row lists its psi values
-        letter-major, then by the other side's state (None where undefined)."""
-        is_left = side == "left"
-        dfa, other = (self.left, self.right) if is_left else (self.right, self.left)
-        width = other.state_count
-        offset = {a: pos * width for pos, a in enumerate(self.input_alphabet.symbols)}
-        size = len(offset) * width
-        flat: list[Word | None] = [None] * (size * dfa.state_count)
-        for (l, a, r), out in self.psi.items():
-            q, o = (l, r) if is_left else (r, l)
-            flat[q * size + offset[a] + o] = out
-        rows = [tuple(flat[q * size : (q + 1) * size]) for q in range(dfa.state_count)]
-        del flat
-        reduced, block = moore_reduce(dfa, rows)
-        del rows  # free the signatures before the new psi table grows
-        psi: dict[tuple[int, str, int], Word] = {}
-        for (l, a, r), out in self.psi.items():
-            key = (block[l], a, r) if is_left else (l, a, block[r])
-            if psi.setdefault(key, out) != out:
-                raise AssertionError(f"internal: merged {side} states disagree on psi")
-        left, right = (reduced, self.right) if is_left else (self.left, reduced)
-        return Bimachine(left, right, psi, self.empty_word_output, self.output_alphabet)
+        """Moore-reduce one side. A state's signature is its row of psi cells
+        as bytes: a left state's run of cells, letter-major and then by right
+        state; a right state's cells at stride ``|R|``, by left state and then
+        by letter. Each output word has one index in the table, so equal
+        bytes mean equal outputs. Each block keeps its first state's cells."""
+        psi = self.psi
+        cells, letters = psi.cells, len(psi.alphabet)
+        left_count, right_count = psi.left_count, psi.right_count
+        if side == "left":
+            size = letters * right_count
+            rows = [cells[q * size : (q + 1) * size].tobytes() for q in range(left_count)]
+        else:
+            rows = [cells[r::right_count].tobytes() for r in range(right_count)]
+        reduced, block = moore_reduce(self.left if side == "left" else self.right, rows)
+        del rows  # free the signatures before the new table is allocated
+        first: dict[int, int] = {}
+        for q, b in enumerate(block):
+            first.setdefault(b, q)
+        count = reduced.state_count
+        if side == "left":
+            new = psi_cells(count, letters, right_count)
+            for b, q in first.items():
+                new[b * size : (b + 1) * size] = cells[q * size : (q + 1) * size]
+            left, right = reduced, self.right
+        else:
+            new = psi_cells(left_count, letters, count)
+            for b, r in first.items():
+                new[b::count] = cells[r::right_count]
+            left, right = self.left, reduced
+        table = PsiTable(psi.alphabet, left.state_count, right.state_count, new, psi.words)
+        return Bimachine(left, right, table, self.empty_word_output, self.output_alphabet)

@@ -5,7 +5,9 @@ automaton, first-match output selection.
 
 from __future__ import annotations
 
-from .bimachine import Bimachine
+from array import array
+
+from .bimachine import Bimachine, PsiTable, psi_cells
 from .errors import NonFunctionalError, PreconditionError
 from .fsm import STATE_CAP, Dfa, Word, explore, reverse, subset_construction
 from .transducer import Transducer, check_functional, is_trim
@@ -46,25 +48,33 @@ def build_psi(
     t: Transducer,
     left_lists: tuple[tuple[int, ...], ...],
     right_subsets: tuple[frozenset[int], ...],
-) -> dict[tuple[int, str, int], Word]:
+) -> PsiTable:
     """First match wins: scan the priority list, each state's arcs in
     canonical order, and emit the first transition landing in the
     co-accessible subset. No matching transition means undefined."""
     arcs = t._letter_arcs
-    psi: dict[tuple[int, str, int], Word] = {}
-    for l_id, lst in enumerate(left_lists):
-        for tok in t.input_alphabet.symbols:
-            candidates = [
-                (d, w) for p in lst for (w, d) in arcs.get((p, tok), ())
-            ]
-            if not candidates:
-                continue
-            for r_id, subset in enumerate(right_subsets):
-                for d, w in candidates:
-                    if d in subset:
-                        psi[(l_id, tok, r_id)] = w
-                        break
-    return psi
+    alphabet, right_count = t.input_alphabet, len(right_subsets)
+    cells = psi_cells(len(left_lists), len(alphabet), right_count)
+    holders: dict[int, list[int]] = {}  # transducer state -> right states holding it
+    for r_id, subset in enumerate(right_subsets):
+        for d in subset:
+            holders.setdefault(d, []).append(r_id)
+    ids: dict[Word, int] = {}
+    base = 0
+    for lst in left_lists:
+        for tok in alphabet.symbols:
+            row = [-1] * right_count
+            for p in lst:
+                for w, d in arcs.get((p, tok), ()):
+                    word_id = None
+                    for r_id in holders.get(d, ()):
+                        if row[r_id] < 0:
+                            if word_id is None:
+                                word_id = ids.setdefault(w, len(ids))
+                            row[r_id] = word_id
+            cells[base : base + right_count] = array("i", row)
+            base += right_count
+    return PsiTable(alphabet, len(left_lists), right_count, cells, tuple(ids))
 
 
 def to_bimachine(t: Transducer, state_cap: int = STATE_CAP) -> Bimachine:

@@ -24,6 +24,10 @@ STATE_CAP = 10**5
 # examine in all, and on the arcs of a view built for such a search.
 EDGE_CAP = 3 * STATE_CAP // 2
 
+# Bound on the cells (left states x letters x right states) of one
+# bimachine's output table, checked before the table is allocated.
+PSI_CAP = 2**24
+
 
 @dataclass(frozen=True)
 class Alphabet:

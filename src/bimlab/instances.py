@@ -13,11 +13,12 @@ head and tail), and a sliding-window bimachine of size Θ(k^n).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bimachine import Bimachine
+from .bimachine import Bimachine, PsiTable, psi_cells
 from .errors import ResourceLimitError
 from .fsm import STATE_CAP, Alphabet, Word, explore
 from .transducer import Arc, Transducer
@@ -165,29 +166,37 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     left, left_states = explore(sigma, ("first", ()), left_step)
     right, right_states = explore(sigma, ("tail", ()), right_step)
 
-    def output(ls, tok, rs) -> Word | None:
-        if ls[0] == "first":
-            if tok in first:
-                if rs == ("crossed", True):
-                    return ()
-                if rs[0] == "tail" and len(rs[1]) == n:
-                    return ()
-                return None
-            if len(ls[1]) == n and rs[0] == "tail" and len(rs[1]) >= n - 1:
-                i = ls[1][0]
-                j = tok if n == 1 else rs[1][len(rs[1]) - (n - 1)]
-                return (j, i)
-            return None
-        if ls[0] == "second" and tok not in first and rs[0] == "tail":
-            return ()
-        return None
+    # Every cell of a row (left state, letter) over all right states comes
+    # from one of these rows: a first-half letter inside the first block, a
+    # second-half letter inside the second block, or the boundary, where the
+    # row depends on the oldest first-block symbol i and the letter.
+    ids: dict[Word, int] = {}
 
-    psi: dict[tuple[int, str, int], Word] = {}
-    for l_id, ls in enumerate(left_states):
+    def row(outputs) -> array:
+        return array("i", [-1 if out is None else ids.setdefault(out, len(ids))
+                           for out in outputs])
+
+    inside_first = row(() if rs == ("crossed", True) or (rs[0] == "tail" and len(rs[1]) == n)
+                       else None for rs in right_states)
+    inside_second = row(() if rs[0] == "tail" else None for rs in right_states)
+    boundary = {
+        (i, tok): row((tok if n == 1 else rs[1][len(rs[1]) - (n - 1)], i)
+                      if rs[0] == "tail" and len(rs[1]) >= n - 1 else None
+                      for rs in right_states)
+        for i in params.first_half for tok in params.second_half
+    }
+    width = right.state_count
+    cells = psi_cells(left.state_count, len(sigma), width)
+    base = 0
+    for ls in left_states:
         for tok in sigma.symbols:
-            for r_id, rs in enumerate(right_states):
-                value = output(ls, tok, rs)
-                if value is not None:
-                    psi[(l_id, tok, r_id)] = value
-
+            if ls[0] == "first":
+                if tok in first:
+                    cells[base : base + width] = inside_first
+                elif len(ls[1]) == n:
+                    cells[base : base + width] = boundary[(ls[1][0], tok)]
+            elif ls[0] == "second" and tok not in first:
+                cells[base : base + width] = inside_second
+            base += width
+    psi = PsiTable(sigma, left.state_count, width, cells, tuple(ids))
     return Bimachine(left, right, psi, None, sigma)

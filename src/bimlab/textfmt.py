@@ -9,7 +9,7 @@ would collide with this syntax, so every constructible machine round-trips.
 
 from __future__ import annotations
 
-from .bimachine import Bimachine
+from .bimachine import Bimachine, PsiTable, psi_cells
 from .errors import FormatError
 from .fsm import Alphabet, Dfa, Word
 from .transducer import Arc, Transducer
@@ -38,41 +38,43 @@ def _lines(text: str):
 
 
 class _Parser:
+    """Reads the items of ``_lines`` one at a time, with one item of
+    lookahead, so no list of the file's lines is ever built."""
+
     def __init__(self, text: str, kind: str):
-        self.items = list(_lines(text))
-        self.pos = 0
+        self.items = _lines(text)
+        self.item = next(self.items, None)  # the lookahead; None at end of file
+        self.last = 0  # line of the last item read
         line_no, fields = self.next()
         if fields != [kind, "v1"]:
             raise FormatError(line_no, f"expected header '{kind} v1'")
 
     def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        return self.item
 
     def here(self) -> int:
         """Line of the next item; at end of file the last line read (0 if none)."""
-        if self.pos < len(self.items):
-            return self.items[self.pos][0]
-        return self.items[-1][0] if self.items else 0
+        return self.last if self.item is None else self.item[0]
 
     def next(self, expect: str | None = None):
-        item = self.peek()
+        item = self.item
         if item is None:
             raise FormatError(self.here(), f"unexpected end of file (wanted {expect})")
-        self.pos += 1
+        self.last = item[0]
+        self.item = next(self.items, None)
         if expect is not None and item[1][0] != expect:
             raise FormatError(item[0], f"expected {expect!r}, got {item[1][0]!r}")
         return item
 
     def section(self, keyword: str):
         """Yield the items from here on that start with keyword, up to the
-        first that does not, reading ``items`` directly."""
-        items = self.items
-        for pos in range(self.pos, len(items)):
-            if items[pos][1][0] != keyword:
-                self.pos = pos
-                return
-            yield items[pos]
-        self.pos = len(items)
+        first that does not, which stays the lookahead."""
+        items, item = self.items, self.item
+        while item is not None and item[1][0] == keyword:
+            self.last = item[0]
+            yield item
+            item = next(items, None)
+        self.item = item
 
     def finish(self, keyword: str) -> None:
         """Reject what is left after the last section (its lines start with keyword)."""
@@ -193,9 +195,25 @@ def emit_bimachine(b: Bimachine) -> str:
                 lines.append(f"{arc_word} {state} {tok} {target}")
     if b.empty_word_output is not None:
         lines.append(f"epsout {word_to_text(b.empty_word_output)}")
-    index = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
-    for (l, tok, r) in sorted(b.psi, key=lambda key: (key[0], index[key[1]], key[2])):
-        lines.append(f"psi {l} {tok} {r} {word_to_text(b.psi[(l, tok, r)])}")
+    # The table's cell order is the emitted order: left state, letter, right
+    # state. Rows repeat, so each distinct row formats its "<right> <out>"
+    # fields once.
+    psi = b.psi
+    cells, width = psi.cells, psi.right_count
+    texts = [word_to_text(word) for word in psi.words]
+    fields_of: dict[bytes, list[str]] = {}
+    base = 0
+    for l in range(psi.left_count):
+        for tok in psi.alphabet.symbols:
+            row = cells[base : base + width]
+            base += width
+            key = row.tobytes()
+            fields = fields_of.get(key)
+            if fields is None:
+                fields = fields_of[key] = [f"{r} {texts[v]}" for r, v in enumerate(row) if v >= 0]
+            if fields:
+                head = f"psi {l} {tok} "
+                lines.append(head + ("\n" + head).join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -247,8 +265,12 @@ def parse_bimachine(text: str) -> Bimachine:
         empty_out = _parse_word(line_no, fields[1], oalphabet, "output")
     lefts = _Memo(_parse_state, left.state_count, "left state")
     rights = _Memo(_parse_state, right.state_count, "right state")
-    outputs = _Memo(_parse_word, oalphabet, "output")
-    psi: dict[tuple[int, str, int], Word] = {}
+    ids: dict[Word, int] = {}
+    outputs = _Memo(lambda line_no, text: ids.setdefault(
+        _parse_word(line_no, text, oalphabet, "output"), len(ids)))
+    letters, width = len(alphabet), right.state_count
+    column = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
+    cells = psi_cells(left.state_count, letters, width)
     # This loop runs once per psi entry, Θ(k^{2n}) times, so it looks a memo
     # up inline and calls ``read`` only on a miss.
     for line_no, fields in parser.section("psi"):
@@ -258,19 +280,21 @@ def parse_bimachine(text: str) -> Bimachine:
         if l is None:
             l = lefts.read(line_no, fields[1])
         tok = fields[2]
-        if tok not in alphabet:
+        pos = column.get(tok)
+        if pos is None:
             raise FormatError(line_no, f"unknown token {tok!r}")
         r = rights.get(fields[3])
         if r is None:
             r = rights.read(line_no, fields[3])
-        key = (l, tok, r)
-        if key in psi:
+        cell = (l * letters + pos) * width + r
+        if cells[cell] != -1:
             raise FormatError(line_no, f"duplicate psi entry ({l}, {tok}, {r})")
         out = outputs.get(fields[4])
         if out is None:
             out = outputs.read(line_no, fields[4])
-        psi[key] = out
+        cells[cell] = out
     parser.finish("psi")
+    psi = PsiTable(alphabet, left.state_count, width, cells, tuple(ids))
     return Bimachine(left, right, psi, empty_out, oalphabet)
 
 

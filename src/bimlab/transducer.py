@@ -321,8 +321,8 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
     before any is built, each pair's edges before they are scanned and each
     delay before it is stored. More raise ResourceLimitError. The largest
     product of the experiment grid, reduced (3,4) handcrafted against its
-    transducer, holds 20,440 pairs and 14,040 delay tokens and examines
-    109,155 edges.
+    transducer, holds 16,635 pairs and 14,040 delay tokens and examines
+    105,348 edges.
     """
     width = y.state_count
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"

@@ -26,6 +26,12 @@ from bimlab import (
 )
 
 
+def with_psi(machine, psi, empty_word_output=None):
+    """A new machine with ``machine``'s automata and the table ``psi``."""
+    return Bimachine(machine.left, machine.right, psi, empty_word_output,
+                     machine.output_alphabet)
+
+
 def words_upto(tokens, max_len):
     """All words over ``tokens`` of length 0..max_len, shortest first."""
     for length in range(max_len + 1):

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from bimlab import (
+    BoundRespected,
     InstanceParams,
     Mismatch,
     check_functional,
@@ -168,3 +169,23 @@ def test_c8_experiment_determinism(tmp_path):
     identical = first.read_bytes() == second.read_bytes()
     report("C8 experiment CSV byte-identical across runs with the same seed",
            identical, f"{len(first.read_bytes())} bytes")
+
+
+def test_c9_reduce_and_refute_at_k3_n6():
+    # The raw output table has 1095 x 6 x 1096 = 7,200,720 cells, under the
+    # PSI_CAP of 2^24.
+    params = InstanceParams(3, 6)
+    started = time.perf_counter()
+    raw = handcrafted_bimachine(params)
+    assert (raw.left.state_count, raw.right.state_count) == (1095, 1096)
+    assert len(raw.psi) == 4_522_713
+    reduced = raw.reduce()
+    del raw
+    verdict = refute(reduced, params)
+    sizes = (reduced.left.state_count, reduced.right.state_count)
+    assert len(reduced.psi) == 1_864_779
+    elapsed = time.perf_counter() - started
+    report("C9 raw (3,6) handcrafted reduces to L=1095 R=609 and respects the bound",
+           sizes == (1095, 609) and isinstance(verdict, BoundRespected)
+           and verdict.left_certified and not verdict.right_certified,
+           f"{elapsed:.2f}s")

@@ -1,11 +1,18 @@
 import random
-import re
 from itertools import product
 
 import pytest
 
-from bimlab import Alphabet, Bimachine, Dfa, PreconditionError, UnknownSymbolError
-from helpers import built, random_word, words_upto
+from bimlab import (
+    Alphabet,
+    Bimachine,
+    Dfa,
+    PreconditionError,
+    ResourceLimitError,
+    UnknownSymbolError,
+    bimachine,
+)
+from helpers import built, random_word, with_psi, words_upto
 
 
 def tiny_bimachine(empty_word_output=None):
@@ -57,8 +64,7 @@ def test_psi_star_handcrafted_boundary():
 
 
 def test_psi_star_undefined_propagates():
-    b = tiny_bimachine()
-    del b.psi[(0, "b", 0)]
+    b = with_psi(tiny_bimachine(), {(0, "a", 0): ("x",)})
     assert b.psi_star(0, ("a", "b"), 0) is None
     assert b.psi_star(0, ("a",), 0) == ("x",)
 
@@ -70,8 +76,7 @@ def test_psi_star_unknown_symbol():
 
 
 def test_unknown_symbol_raises_where_the_output_is_undefined():
-    b = tiny_bimachine()
-    del b.psi[(0, "b", 0)]
+    b = with_psi(tiny_bimachine(), {(0, "a", 0): ("x",)})
     assert b.evaluate(("a", "b")) is None
     # Each word's output is undefined, but its unknown "z" must still raise.
     for word in (("b", "z"), ("z", "b"), ("a", "b", "z", "a")):
@@ -137,8 +142,10 @@ def test_construction_owns_a_normalised_psi():
     assert b.psi == {(0, "a", 0): ("x", "y"), (0, "b", 0): ()}
     assert all(type(out) is tuple for out in b.psi.values())
     assert b.empty_word_output == () and type(b.empty_word_output) is tuple
-    # Keys are unpacked as (left, letter, right), as before the whole-table copy.
-    assert Bimachine(d, d, {"0a0": ("x",)}, None, xy).psi == {("0", "a", "0"): ("x",)}
+    # Keys are unpacked as (left, letter, right); states must be ints.
+    with pytest.raises(PreconditionError) as info:
+        Bimachine(d, d, {"0a0": ("x",)}, None, xy)
+    assert str(info.value) == "psi key ('0', 'a', '0') is outside the machine"
     for key, error, message in (
         ((0, "a"), ValueError, "not enough values to unpack (expected 3, got 2)"),
         ((0, "a", 0, 0), ValueError, "too many values to unpack (expected 3)"),
@@ -147,6 +154,37 @@ def test_construction_owns_a_normalised_psi():
         with pytest.raises(error) as info:
             Bimachine(d, d, {(0, "a", 0): ("x",), key: ("y",)}, None, xy)
         assert str(info.value) == message
+
+
+def test_psi_table_reads_as_a_mapping():
+    b = tiny_bimachine()
+    table = {(0, "a", 0): ("x",), (0, "b", 0): ("y",)}
+    assert b.psi == table and table == b.psi
+    assert len(b.psi) == 2
+    assert list(b.psi) == [(0, "a", 0), (0, "b", 0)]
+    assert list(b.psi.items()) == list(table.items())
+    assert dict(b.psi) == table and {**b.psi} == table
+    assert b.psi[(0, "b", 0)] == ("y",) and b.psi.get((0, "c", 0)) is None
+    one = with_psi(b, {(0, "a", 0): ("x",)})
+    assert one.psi != b.psi and len(one.psi) == 1
+    # Undefined cells and keys outside the table read as absent.
+    for key in ((0, "b", 0), (0, "a", 1), (-1, "a", 0), (0, "z", 0), ("0", "a", 0),
+                (0, "a"), 0, None):
+        assert key not in one.psi
+        with pytest.raises(KeyError):
+            one.psi[key]
+
+
+def test_psi_tables_are_capped_before_allocation(monkeypatch):
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    wide = Dfa(ab, 3, 0, ((1, 1), (2, 2), (0, 0)))
+    monkeypatch.setattr(bimachine, "PSI_CAP", 18)  # 3 x 2 x 3 cells fit
+    assert len(Bimachine(wide, wide, {(2, "b", 2): ("y",)}, None, xy).psi) == 1
+    monkeypatch.setattr(bimachine, "PSI_CAP", 17)
+    with pytest.raises(ResourceLimitError, match="psi table of 3 x 2 x 3 cells exceeds 17"):
+        Bimachine(wide, wide, {}, None, xy)
+    with pytest.raises(ResourceLimitError):
+        bimachine.psi_cells(3, 2, 3)
 
 
 def test_evaluate_empty_word_flag():
@@ -171,18 +209,10 @@ def test_validate_clean_machines():
     assert tiny_bimachine().validate() == []
 
 
-def test_validate_reports_bad_psi_state():
-    b = tiny_bimachine()
-    b.psi[(0, "a", 7)] = ("x",)
-    problems = b.validate()
-    assert len(problems) == 1
-    assert "right state 7" in problems[0]
-
-
 def test_validate_reports_bad_output_token():
     b = tiny_bimachine()
-    b.psi[(0, "a", 0)] = ("q",)
-    assert any("output token 'q'" in p for p in b.validate())
+    b = with_psi(b, {**b.psi, (0, "a", 0): ("q",)})
+    assert b.validate() == ["psi: output token 'q' not in output alphabet"]
 
 
 def test_validate_reports_alphabet_mismatch():
@@ -194,12 +224,16 @@ def test_validate_reports_alphabet_mismatch():
     assert any("alphabet-mismatch" in p for p in b.validate())
 
 
-def test_reduce_rejects_psi_keys_outside_the_machine():
-    for key in ((0, "a", 1), (0, "a", -1), (1, "b", 0), (-1, "b", 0)):
-        b = tiny_bimachine()
-        b.psi[key] = ("x",)
-        with pytest.raises(PreconditionError, match=re.escape(f"psi key {key}")):
-            b.reduce()
+def test_construction_rejects_psi_keys_outside_the_machine():
+    # States out of range, a letter outside the input alphabet, and states
+    # that are not ints; no machine is built, so validate, reduce and the
+    # letter views never meet such a key.
+    b = tiny_bimachine()
+    for key in ((0, "a", 1), (0, "a", -1), (1, "b", 0), (-1, "b", 0), (0, "a", 7),
+                (0, "z", 0), (0, "a", "0"), (None, "a", 0)):
+        with pytest.raises(PreconditionError) as info:
+            with_psi(b, {**b.psi, key: ("x",)})
+        assert str(info.value) == f"psi key {key} is outside the machine"
 
 
 def test_reduce_merges_duplicate_state():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bimlab import cli, emit_bimachine, parse_bimachine
@@ -106,10 +108,10 @@ def test_equiv_machines_agree(tmp_path, capsys):
     ) == 0
     # The oracle's prepared transducer is the pivot: a and b are each
     # compared with it, and the product pairs of both searches are summed.
-    assert capsys.readouterr().out == "EQUIVALENT(pairs=44)\n"
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=37)\n"
     # Without --oracle the first transducer side is the pivot.
     assert run_cli("equiv", "--a", str(handcrafted), "--b", str(machine)) == 0
-    assert capsys.readouterr().out == "EQUIVALENT(pairs=27)\n"
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=23)\n"
 
 
 def test_equiv_two_bimachines_without_a_transducer(tmp_path, capsys):
@@ -249,6 +251,30 @@ def test_too_many_states_is_input_error(tmp_path, capsys):
     )
     assert run_cli("functional", "--in", str(machine)) == 2
     assert "200000 states" in capsys.readouterr().err
+
+
+def test_bimachine_with_too_many_psi_cells_is_input_error(tmp_path, capsys):
+    # 5000 x 1 x 5000 cells, over PSI_CAP = 2^24, declared by a 166 kB file:
+    # refused before the table is allocated, for every command that reads it.
+    arcs = {side: "".join(f"{side} {q} a {(q + 1) % 5000}\n" for q in range(5000))
+            for side in ("larc", "rarc")}
+    machine = tmp_path / "wide.txt"
+    machine.write_text(
+        "bimachine v1\nalphabet a\noalphabet x\nleft states 5000 start 0\n"
+        f"{arcs['larc']}right states 5000 start 0\n{arcs['rarc']}psi 0 a 0 x\n",
+        encoding="utf-8",
+    )
+    assert machine.stat().st_size < 200_000
+    tracemalloc.start()
+    try:
+        assert run_cli("eval", "--machine", str(machine), "--word", "a") == 2
+        assert run_cli("refute", "--machine", str(machine), "--k", "2", "--n", "1") == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20  # the table alone would take 100 MB
+    err = capsys.readouterr().err
+    assert err.count("psi table of 5000 x 1 x 5000 cells exceeds 16777216") == 2
 
 
 def test_squared_machine_too_large_is_input_error(tmp_path, capsys):

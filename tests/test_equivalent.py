@@ -22,7 +22,13 @@ from bimlab import (
     oracle,
 )
 from bimlab.transducer import _compare
-from helpers import built, corrupt_handcrafted, random_letter_transducer, words_upto
+from helpers import (
+    built,
+    corrupt_handcrafted,
+    random_letter_transducer,
+    with_psi,
+    words_upto,
+)
 
 GRID = [(k, n) for k in (2, 3) for n in (1, 2, 3, 4)]
 
@@ -36,11 +42,6 @@ def boundary_walk(machine, word):
     for i in range(len(word) - 1, -1, -1):
         yield (lefts[i], word[i], right)
         right = machine.right.step(right, word[i])
-
-
-def with_psi(machine, psi, empty_word_output=None):
-    return Bimachine(machine.left, machine.right, psi, empty_word_output,
-                     machine.output_alphabet)
 
 
 def in_domain_word(params, rng):
@@ -64,7 +65,7 @@ def test_every_grid_machine_is_equivalent_to_its_transducer(k, n):
         reduced = raw.reduce()
         assert equivalent(reduced, prepared) is None
         # Raw (3,4) handcrafted against the transducer is over the edge cap
-        # (280,551 edges); against its reduced machine it is not.
+        # (269,130 edges); against its reduced machine it is not.
         assert equivalent(raw, reduced) is None
     assert equivalent(prepared, reduced) is None
     assert equivalent(generated, reduced) is None
@@ -149,6 +150,39 @@ def test_two_bimachines_guess_their_right_states_together():
     size = reduced.left.state_count * reduced.right.state_count + 1
     assert views[0].state_count == views[1].state_count == size
     assert _compare(reduced, reduced) == (None, 3428)
+
+
+def test_a_bimachine_view_keeps_only_states_that_can_accept():
+    # State (l, r) of the view can accept when some word u has
+    # R.run(reversed(u)) == r and psi*(l, u, R.start) defined. The view keeps
+    # exactly the arcs into such states; the others guess the right state of
+    # the suffix wrongly. Brute force over words up to length 5 finds every
+    # such state of these machines.
+    for machine in built(2, 1)[3:] + built(2, 2)[3:]:
+        left, right = machine.left, machine.right
+        width = right.state_count
+        live = {l * width + right.run(reversed(u))
+                for u in words_upto(machine.input_alphabet.symbols, 5)
+                for l in range(left.state_count)
+                if machine.psi_star(l, u, right.start) is not None}
+        every_arc = {(l * width + right.step(r, a), a, out, left.step(l, a) * width + r)
+                     for (l, a, r), out in machine.psi.items()}
+        view = machine.letter_machine()
+        kept = {(src, a, out, dst) for src, labels in view.arcs.items()
+                for a, arcs in labels.items() for out, dst in arcs}
+        assert kept == {arc for arc in every_arc if arc[3] in live}
+        starts = {left.start * width + r for r in range(width)}
+        assert set(view.initial) == starts & live
+    # Reduced (3,4) handcrafted: 3,496 view states reachable before, 2,376 now.
+    view = built(3, 4)[4].reduce().letter_machine()
+    reached, stack = set(view.initial), list(view.initial)
+    while stack:
+        for arcs in view.arcs.get(stack.pop(), {}).values():
+            for _, dst in arcs:
+                if dst not in reached:
+                    reached.add(dst)
+                    stack.append(dst)
+    assert len(reached) == 2376
 
 
 def test_random_bimachine_pairs_agree_with_brute_force():
@@ -285,8 +319,9 @@ def test_paired_views_over_the_cap_are_refused():
 
 
 def test_psi_keys_outside_the_machine_are_refused():
-    _, _, prepared, _, handcrafted = built(2, 1)
+    # The machine is refused when it is built, so no comparison can meet it.
+    _, _, _, _, handcrafted = built(2, 1)
     for key in ((0, "3", -1), (handcrafted.left.state_count, "3", 0)):
-        bad = with_psi(handcrafted, {**handcrafted.psi, key: ()})
-        with pytest.raises(PreconditionError, match="outside the machine"):
-            equivalent(bad, prepared)
+        with pytest.raises(PreconditionError) as info:
+            with_psi(handcrafted, {**handcrafted.psi, key: ()})
+        assert str(info.value) == f"psi key {key} is outside the machine"
