@@ -60,17 +60,16 @@ class PsiTable(Mapping):
         """The table of ``((l, letter, r), output)`` pairs. Raises
         PreconditionError on a key that names a state or letter the shape
         lacks."""
-        letters = len(alphabet)
-        cells = psi_cells(left_count, letters, right_count)
+        table = cls(alphabet, left_count, right_count,
+                    psi_cells(left_count, len(alphabet), right_count), ())
         ids: dict[Word, int] = {}
         for (l, a, r), out in items:
-            if not (a in alphabet and isinstance(l, int) and isinstance(r, int)
-                    and 0 <= l < left_count and 0 <= r < right_count):
+            cell = table._cell(l, a, r)
+            if cell is None:
                 raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
-            out = tuple(out)
-            cells[(l * letters + alphabet.index(a)) * right_count + r] = ids.setdefault(
-                out, len(ids))
-        return cls(alphabet, left_count, right_count, cells, tuple(ids))
+            table.cells[cell] = ids.setdefault(tuple(out), len(ids))
+        table.words = tuple(ids)
+        return table
 
     @property
     def shape(self) -> tuple[Alphabet, int, int]:
@@ -100,18 +99,22 @@ class PsiTable(Mapping):
             self._len = len(self.cells) - self.cells.count(-1)
         return self._len
 
-    def __getitem__(self, key) -> Word:
-        try:
-            l, a, r = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
+    def _cell(self, l, a, r) -> int | None:
+        """The cell of key ``(l, a, r)``, or None when the key names a state
+        or letter outside the table."""
         if not (a in self.alphabet and isinstance(l, int) and isinstance(r, int)
                 and 0 <= l < self.left_count and 0 <= r < self.right_count):
+            return None
+        return (l * len(self.alphabet) + self.alphabet.index(a)) * self.right_count + r
+
+    def __getitem__(self, key) -> Word:
+        try:
+            cell = self._cell(*key)
+        except TypeError:  # the key is not three items
+            raise KeyError(key) from None
+        if cell is None or self.cells[cell] < 0:
             raise KeyError(key)
-        v = self.cells[(l * len(self.alphabet) + self.alphabet.index(a)) * self.right_count + r]
-        if v < 0:
-            raise KeyError(key)
-        return self.words[v]
+        return self.words[self.cells[cell]]
 
 
 @dataclass(frozen=True)
