@@ -215,6 +215,16 @@ def test_validate_reports_bad_output_token():
     assert b.validate() == ["psi: output token 'q' not in output alphabet"]
 
 
+def test_validate_reports_bad_psi_state():
+    # A psi entry naming right state 7 of a one-state automaton is refused at
+    # construction, so validate only ever sees machines whose keys are in range.
+    b = tiny_bimachine()
+    with pytest.raises(PreconditionError) as info:
+        with_psi(b, {**b.psi, (0, "a", 7): ("x",)})
+    assert str(info.value) == "psi key (0, 'a', 7) is outside the machine"
+    assert b.validate() == []
+
+
 def test_validate_reports_alphabet_mismatch():
     ab = Alphabet(("a", "b"))
     cd = Alphabet(("c", "d"))
@@ -224,13 +234,23 @@ def test_validate_reports_alphabet_mismatch():
     assert any("alphabet-mismatch" in p for p in b.validate())
 
 
-def test_construction_rejects_psi_keys_outside_the_machine():
-    # States out of range, a letter outside the input alphabet, and states
-    # that are not ints; no machine is built, so validate, reduce and the
-    # letter views never meet such a key.
+def test_reduce_rejects_psi_keys_outside_the_machine():
+    # Left or right states out of range are refused when the machine is built,
+    # so reduce never indexes the dense table with them.
     b = tiny_bimachine()
-    for key in ((0, "a", 1), (0, "a", -1), (1, "b", 0), (-1, "b", 0), (0, "a", 7),
-                (0, "z", 0), (0, "a", "0"), (None, "a", 0)):
+    for key in ((0, "a", 1), (0, "a", -1), (1, "b", 0), (-1, "b", 0)):
+        with pytest.raises(PreconditionError) as info:
+            with_psi(b, {**b.psi, key: ("x",)}).reduce()
+        assert str(info.value) == f"psi key {key} is outside the machine"
+    assert b.reduce().psi == b.psi
+
+
+def test_construction_rejects_psi_keys_outside_the_machine():
+    # A letter outside the input alphabet and states that are not ints; no
+    # machine is built, so validate, reduce and the letter views never meet
+    # such a key. States out of range are checked by the two tests above.
+    b = tiny_bimachine()
+    for key in ((0, "z", 0), (0, "a", "0"), (None, "a", 0)):
         with pytest.raises(PreconditionError) as info:
             with_psi(b, {**b.psi, key: ("x",)})
         assert str(info.value) == f"psi key {key} is outside the machine"
