@@ -9,6 +9,8 @@ would collide with this syntax, so every constructible machine round-trips.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .bimachine import Bimachine, PsiTable, psi_cells
 from .errors import FormatError
 from .fsm import Alphabet, Dfa, Word
@@ -29,22 +31,45 @@ def word_to_text(word: Word) -> str:
     return ".".join(word) if word else "-"
 
 
-def _lines(text: str):
-    """Yield (line_no, fields) for nonblank lines, with comments stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if fields:
-            yield line_no, fields
+# Lines are split one chunk at a time, so no list of all the file's lines is
+# built. Each chunk ends just after a "\n", which is a line break for
+# ``str.splitlines`` too, so the numbering is that of ``text.splitlines()``.
+_CHUNK = 1 << 16
+
+
+def _chunks(text: str):
+    start, size = 0, len(text)
+    while start < size:
+        cut = text.find("\n", start + _CHUNK)
+        end = size if cut < 0 else cut + 1
+        yield text[start:end]
+        start = end
+
+
+def _raw_lines(text: str):
+    """(line_no, line) for every line of text, numbered from 1."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), 1)
 
 
 class _Parser:
-    """Reads the items of ``_lines`` one at a time, with one item of
-    lookahead, so no list of the file's lines is ever built."""
+    """Reads a file's nonblank lines, with comments stripped, as
+    ``(line_no, fields)`` items with one item of lookahead."""
 
-    def __init__(self, text: str, kind: str):
-        self.items = _lines(text)
-        self.item = next(self.items, None)  # the lookahead; None at end of file
+    def __init__(self, text: str):
+        self.lines = _raw_lines(text)
         self.last = 0  # line of the last item read
+        self._advance()
+
+    def _advance(self) -> None:
+        """Make the next nonblank line the lookahead; None at end of file."""
+        for line_no, raw in self.lines:
+            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if fields:
+                self.item = (line_no, fields)
+                return
+        self.item = None
+
+    def header(self, kind: str) -> None:
         line_no, fields = self.next()
         if fields != [kind, "v1"]:
             raise FormatError(line_no, f"expected header '{kind} v1'")
@@ -61,20 +86,32 @@ class _Parser:
         if item is None:
             raise FormatError(self.here(), f"unexpected end of file (wanted {expect})")
         self.last = item[0]
-        self.item = next(self.items, None)
+        self._advance()
         if expect is not None and item[1][0] != expect:
             raise FormatError(item[0], f"expected {expect!r}, got {item[1][0]!r}")
         return item
 
     def section(self, keyword: str):
-        """Yield the items from here on that start with keyword, up to the
-        first that does not, which stays the lookahead."""
-        items, item = self.items, self.item
-        while item is not None and item[1][0] == keyword:
-            self.last = item[0]
-            yield item
-            item = next(items, None)
-        self.item = item
+        """Yield the fields of the lines from here on that start with keyword,
+        up to the first that does not, which becomes the lookahead. ``last``
+        is the line of the fields yielded last.
+
+        Sections hold the Θ(k^{2n}) psi lines, so this reads the raw lines
+        itself, one split per line, rather than through ``_advance``."""
+        item = self.item
+        if item is None or item[1][0] != keyword:
+            return
+        self.last = item[0]
+        yield item[1]
+        for line_no, raw in self.lines:
+            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if fields:
+                if fields[0] != keyword:
+                    self.item = (line_no, fields)
+                    return
+                self.last = line_no
+                yield fields
+        self.item = None
 
     def finish(self, keyword: str) -> None:
         """Reject what is left after the last section (its lines start with keyword)."""
@@ -85,9 +122,10 @@ class _Parser:
 class _Memo(dict):
     """One field's parsed values in one section, keyed by the field's text.
 
-    It fills on demand, never from a declared count. A miss runs the checked
-    parse, so an error keeps its line and message, and a spelling such as
-    ``07`` or ``+1`` parses as ``int()`` does. It lives for one parse call.
+    It fills on demand, never from a declared count. Callers look a text up
+    with ``get`` and call ``read`` on a miss, which runs the checked parse, so
+    an error keeps its line and message, and a spelling such as ``07`` or
+    ``+1`` parses as ``int()`` does. It lives for one parse call.
     """
 
     def __init__(self, parse, *args):
@@ -95,9 +133,7 @@ class _Memo(dict):
         self.parse, self.args = parse, args
 
     def read(self, line_no: int, text: str):
-        value = self.get(text)
-        if value is None:
-            value = self[text] = self.parse(line_no, text, *self.args)
+        value = self[text] = self.parse(line_no, text, *self.args)
         return value
 
 
@@ -148,7 +184,8 @@ def emit_transducer(t: Transducer) -> str:
 
 
 def parse_transducer(text: str) -> Transducer:
-    parser = _Parser(text, "transducer")
+    parser = _Parser(text)
+    parser.header("transducer")
     alphabet = _parse_alphabet(parser.next("alphabet"))
     oalphabet = alphabet
     item = parser.peek()
@@ -166,18 +203,24 @@ def parse_transducer(text: str) -> Transducer:
     targets = _Memo(_parse_state, count, "arc target")
     outputs = _Memo(_parse_word, oalphabet, "output")
     arcs = []
-    for line_no, fields in parser.section("arc"):
-        if len(fields) != 5:
-            raise FormatError(line_no, "expected 'arc <src> <dst> <in> <out>'")
-        src = sources.read(line_no, fields[1])
-        dst = targets.read(line_no, fields[2])
-        if fields[3] == "-":
+    for fields in parser.section("arc"):
+        try:
+            _, src_text, dst_text, inp, out_text = fields
+        except ValueError:
+            raise FormatError(parser.last, "expected 'arc <src> <dst> <in> <out>'") from None
+        src = sources.get(src_text)
+        if src is None:
+            src = sources.read(parser.last, src_text)
+        dst = targets.get(dst_text)
+        if dst is None:
+            dst = targets.read(parser.last, dst_text)
+        if inp == "-":
             inp = None
-        else:
-            inp = fields[3]
-            if inp not in alphabet:
-                raise FormatError(line_no, f"unknown input token {inp!r}")
-        out = outputs.read(line_no, fields[4])
+        elif inp not in alphabet:
+            raise FormatError(parser.last, f"unknown input token {inp!r}")
+        out = outputs.get(out_text)
+        if out is None:
+            out = outputs.read(parser.last, out_text)
         arcs.append(Arc(src, inp, out, dst))
     parser.finish("arc")
     return Transducer(alphabet, oalphabet, count, initial, final, tuple(arcs))
@@ -226,16 +269,23 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
     sources = _Memo(_parse_state, count, "arc source")
     targets = _Memo(_parse_state, count, "arc target")
     delta: dict[tuple[int, str], int] = {}
-    for line_no, fields in parser.section(arc_word):
-        if len(fields) != 4:
-            raise FormatError(line_no, f"expected '{arc_word} <state> <token> <state>'")
-        src = sources.read(line_no, fields[1])
-        tok = fields[2]
+    for fields in parser.section(arc_word):
+        try:
+            _, src_text, tok, dst_text = fields
+        except ValueError:
+            raise FormatError(
+                parser.last, f"expected '{arc_word} <state> <token> <state>'"
+            ) from None
+        src = sources.get(src_text)
+        if src is None:
+            src = sources.read(parser.last, src_text)
         if tok not in alphabet:
-            raise FormatError(line_no, f"unknown token {tok!r}")
-        dst = targets.read(line_no, fields[3])
+            raise FormatError(parser.last, f"unknown token {tok!r}")
+        dst = targets.get(dst_text)
+        if dst is None:
+            dst = targets.read(parser.last, dst_text)
         if (src, tok) in delta:
-            raise FormatError(line_no, f"duplicate transition ({src}, {tok})")
+            raise FormatError(parser.last, f"duplicate transition ({src}, {tok})")
         delta[(src, tok)] = dst
     for state in range(count):
         for tok in alphabet.symbols:
@@ -251,7 +301,8 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
 
 
 def parse_bimachine(text: str) -> Bimachine:
-    parser = _Parser(text, "bimachine")
+    parser = _Parser(text)
+    parser.header("bimachine")
     alphabet = _parse_alphabet(parser.next("alphabet"))
     oalphabet = _parse_alphabet(parser.next("oalphabet"))
     left = _parse_side(parser, "left", alphabet, "larc")
@@ -263,7 +314,6 @@ def parse_bimachine(text: str) -> Bimachine:
         if len(fields) != 2:
             raise FormatError(line_no, "expected 'epsout <word>'")
         empty_out = _parse_word(line_no, fields[1], oalphabet, "output")
-    lefts = _Memo(_parse_state, left.state_count, "left state")
     rights = _Memo(_parse_state, right.state_count, "right state")
     ids: dict[Word, int] = {}
     outputs = _Memo(lambda line_no, text: ids.setdefault(
@@ -271,27 +321,34 @@ def parse_bimachine(text: str) -> Bimachine:
     letters, width = len(alphabet), right.state_count
     column = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
     cells = psi_cells(left.state_count, letters, width)
-    # This loop runs once per psi entry, Θ(k^{2n}) times, so it looks a memo
-    # up inline and calls ``read`` only on a miss.
-    for line_no, fields in parser.section("psi"):
-        if len(fields) != 5:
-            raise FormatError(line_no, "expected 'psi <left> <token> <right> <out>'")
-        l = lefts.get(fields[1])
-        if l is None:
-            l = lefts.read(line_no, fields[1])
-        tok = fields[2]
-        pos = column.get(tok)
-        if pos is None:
-            raise FormatError(line_no, f"unknown token {tok!r}")
-        r = rights.get(fields[3])
+    # This loop runs once per psi entry, Θ(k^{2n}) times. Consecutive lines
+    # mostly share their left state and token (emitted files write a row at a
+    # time), so those two are checked, and the row's first cell found, only
+    # when their text differs from the line before's.
+    l_text = tok = None
+    for fields in parser.section("psi"):
+        try:
+            _, l_new, tok_new, r_text, out_text = fields
+        except ValueError:
+            raise FormatError(
+                parser.last, "expected 'psi <left> <token> <right> <out>'"
+            ) from None
+        if l_new != l_text or tok_new != tok:
+            l = _parse_state(parser.last, l_new, left.state_count, "left state")
+            pos = column.get(tok_new)
+            if pos is None:
+                raise FormatError(parser.last, f"unknown token {tok_new!r}")
+            base = (l * letters + pos) * width
+            l_text, tok = l_new, tok_new
+        r = rights.get(r_text)
         if r is None:
-            r = rights.read(line_no, fields[3])
-        cell = (l * letters + pos) * width + r
+            r = rights.read(parser.last, r_text)
+        cell = base + r
         if cells[cell] != -1:
-            raise FormatError(line_no, f"duplicate psi entry ({l}, {tok}, {r})")
-        out = outputs.get(fields[4])
+            raise FormatError(parser.last, f"duplicate psi entry ({l}, {tok}, {r})")
+        out = outputs.get(out_text)
         if out is None:
-            out = outputs.read(line_no, fields[4])
+            out = outputs.read(parser.last, out_text)
         cells[cell] = out
     parser.finish("psi")
     psi = PsiTable(alphabet, left.state_count, width, cells, tuple(ids))
@@ -300,10 +357,12 @@ def parse_bimachine(text: str) -> Bimachine:
 
 def load_machine(text: str) -> Transducer | Bimachine:
     """Dispatch on the header line."""
-    for line_no, fields in _lines(text):
-        if fields[0] == "transducer":
-            return parse_transducer(text)
-        if fields[0] == "bimachine":
-            return parse_bimachine(text)
-        raise FormatError(line_no, f"unknown machine kind {fields[0]!r}")
-    raise FormatError(0, "empty machine file")
+    item = _Parser(text).peek()
+    if item is None:
+        raise FormatError(0, "empty machine file")
+    line_no, fields = item
+    if fields[0] == "transducer":
+        return parse_transducer(text)
+    if fields[0] == "bimachine":
+        return parse_bimachine(text)
+    raise FormatError(line_no, f"unknown machine kind {fields[0]!r}")

@@ -18,6 +18,7 @@ from bimlab import (
     Dfa,
     InstanceParams,
     Transducer,
+    emit_bimachine,
     handcrafted_bimachine,
     instance_transducer,
     remove_input_epsilons,
@@ -182,3 +183,9 @@ def built(k: int, n: int):
     generic = to_bimachine(prepared)
     handcrafted = handcrafted_bimachine(params)
     return params, generated, prepared, generic, handcrafted
+
+
+@lru_cache(maxsize=None)
+def reduced_handcrafted_text(k: int, n: int) -> str:
+    """Emitted text of a large cell's reduced handcrafted bimachine, built once."""
+    return emit_bimachine(handcrafted_bimachine(InstanceParams(k, n)).reduce())

@@ -27,7 +27,7 @@ from bimlab import (
     trim,
 )
 
-from helpers import built
+from helpers import built, reduced_handcrafted_text
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("BIMLAB_REGEN_GOLDEN"))
@@ -110,11 +110,12 @@ EMIT_SHA256 = {
 @pytest.mark.parametrize("construction,k,n,form", sorted(EMIT_SHA256))
 def test_emitted_machines_keep_their_bytes(construction, k, n, form):
     if (k, n) in ((3, 5), (2, 8)):
-        machine = handcrafted_bimachine(InstanceParams(k, n))
+        text = reduced_handcrafted_text(k, n)
     else:
         _, _, _, generic, handcrafted = built(k, n)
         machine = generic if construction == "generic" else handcrafted
-    if form == "reduced":
-        machine = machine.reduce()
-    digest = hashlib.sha256(emit_bimachine(machine).encode("utf-8")).hexdigest()
+        if form == "reduced":
+            machine = machine.reduce()
+        text = emit_bimachine(machine)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == EMIT_SHA256[(construction, k, n, form)]

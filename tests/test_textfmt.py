@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ from bimlab import (
     word_from_text,
     word_to_text,
 )
-from helpers import built, random_word
+from bimlab import textfmt
+from helpers import built, random_word, reduced_handcrafted_text
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -272,6 +274,10 @@ REJECTIONS = [
     ("arc", 8, ["psi 0 1 a x"], "line 9: expected 'arc', got 'psi'"),
     ("arc", 8, ["arc 0 1 a z", "arc 1 0 b z"], "line 9: unknown output token 'z'"),
     ("arc", 6, ["arc 1 1 a x..y", "arc 0 1 b x..y"], "line 7: malformed word 'x..y'"),
+    # A psi line whose token or left state alone differs from the line before
+    # is checked again.
+    ("psi", 16, ["psi 1 a 1 x", "psi 1 c 0 x"], "line 18: unknown token 'c'"),
+    ("psi", 16, ["psi 1 b 1 x", "psi 7 b 0 x"], "line 18: left state 7 out of range (states 2)"),
 ]
 
 
@@ -306,6 +312,57 @@ def test_integer_fields_parse_as_int_does():
     assert parse_transducer(wide) == Transducer(
         AB, XY, 8, {0}, {1}, (Arc(0, "a", ("x",), 1), Arc(7, "b", ("x", "y"), 1))
     )
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [(test_rejections_keep_their_line_and_message, case) for case in REJECTIONS]
+    + [(test_integer_fields_parse_as_int_does, ())],
+    ids=[f"rejection{i}" for i in range(len(REJECTIONS))] + ["integer_fields"],
+)
+def test_one_character_chunks_keep_lines_and_values(check, args, monkeypatch):
+    monkeypatch.setattr(textfmt, "_CHUNK", 1)
+    check(*args)
+
+
+SEPARATORS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, textfmt._CHUNK])
+def test_raw_lines_number_lines_as_splitlines_does(chunk, monkeypatch):
+    monkeypatch.setattr(textfmt, "_CHUNK", chunk)
+    texts = ["", "\n", "\n\n", "a", "x".join(SEPARATORS), "x".join(SEPARATORS) + "x"]
+    # A "\r\n" at, just before and just after the first cut.
+    for at in range(chunk - 2, chunk + 3):
+        texts += ["a" * at + "\r\nb", "a" * at + "\r\n\r\nb\n", "a" * at + "\r" + "b\n"]
+    rng = random.Random(3)
+    pieces = SEPARATORS + ("", " ", "a", "psi 0 a 1 x", "# c")
+    texts += ["".join(rng.choices(pieces, k=rng.randint(0, 40))) for _ in range(200)]
+    for text in texts:
+        assert list(textfmt._raw_lines(text)) == list(enumerate(text.splitlines(), 1))
+
+
+def test_psi_lines_in_any_order_parse_to_the_same_machine():
+    canonical = emit_bimachine(built(2, 3)[4].reduce())
+    lines = canonical.splitlines()
+    psi = [line for line in lines if line.startswith("psi ")]
+    assert lines[-len(psi):] == psi
+    random.Random(9).shuffle(psi)
+    shuffled = "\n".join(lines[: -len(psi)] + psi) + "\n"
+    assert shuffled != canonical
+    assert emit_bimachine(parse_bimachine(shuffled)) == canonical
+
+
+def test_reading_a_large_machine_holds_no_list_of_its_lines():
+    text = reduced_handcrafted_text(3, 5)
+    tracemalloc.start()
+    try:
+        load_machine(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The file has 208,248 psi lines; a list of them alone takes about 15 MB.
+    assert peak < 8 * 10**6
 
 
 # Tokens the format can carry, some of which look like its own syntax.
