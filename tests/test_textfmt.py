@@ -361,7 +361,7 @@ def test_reading_a_large_machine_holds_no_list_of_its_lines():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The file has 208,248 psi lines; a list of them alone takes about 15 MB.
+    # The file has 211,673 lines; a list of them alone takes about 15 MB.
     assert peak < 8 * 10**6
 
 
