@@ -9,7 +9,8 @@ would collide with this syntax, so every constructible machine round-trips.
 
 from __future__ import annotations
 
-from itertools import chain
+import re
+from array import array
 
 from .bimachine import Bimachine, PsiTable, psi_cells
 from .errors import FormatError
@@ -31,43 +32,58 @@ def word_to_text(word: Word) -> str:
     return ".".join(word) if word else "-"
 
 
-# Lines are split one chunk at a time, so no list of all the file's lines is
-# built. Each chunk ends just after a "\n", which is a line break for
+# Lines are split one block at a time, so no list of all the file's lines is
+# built. A block ends just after a "\n", which is a line break for
 # ``str.splitlines`` too, so the numbering is that of ``text.splitlines()``.
-_CHUNK = 1 << 16
+_BLOCK = 1 << 16
 
 
-def _chunks(text: str):
-    start, size = 0, len(text)
-    while start < size:
-        cut = text.find("\n", start + _CHUNK)
-        end = size if cut < 0 else cut + 1
-        yield text[start:end]
-        start = end
+def _block_end(text: str, pos: int, size: int) -> int:
+    """End of the block from pos: just after the first "\n" at or beyond
+    pos + size, or the end of the text."""
+    cut = text.find("\n", pos + size)
+    return len(text) if cut < 0 else cut + 1
 
 
-def _raw_lines(text: str):
-    """(line_no, line) for every line of text, numbered from 1."""
-    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), 1)
+def _lines(text: str, pos: int, line_no: int):
+    """(line_no, pos, line) for each line of text from position pos, which
+    starts line line_no. Lines keep their line break. The first block is a
+    single "\n"-ended line, so a reader that wants one line splits no more."""
+    size = 0
+    while pos < len(text):
+        end = _block_end(text, pos, size)
+        for line in text[pos:end].splitlines(True):
+            yield line_no, pos, line
+            line_no += 1
+            pos += len(line)
+        size = _BLOCK
 
 
 class _Parser:
     """Reads a file's nonblank lines, with comments stripped, as
-    ``(line_no, fields)`` items with one item of lookahead."""
+    ``(line_no, fields)`` items with one item of lookahead.
+
+    ``pos`` is the text position of the lookahead's line, so a reader of its
+    own can take the text over from there and hand it back with ``seek``."""
 
     def __init__(self, text: str):
-        self.lines = _raw_lines(text)
-        self.last = 0  # line of the last item read
+        self.text = text
+        self.seek(0, 1)
+
+    def seek(self, pos: int, line_no: int) -> None:
+        """Read on from text position pos, the start of line line_no."""
+        self.lines = _lines(self.text, pos, line_no)
+        self.last = line_no - 1  # line of the last item read
         self._advance()
 
     def _advance(self) -> None:
         """Make the next nonblank line the lookahead; None at end of file."""
-        for line_no, raw in self.lines:
+        for line_no, pos, raw in self.lines:
             fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if fields:
-                self.item = (line_no, fields)
+                self.item, self.pos = (line_no, fields), pos
                 return
-        self.item = None
+        self.item, self.pos = None, len(self.text)
 
     def header(self, kind: str) -> None:
         line_no, fields = self.next()
@@ -94,24 +110,21 @@ class _Parser:
     def section(self, keyword: str):
         """Yield the fields of the lines from here on that start with keyword,
         up to the first that does not, which becomes the lookahead. ``last``
-        is the line of the fields yielded last.
-
-        Sections hold the Θ(k^{2n}) psi lines, so this reads the raw lines
-        itself, one split per line, rather than through ``_advance``."""
+        is the line of the fields yielded last."""
         item = self.item
         if item is None or item[1][0] != keyword:
             return
         self.last = item[0]
         yield item[1]
-        for line_no, raw in self.lines:
+        for line_no, pos, raw in self.lines:
             fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if fields:
                 if fields[0] != keyword:
-                    self.item = (line_no, fields)
+                    self.item, self.pos = (line_no, fields), pos
                     return
                 self.last = line_no
                 yield fields
-        self.item = None
+        self.item, self.pos = None, len(self.text)
 
     def finish(self, keyword: str) -> None:
         """Reject what is left after the last section (its lines start with keyword)."""
@@ -268,7 +281,11 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
     start = _parse_state(line_no, fields[4], count, "start state")
     sources = _Memo(_parse_state, count, "arc source")
     targets = _Memo(_parse_state, count, "arc target")
-    delta: dict[tuple[int, str], int] = {}
+    letters = len(alphabet)
+    column = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
+    # Cell src * |Σ| + column of the table. A dict, not a list of the declared
+    # count * |Σ| cells, so a short file cannot make a large allocation.
+    cells: dict[int, int] = {}
     for fields in parser.section(arc_word):
         try:
             _, src_text, tok, dst_text = fields
@@ -279,25 +296,150 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
         src = sources.get(src_text)
         if src is None:
             src = sources.read(parser.last, src_text)
-        if tok not in alphabet:
+        pos = column.get(tok)
+        if pos is None:
             raise FormatError(parser.last, f"unknown token {tok!r}")
         dst = targets.get(dst_text)
         if dst is None:
             dst = targets.read(parser.last, dst_text)
-        if (src, tok) in delta:
+        cell = src * letters + pos
+        if cell in cells:
             raise FormatError(parser.last, f"duplicate transition ({src}, {tok})")
-        delta[(src, tok)] = dst
-    for state in range(count):
-        for tok in alphabet.symbols:
-            if (state, tok) not in delta:
-                raise FormatError(
-                    parser.here(),
-                    f"{side} automaton is not total: missing ({state}, {tok})",
-                )
-    rows = tuple(
-        tuple(delta[(state, tok)] for tok in alphabet.symbols) for state in range(count)
-    )
+        cells[cell] = dst
+    size = count * letters
+    if len(cells) < size:
+        # Every key is a distinct cell below size, so one is missing, and the
+        # first lies within the first len(cells) + 1 cells.
+        state, pos = divmod(next(i for i in range(size) if i not in cells), letters)
+        raise FormatError(
+            parser.here(),
+            f"{side} automaton is not total: missing ({state}, {alphabet.symbols[pos]})",
+        )
+    flat = list(map(cells.__getitem__, range(size)))
+    rows = tuple(tuple(flat[i : i + letters]) for i in range(0, size, letters))
     return Dfa(alphabet, count, start, rows)
+
+
+# A canonical run of psi lines: lines of five fields, each field followed by
+# one space or, the last, by "\n", with no "#", that all share
+# "psi <left> <token> ". On such lines ``split()`` is ``split(" ")``, and
+# ``splitlines`` breaks only at each "\n", because ``re``'s ``\s`` is
+# ``str.isspace``. No field can be read two ways, so a match takes linear time.
+_ROW = re.compile(r"psi ([^\s#]+) ([^\s#]+) [^\s#]+ [^\s#]+\n(?:psi \1 \2 [^\s#]+ [^\s#]+\n)*")
+
+
+class _PsiRows:
+    """Reads a bimachine's psi lines into its output table.
+
+    ``check`` is the checked per-line loop: the only code that reads a psi
+    line's right state and output, and the source of every psi error. ``read``
+    passes it every line but one kind: a canonical run whose text, with its
+    "psi <left> <token> " prefixes removed, equals that of a run already read
+    into a blank row, and whose own row is blank too. That run's row is copied
+    from the earlier one. The earlier run interned its words, so the output
+    ids are those a line-by-line read gives. The row memo lives for one parse
+    call.
+    """
+
+    def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
+        self.left_count, self.width = left.state_count, right.state_count
+        self.letters = len(left.alphabet)
+        self.column = {tok: pos for pos, tok in enumerate(left.alphabet.symbols)}
+        self.cells = psi_cells(self.left_count, self.letters, self.width)
+        self.ids: dict[Word, int] = {}
+        self.rights = _Memo(_parse_state, self.width, "right state")
+        self.outputs = _Memo(lambda line_no, text: self.ids.setdefault(
+            _parse_word(line_no, text, oalphabet, "output"), len(self.ids)))
+        # The row of the last left state and token read, and their text.
+        self.l_text = self.tok = None
+        self.l = self.base = 0
+
+    def row(self, line_no: int, l_text: str, tok: str) -> tuple[int, int]:
+        """Check a left state and token, and make their row the current one:
+        (left state, index of the row's first cell)."""
+        l = _parse_state(line_no, l_text, self.left_count, "left state")
+        pos = self.column.get(tok)
+        if pos is None:
+            raise FormatError(line_no, f"unknown token {tok!r}")
+        base = (l * self.letters + pos) * self.width
+        self.l_text, self.tok, self.l, self.base = l_text, tok, l, base
+        return l, base
+
+    def check(self, lines: list[str], first: int) -> int | None:
+        """Read lines, the first of them line ``first``, up to the first
+        nonblank one that is not a psi line: its index, or None."""
+        cells, rights, outputs = self.cells, self.rights, self.outputs
+        l_text, tok, l, base = self.l_text, self.tok, self.l, self.base
+        # This loop runs once per psi line read. The left state and token are
+        # checked, and their row found, only when their text changes.
+        for line_no, raw in enumerate(lines, first):
+            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not fields:
+                continue
+            if fields[0] != "psi":
+                return line_no - first
+            try:
+                _, l_new, tok_new, r_text, out_text = fields
+            except ValueError:
+                raise FormatError(
+                    line_no, "expected 'psi <left> <token> <right> <out>'"
+                ) from None
+            if l_new != l_text or tok_new != tok:
+                l, base = self.row(line_no, l_new, tok_new)
+                l_text, tok = l_new, tok_new
+            r = rights.get(r_text)
+            if r is None:
+                r = rights.read(line_no, r_text)
+            cell = base + r
+            if cells[cell] != -1:
+                raise FormatError(line_no, f"duplicate psi entry ({l}, {tok}, {r})")
+            out = outputs.get(out_text)
+            if out is None:
+                out = outputs.read(line_no, out_text)
+            cells[cell] = out
+        return None
+
+    def read(self, parser: _Parser) -> None:
+        """Read the psi lines from the parser's lookahead on, then hand the
+        text after them back to the parser."""
+        text, pos, line_no = parser.text, parser.pos, parser.item[0]
+        cells, width = self.cells, self.width
+        blank = array("i", [-1]) * width
+        memo: dict[str, tuple[array, int]] = {}
+        match = _ROW.match
+        while pos < len(text):
+            run = match(text, pos)
+            if run is None:
+                # Lines that are not a canonical run go through the checked
+                # loop one block at a time.
+                end = _block_end(text, pos, _BLOCK)
+                lines = text[pos:end].splitlines(True)
+                stop = self.check(lines, line_no)
+                if stop is not None:
+                    pos += sum(map(len, lines[:stop]))
+                    line_no += stop
+                    break
+                pos, line_no = end, line_no + len(lines)
+                continue
+            end = run.end()
+            l_text, tok = run.group(1, 2)
+            if l_text != self.l_text or tok != self.tok:
+                self.row(line_no, l_text, tok)
+            base = self.base
+            head = len(l_text) + len(tok) + 6  # "psi <left> <token> "
+            key = text[pos + head : end].replace("\n" + text[pos : pos + head], "\n")
+            was_blank = cells[base : base + width] == blank
+            hit = memo.get(key)
+            if hit is not None and was_blank:
+                cells[base : base + width], count = hit
+            else:
+                lines = text[pos:end].splitlines()
+                self.check(lines, line_no)
+                count = len(lines)
+                if was_blank:
+                    memo[key] = (cells[base : base + width], count)
+            pos, line_no = end, line_no + count
+        parser.seek(pos, line_no)
 
 
 def parse_bimachine(text: str) -> Bimachine:
@@ -314,44 +456,12 @@ def parse_bimachine(text: str) -> Bimachine:
         if len(fields) != 2:
             raise FormatError(line_no, "expected 'epsout <word>'")
         empty_out = _parse_word(line_no, fields[1], oalphabet, "output")
-    rights = _Memo(_parse_state, right.state_count, "right state")
-    ids: dict[Word, int] = {}
-    outputs = _Memo(lambda line_no, text: ids.setdefault(
-        _parse_word(line_no, text, oalphabet, "output"), len(ids)))
-    letters, width = len(alphabet), right.state_count
-    column = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
-    cells = psi_cells(left.state_count, letters, width)
-    # This loop runs once per psi entry, Θ(k^{2n}) times. Consecutive lines
-    # mostly share their left state and token (emitted files write a row at a
-    # time), so those two are checked, and the row's first cell found, only
-    # when their text differs from the line before's.
-    l_text = tok = None
-    for fields in parser.section("psi"):
-        try:
-            _, l_new, tok_new, r_text, out_text = fields
-        except ValueError:
-            raise FormatError(
-                parser.last, "expected 'psi <left> <token> <right> <out>'"
-            ) from None
-        if l_new != l_text or tok_new != tok:
-            l = _parse_state(parser.last, l_new, left.state_count, "left state")
-            pos = column.get(tok_new)
-            if pos is None:
-                raise FormatError(parser.last, f"unknown token {tok_new!r}")
-            base = (l * letters + pos) * width
-            l_text, tok = l_new, tok_new
-        r = rights.get(r_text)
-        if r is None:
-            r = rights.read(parser.last, r_text)
-        cell = base + r
-        if cells[cell] != -1:
-            raise FormatError(parser.last, f"duplicate psi entry ({l}, {tok}, {r})")
-        out = outputs.get(out_text)
-        if out is None:
-            out = outputs.read(parser.last, out_text)
-        cells[cell] = out
+    rows = _PsiRows(left, right, oalphabet)
+    item = parser.peek()
+    if item and item[1][0] == "psi":
+        rows.read(parser)
     parser.finish("psi")
-    psi = PsiTable(alphabet, left.state_count, width, cells, tuple(ids))
+    psi = PsiTable(alphabet, left.state_count, right.state_count, rows.cells, tuple(rows.ids))
     return Bimachine(left, right, psi, empty_out, oalphabet)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -321,25 +322,33 @@ def test_integer_fields_parse_as_int_does():
     ids=[f"rejection{i}" for i in range(len(REJECTIONS))] + ["integer_fields"],
 )
 def test_one_character_chunks_keep_lines_and_values(check, args, monkeypatch):
-    monkeypatch.setattr(textfmt, "_CHUNK", 1)
+    monkeypatch.setattr(textfmt, "_BLOCK", 1)
     check(*args)
 
 
 SEPARATORS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, textfmt._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, textfmt._BLOCK])
 def test_raw_lines_number_lines_as_splitlines_does(chunk, monkeypatch):
-    monkeypatch.setattr(textfmt, "_CHUNK", chunk)
+    monkeypatch.setattr(textfmt, "_BLOCK", chunk)
     texts = ["", "\n", "\n\n", "a", "x".join(SEPARATORS), "x".join(SEPARATORS) + "x"]
-    # A "\r\n" at, just before and just after the first cut.
+    # A "\r\n" at, just before and just after the first cut, which comes
+    # after the first line.
     for at in range(chunk - 2, chunk + 3):
-        texts += ["a" * at + "\r\nb", "a" * at + "\r\n\r\nb\n", "a" * at + "\r" + "b\n"]
+        for head in ("", "h\n"):
+            texts += [head + "a" * at + "\r\nb", head + "a" * at + "\r\n\r\nb\n",
+                      head + "a" * at + "\r" + "b\n"]
     rng = random.Random(3)
     pieces = SEPARATORS + ("", " ", "a", "psi 0 a 1 x", "# c")
     texts += ["".join(rng.choices(pieces, k=rng.randint(0, 40))) for _ in range(200)]
     for text in texts:
-        assert list(textfmt._raw_lines(text)) == list(enumerate(text.splitlines(), 1))
+        lines = list(textfmt._lines(text, 0, 1))
+        assert [(n, line) for n, _, line in lines] == list(enumerate(text.splitlines(True), 1))
+        assert all(text.startswith(line, pos) for _, pos, line in lines)
+        # Reading on from any line's position numbers the rest the same way.
+        for n, pos, _ in lines:
+            assert list(textfmt._lines(text, pos, n)) == lines[n - 1 :]
 
 
 def test_psi_lines_in_any_order_parse_to_the_same_machine():
@@ -351,6 +360,131 @@ def test_psi_lines_in_any_order_parse_to_the_same_machine():
     shuffled = "\n".join(lines[: -len(psi)] + psi) + "\n"
     assert shuffled != canonical
     assert emit_bimachine(parse_bimachine(shuffled)) == canonical
+
+
+def psi_rows(text):
+    """The psi section of an emitted bimachine as (head, lines) runs, one per
+    row, with the (0-based) index of the row's first line in the file."""
+    lines = text.splitlines(True)
+    rows = []
+    for index, line in enumerate(lines):
+        if line.startswith("psi "):
+            head = " ".join(line.split(" ")[:3]) + " "
+            if rows and rows[-1][1] == head:
+                rows[-1][2].append(line)
+            else:
+                rows.append((index, head, [line]))
+    return lines, rows
+
+
+def test_repeated_rows_are_read_once(monkeypatch):
+    text = emit_bimachine(built(2, 3)[4].reduce())
+    _, rows = psi_rows(text)
+    first_texts = {}
+    for _, head, run in rows:
+        first_texts.setdefault("".join(line[len(head):] for line in run), len(run))
+    checked = []
+    real = textfmt._PsiRows.check
+
+    def counting(self, lines, first):
+        checked.append(len(lines))
+        return real(self, lines, first)
+
+    monkeypatch.setattr(textfmt._PsiRows, "check", counting)
+    assert emit_bimachine(parse_bimachine(text)) == text
+    # 48 rows of 4 distinct texts: each distinct row's lines are read once.
+    assert (len(rows), len(first_texts)) == (48, 4)
+    assert sum(checked) == sum(first_texts.values())
+
+
+def test_a_repeated_row_is_a_duplicate_on_its_first_line():
+    text = emit_bimachine(built(2, 3)[4].reduce())
+    lines, rows = psi_rows(text)
+    _, head, run = rows[3]
+    # The row again at the end, after a row of another left state and token.
+    assert rows[-1][1] != head
+    l, tok, r = run[0].split()[1:4]
+    with pytest.raises(FormatError) as info:
+        parse_bimachine(text + "".join(run))
+    assert str(info.value) == f"line {len(lines) + 1}: duplicate psi entry ({l}, {tok}, {r})"
+
+
+@pytest.mark.parametrize("block", [1, textfmt._BLOCK])
+def test_a_row_split_in_two_runs_parses_to_the_canonical_machine(block, monkeypatch):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    canonical = emit_bimachine(built(2, 3)[4].reduce())
+    lines, rows = psi_rows(canonical)
+    start = rows[0][0]
+    firsts = [line for _, _, run in rows for line in run[: len(run) // 2 + 1]]
+    rests = [line for _, _, run in rows for line in run[len(run) // 2 + 1 :]]
+    assert rests
+    split = "".join(lines[:start] + firsts + rests)
+    assert parse_bimachine(split) == parse_bimachine(canonical)
+    assert emit_bimachine(parse_bimachine(split)) == canonical
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("psi {l} {tok} {width} {out}", "right state {width} out of range (states {width})"),
+    ("psi {l} {tok} 0 z", "unknown output token 'z'"),
+])
+@pytest.mark.parametrize("replace", [True, False])
+def test_an_error_after_replayed_rows_keeps_its_line(bad, error, replace):
+    machine = built(2, 3)[4].reduce()
+    text = emit_bimachine(machine)
+    lines, rows = psi_rows(text)
+    # Rows 7, 8 and 9 repeat rows read before them, so they are replayed.
+    at, head, run = rows[10]
+    _, l, tok, _, out = run[0].split()
+    values = dict(l=l, tok=tok, width=machine.right.state_count, out=out)
+    lines[at : at + replace] = [bad.format(**values) + "\n"]
+    with pytest.raises(FormatError) as info:
+        parse_bimachine("".join(lines))
+    assert str(info.value) == f"line {at + 1}: " + error.format(**values)
+
+
+NONCANONICAL = {
+    "crlf": lambda line: line[:-1] + "\r\n",
+    "tab": lambda line: line.replace(" ", "\t"),
+    "comment": lambda line: line[:-1] + " # c\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, textfmt._BLOCK])
+@pytest.mark.parametrize("kinds", [("crlf",), ("tab",), ("comment",), ("crlf", "tab", "comment")])
+def test_noncanonical_lines_mid_row_read_as_canonical(kinds, block, monkeypatch):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    canonical = emit_bimachine(built(2, 3)[4].reduce())
+    lines, rows = psi_rows(canonical)
+    # Rows 7 (11 lines) and 30 (8 lines) repeat earlier rows.
+    for row in (7, 30):
+        at, _, run = rows[row]
+        assert len(run) >= 4
+        for offset, kind in enumerate(kinds, 1):
+            lines[at + offset] = NONCANONICAL[kind](lines[at + offset])
+    text = "".join(lines)
+    assert text != canonical
+    machine = parse_bimachine(text)
+    assert machine == parse_bimachine(canonical)
+    assert emit_bimachine(machine) == canonical
+
+
+def test_re_whitespace_is_str_isspace():
+    # The canonical-run pattern relies on it: a line without \\s but its
+    # single spaces and final "\\n" splits as split() does and is one line.
+    everything = "".join(map(chr, range(0x110000)))
+    matched = {m.start() for m in re.finditer(r"\s", everything)}
+    assert matched == {i for i, c in enumerate(everything) if c.isspace()}
+
+
+@pytest.mark.parametrize("line, error", [
+    ("7" * 2 * 10**6, "expected 'psi', got '" + "7" * 2 * 10**6 + "'"),
+    ("psi" + " 0" * 10**6, "expected 'psi <left> <token> <right> <out>'"),
+])
+def test_huge_psi_lines_end_in_a_format_error(line, error):
+    text = "\n".join(BIMACHINE_LINES + [line]) + "\n"
+    with pytest.raises(FormatError) as info:
+        parse_bimachine(text)
+    assert str(info.value) == f"line 17: {error}"
 
 
 def test_reading_a_large_machine_holds_no_list_of_its_lines():
