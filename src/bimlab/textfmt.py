@@ -355,15 +355,13 @@ class _PsiRows:
         self.l = self.base = 0
 
     def row(self, line_no: int, l_text: str, tok: str) -> tuple[int, int]:
-        """Check a left state and token, and make their row the current one:
-        (left state, index of the row's first cell)."""
+        """Check a left state and token: the left state, and the index of
+        their row's first cell."""
         l = _parse_state(line_no, l_text, self.left_count, "left state")
         pos = self.column.get(tok)
         if pos is None:
             raise FormatError(line_no, f"unknown token {tok!r}")
-        base = (l * self.letters + pos) * self.width
-        self.l_text, self.tok, self.l, self.base = l_text, tok, l, base
-        return l, base
+        return l, (l * self.letters + pos) * self.width
 
     def check(self, lines: list[str], first: int) -> int | None:
         """Read lines, the first of them line ``first``, up to the first
@@ -372,12 +370,14 @@ class _PsiRows:
         l_text, tok, l, base = self.l_text, self.tok, self.l, self.base
         # This loop runs once per psi line read. The left state and token are
         # checked, and their row found, only when their text changes.
+        stop = None
         for line_no, raw in enumerate(lines, first):
             fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if not fields:
                 continue
             if fields[0] != "psi":
-                return line_no - first
+                stop = line_no - first
+                break
             try:
                 _, l_new, tok_new, r_text, out_text = fields
             except ValueError:
@@ -397,7 +397,8 @@ class _PsiRows:
             if out is None:
                 out = outputs.read(line_no, out_text)
             cells[cell] = out
-        return None
+        self.l_text, self.tok, self.l, self.base = l_text, tok, l, base
+        return stop
 
     def read(self, parser: _Parser) -> None:
         """Read the psi lines from the parser's lookahead on, then hand the
@@ -405,40 +406,40 @@ class _PsiRows:
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
         cells, width = self.cells, self.width
         blank = array("i", [-1]) * width
-        memo: dict[str, tuple[array, int]] = {}
+        memo: dict[str, array] = {}
         match = _ROW.match
         while pos < len(text):
             run = match(text, pos)
-            if run is None:
-                # Lines that are not a canonical run go through the checked
-                # loop one block at a time.
-                end = _block_end(text, pos, _BLOCK)
-                lines = text[pos:end].splitlines(True)
-                stop = self.check(lines, line_no)
-                if stop is not None:
-                    pos += sum(map(len, lines[:stop]))
-                    line_no += stop
-                    break
-                pos, line_no = end, line_no + len(lines)
-                continue
-            end = run.end()
-            l_text, tok = run.group(1, 2)
-            if l_text != self.l_text or tok != self.tok:
-                self.row(line_no, l_text, tok)
-            base = self.base
-            head = len(l_text) + len(tok) + 6  # "psi <left> <token> "
-            key = text[pos + head : end].replace("\n" + text[pos : pos + head], "\n")
-            was_blank = cells[base : base + width] == blank
-            hit = memo.get(key)
-            if hit is not None and was_blank:
-                cells[base : base + width], count = hit
-            else:
-                lines = text[pos:end].splitlines()
-                self.check(lines, line_no)
-                count = len(lines)
-                if was_blank:
-                    memo[key] = (cells[base : base + width], count)
-            pos, line_no = end, line_no + count
+            if run is not None:
+                l_text, tok = run.group(1, 2)
+                if l_text != self.l_text or tok != self.tok:
+                    self.l, self.base = self.row(line_no, l_text, tok)
+                    self.l_text, self.tok = l_text, tok
+                base = self.base
+                if cells[base : base + width] == blank:
+                    end = run.end()
+                    head = len(l_text) + len(tok) + 6  # "psi <left> <token> "
+                    key = text[pos + head : end].replace("\n" + text[pos : pos + head], "\n")
+                    row = memo.get(key)
+                    if row is None:
+                        self.check(text[pos:end].splitlines(), line_no)
+                        row = memo[key] = cells[base : base + width]
+                    else:
+                        cells[base : base + width] = row
+                    pos, line_no = end, line_no + text.count("\n", pos, end)
+                    continue
+            # Lines that are not a canonical run go through the checked loop
+            # one block at a time, and so does a run into a row already begun:
+            # such a file is not written a row at a time, and short runs cost
+            # more through the memo than line by line.
+            end = _block_end(text, pos, _BLOCK)
+            lines = text[pos:end].splitlines(True)
+            stop = self.check(lines, line_no)
+            if stop is not None:
+                pos += sum(map(len, lines[:stop]))
+                line_no += stop
+                break
+            pos, line_no = end, line_no + len(lines)
         parser.seek(pos, line_no)
 
 
