@@ -426,8 +426,8 @@ def test_a_row_split_in_two_runs_parses_to_the_canonical_machine(block, monkeypa
 @pytest.mark.parametrize("bad, error", [
     ("psi {l} {tok} {width} {out}", "right state {width} out of range (states {width})"),
     ("psi {l} {tok} 0 z", "unknown output token 'z'"),
-])
-@pytest.mark.parametrize("replace", [True, False])
+], ids=["bad_right_state", "unknown_output"])
+@pytest.mark.parametrize("replace", [True, False], ids=["replaced", "inserted"])
 def test_an_error_after_replayed_rows_keeps_its_line(bad, error, replace):
     machine = built(2, 3)[4].reduce()
     text = emit_bimachine(machine)
@@ -450,7 +450,8 @@ NONCANONICAL = {
 
 
 @pytest.mark.parametrize("block", [1, 2, textfmt._BLOCK])
-@pytest.mark.parametrize("kinds", [("crlf",), ("tab",), ("comment",), ("crlf", "tab", "comment")])
+@pytest.mark.parametrize("kinds", [("crlf",), ("tab",), ("comment",), ("crlf", "tab", "comment")],
+                         ids=["crlf", "tab", "comment", "all"])
 def test_noncanonical_lines_mid_row_read_as_canonical(kinds, block, monkeypatch):
     monkeypatch.setattr(textfmt, "_BLOCK", block)
     canonical = emit_bimachine(built(2, 3)[4].reduce())
@@ -469,8 +470,9 @@ def test_noncanonical_lines_mid_row_read_as_canonical(kinds, block, monkeypatch)
 
 
 def test_re_whitespace_is_str_isspace():
-    # The canonical-run pattern relies on it: a line without \\s but its
-    # single spaces and final "\\n" splits as split() does and is one line.
+    # The canonical-run pattern relies on it: a line with no whitespace but
+    # its single spaces and final newline splits as split() does and is one
+    # line to splitlines().
     everything = "".join(map(chr, range(0x110000)))
     matched = {m.start() for m in re.finditer(r"\s", everything)}
     assert matched == {i for i, c in enumerate(everything) if c.isspace()}
@@ -479,7 +481,7 @@ def test_re_whitespace_is_str_isspace():
 @pytest.mark.parametrize("line, error", [
     ("7" * 2 * 10**6, "expected 'psi', got '" + "7" * 2 * 10**6 + "'"),
     ("psi" + " 0" * 10**6, "expected 'psi <left> <token> <right> <out>'"),
-])
+], ids=["two_megabyte_field", "million_fields"])
 def test_huge_psi_lines_end_in_a_format_error(line, error):
     text = "\n".join(BIMACHINE_LINES + [line]) + "\n"
     with pytest.raises(FormatError) as info:
