@@ -197,34 +197,65 @@ class Bimachine:
         states that can reach a final state keep their arcs and initial
         marks; the others are wrong guesses of the suffix, which no product
         search needs to visit.
+
+        The arc table is read off the psi rows, letter by letter and left
+        state by left state, and comes out as ``LetterMachine.build`` would
+        order it: sources in order of their first letter, then by number,
+        and each source's arcs on a letter by (output, target).
         """
-        left_count, right_count = self.left.state_count, self.right.state_count
+        left_count, width = self.left.state_count, self.right.state_count
         symbols = self.input_alphabet.symbols
+        letters = len(symbols)
+        cells, words = self.psi.cells, self.psi.words
+        left_delta = self.left.delta
         right_col = [self.right.alphabet.index(tok) for tok in symbols]
-        left_delta, right_delta = self.left.delta, self.right.delta
-        arcs = []
-        sources: dict[int, list[int]] = {}
-        for l, pos, r, out in self.psi.entries():
-            src = l * right_count + right_delta[r][right_col[pos]]
-            dst = left_delta[l][pos] * right_count + r
-            arcs.append((src, symbols[pos], out, dst))
-            sources.setdefault(dst, []).append(src)
-        finals = [l * right_count + self.right.start for l in range(left_count)]
+        # δR(r, a), by r and then by the letter's position in ``symbols``
+        right_to = [[row[c] for c in right_col] for row in self.right.delta]
+        # The live states: a backward search from the finals, which finds the
+        # arcs into (l2, r) through the left states each (l2, letter) comes from.
+        comes_from: list[list[list[int]]] = [[[] for _ in symbols] for _ in range(left_count)]
+        for l, row in enumerate(left_delta):
+            for pos, l2 in enumerate(row):
+                comes_from[l2][pos].append(l)
+        finals = [l * width + self.right.start for l in range(left_count)]
         live, stack = set(finals), list(finals)
         while stack:
-            for src in sources.get(stack.pop(), ()):
-                if src not in live:
-                    live.add(src)
-                    stack.append(src)
-        starts = (self.left.start * right_count + r for r in range(right_count))
-        return LetterMachine.build(
-            self.input_alphabet,
-            left_count * right_count,
-            (q for q in starts if q in live),
-            finals,
-            (arc for arc in arcs if arc[3] in live),
-            self.empty_word_output,
-        )
+            l2, r = divmod(stack.pop(), width)
+            for pos, r2 in enumerate(right_to[r]):
+                for l in comes_from[l2][pos]:
+                    if cells[(l * letters + pos) * width + r] >= 0:
+                        src = l * width + r2
+                        if src not in live:
+                            live.add(src)
+                            stack.append(src)
+        del comes_from
+        # An arc from left state l on a letter is keyed rank * |R| + r, where
+        # rank orders its output word among the table's words; sorting the
+        # keys of one source orders its arcs by (output, target).
+        rank = {w: i for i, w in enumerate(sorted(set(words)))}
+        ranked, by_rank = [rank[w] * width for w in words], sorted(rank)
+        arcs: dict[int, dict[str, list[tuple[Word, int]]]] = {}
+        for pos, tok in enumerate(symbols):
+            sources = [row[pos] for row in right_to]
+            for l in range(left_count):
+                base = (l * letters + pos) * width
+                dst = left_delta[l][pos] * width
+                groups: dict[int, list[int]] = {}  # source right state -> arc keys
+                for r, (v, r2) in enumerate(zip(cells[base : base + width], sources)):
+                    if v >= 0 and dst + r in live:
+                        if r2 in groups:
+                            groups[r2].append(ranked[v] + r)
+                        else:
+                            groups[r2] = [ranked[v] + r]
+                for r2 in sorted(groups):
+                    group = groups[r2]
+                    group.sort()
+                    arcs.setdefault(l * width + r2, {})[tok] = [
+                        (by_rank[key // width], dst + key % width) for key in group]
+        starts = (self.left.start * width + r for r in range(width))
+        return LetterMachine(self.input_alphabet, left_count * width,
+                             tuple(q for q in starts if q in live), frozenset(finals), arcs,
+                             self.empty_word_output)
 
     def paired_letter_machines(self, other: Bimachine) -> tuple[LetterMachine, LetterMachine]:
         """This bimachine and ``other`` as two letter transducers with one

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, NamedTuple
+from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DivergingRelationError,
@@ -291,7 +291,9 @@ def _word_to(parents: dict[int, tuple[int, str] | None], pair: int) -> Word:
     return tuple(reversed(toks))
 
 
-def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[Word], int]:
+def _delay_search(x: LetterMachine, y: LetterMachine, what: str,
+                  fit: tuple[int, int, Sequence[Container[int]]] | None = None,
+                  ) -> tuple[list[Word], int]:
     """Look for two accepting paths, one in ``x`` and one in ``y``, that read
     the same word and emit different outputs.
 
@@ -314,21 +316,31 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
     Otherwise the list is empty. The second value counts the pairs reached
     by then. No edge is stored: the searches read the arcs again.
 
+    ``fit``, when given, is ``(xmod, ymod, allowed)``: the pair of states
+    ``p`` and ``q`` fits when ``q % ymod in allowed[p % xmod]``. It must hold
+    for every live pair (``_suffix_filter`` builds one that does). The start
+    pairs and the edges are then kept only where their pair fits, so only
+    dead pairs are left out: the live pairs are reached in the same order,
+    with the same parents, delays, conflicts and continuations, and only the
+    count of reached pairs falls.
+
     The cap is one rule, the same for every alphabet: the search holds at
     most STATE_CAP pairs and delay tokens together, and the pass and the
     continuation searches together examine at most EDGE_CAP edges. An edge
-    is one pair of arcs with the same label. The start pairs are counted
-    before any is built, each pair's edges before they are scanned and each
-    delay before it is stored. More raise ResourceLimitError. The largest
-    product of the experiment grid, reduced (3,4) handcrafted against its
-    transducer, holds 16,635 pairs and 14,040 delay tokens and examines
-    105,348 edges.
+    is one pair of arcs with the same label, counted whether or not it fits.
+    The start pairs are counted before any is built, each pair's edges
+    before they are scanned and each delay before it is stored. More raise
+    ResourceLimitError. The largest product of the experiment grid, reduced
+    (3,4) handcrafted against its transducer, holds 7,277 pairs and 13,122
+    delay tokens and examines 103,800 edges, of which 41,592 fit (16,635
+    pairs, 14,040 tokens and 105,348 edges unpruned).
     """
     width = y.state_count
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
     if len(x.initial) * len(y.initial) > STATE_CAP:
         raise ResourceLimitError(too_large)
     xarcs, yarcs, xfinal, yfinal = x.arcs, y.arcs, x.final, y.final
+    xmod, ymod, allowed = fit or (1, 1, ({0},))  # without a fit, every pair fits
     budget = EDGE_CAP
     dead: set[int] = set()
 
@@ -355,7 +367,10 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
                     raise ResourceLimitError(too_large)
                 for _, d1 in left:
                     base = d1 * width
+                    fits = allowed[d1 % xmod]
                     for _, d2 in right:
+                        if d2 % ymod not in fits:
+                            continue
                         nxt = base + d2
                         if nxt not in back and nxt not in dead:
                             if len(queue) >= STATE_CAP:
@@ -366,7 +381,8 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
         return None
 
     empty = ((), ())
-    starts = sorted({p * width + q for p in x.initial for q in y.initial})
+    starts = sorted({p * width + q for p in x.initial for q in y.initial
+                     if q % ymod in allowed[p % xmod]})
     delays: dict[int, tuple[Word, Word]] = dict.fromkeys(starts, empty)
     parents: dict[int, tuple[int, str] | None] = dict.fromkeys(starts)
     order = list(starts)  # the queue: it grows while it is walked
@@ -387,7 +403,10 @@ def _delay_search(x: LetterMachine, y: LetterMachine, what: str) -> tuple[list[W
                 raise ResourceLimitError(too_large)
             for w1, t1 in left:
                 base = t1 * width
+                fits = allowed[t1 % xmod]
                 for w2, t2 in right:
+                    if t2 % ymod not in fits:
+                        continue
                     nxt = base + t2
                     if nxt in dead:  # no delay there can matter
                         delay = empty
@@ -475,17 +494,65 @@ def _domain_difference(x: LetterMachine, y: LetterMachine) -> Word | None:
     return None
 
 
-def _letter_machine(machine) -> LetterMachine:
+def _letter_input(machine):
+    """``machine``, or the letter-input transducer compared in its place."""
     if isinstance(machine, Transducer) and machine.has_input_epsilons:
-        machine = trim(remove_input_epsilons(machine))
-    return machine.letter_machine()
+        return trim(remove_input_epsilons(machine))
+    return machine
+
+
+def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
+    """The ``fit`` of ``_delay_search`` for the views of ``x`` and ``y``
+    when one is a bimachine and the other a letter-input transducer, else
+    None. None too when the fitting pairs below number more than STATE_CAP:
+    the search then runs unpruned.
+
+    A view state ``(l, r)`` of the bimachine accepts only suffixes whose
+    reversal takes its right automaton R to ``r``, and a transducer state
+    ``q`` only suffixes it can read to acceptance. They fit when one suffix
+    does both, which is when ``(r, q)`` is reached from ``(R.start, f)``,
+    ``f`` final, by reading the suffix backwards: R steps forward on each
+    letter while the transducer steps back along an arc that reads it. The
+    ``q`` that fit an ``r`` are the union of the co-accessible subsets
+    (``construct.build_right_automaton``) that R meets in ``r``, but they
+    are found without that subset construction, in at most ``|R| * |Q|``
+    pairs.
+    """
+    if isinstance(x, Bimachine) == isinstance(y, Bimachine):
+        return None
+    b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
+    right, count = b.right, t.state_count
+    column = {tok: right.alphabet.index(tok) for tok in t.input_alphabet.symbols}
+    into: dict[int, set[tuple[int, int]]] = {}  # q -> (column, p) of each arc p -a-> q
+    for arc in t.arcs:
+        into.setdefault(arc.dst, set()).add((column[arc.inp], arc.src))
+    delta = right.delta
+
+    def back(node: int) -> list[int]:
+        r, q = divmod(node, count)
+        return [delta[r][col] * count + p for col, p in into.get(q, ())]
+
+    try:
+        pairs = _reachable([right.start * count + f for f in t.final], back)
+    except ResourceLimitError:
+        return None
+    width = right.state_count
+    fits: list[set[int]] = [set() for _ in range(width if b is x else count)]
+    for node in pairs:
+        r, q = divmod(node, count)
+        if b is x:
+            fits[r].add(q)
+        else:
+            fits[q].add(r)
+    return (width, count, fits) if b is x else (count, width, fits)
 
 
 def _compare(x, y) -> tuple[Word | None, int]:
     """``equivalent``, together with the number of product pairs its delay
     search reached before it stopped (0 when the domains already differ).
     ``bimlab equiv`` prints that number when the machines are equivalent."""
-    mx, my = _letter_machine(x), _letter_machine(y)
+    lx, ly = _letter_input(x), _letter_input(y)
+    mx, my = lx.letter_machine(), ly.letter_machine()
     if mx.alphabet.symbols != my.alphabet.symbols:
         raise ValueError("machines have different input alphabets")
     word = _domain_difference(mx, my)
@@ -495,7 +562,7 @@ def _compare(x, y) -> tuple[Word | None, int]:
         labelled, pairs = _delay_search(*x.paired_letter_machines(y), "equivalence check")
         words = [tuple(label[0] for label in word) for word in labelled]
     else:
-        words, pairs = _delay_search(mx, my, "equivalence check")
+        words, pairs = _delay_search(mx, my, "equivalence check", _suffix_filter(lx, ly))
     for word in words:
         if x.evaluate(word) != y.evaluate(word):
             return word, pairs
@@ -515,8 +582,11 @@ def equivalent(x, y) -> Word | None:
     then pairs each accepting path of ``x`` with each of ``y`` on the same
     word; a word it yields comes from its breadth-first search trees and
     need not be the least. Two bimachines enter that search as their
-    ``paired_letter_machines``, so that both guess the same suffix. Every
-    returned word is checked with both machines' ``evaluate``.
+    ``paired_letter_machines``, so that both guess the same suffix. A
+    bimachine and a transducer enter it as their letter views, and the
+    search leaves out every pair whose two states cannot accept a common
+    suffix (``_suffix_filter``). Every returned word is checked with both
+    machines' ``evaluate``.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when

@@ -3,6 +3,7 @@ against brute-force enumeration."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,12 +17,15 @@ from bimlab import (
     PreconditionError,
     ResourceLimitError,
     Transducer,
+    build_right_automaton,
     check_functional,
     equivalent,
     instance_transducer,
     oracle,
 )
-from bimlab.transducer import _compare
+from bimlab import transducer
+from bimlab.fsm import STATE_CAP, LetterMachine, explore
+from bimlab.transducer import _compare, _suffix_filter
 from helpers import (
     built,
     corrupt_handcrafted,
@@ -65,7 +69,8 @@ def test_every_grid_machine_is_equivalent_to_its_transducer(k, n):
         reduced = raw.reduce()
         assert equivalent(reduced, prepared) is None
         # Raw (3,4) handcrafted against the transducer is over the edge cap
-        # (269,130 edges); against its reduced machine it is not.
+        # (213,798 edges, 55,362 of which fit); against its reduced machine
+        # it is not.
         assert equivalent(raw, reduced) is None
     assert equivalent(prepared, reduced) is None
     assert equivalent(generated, reduced) is None
@@ -325,3 +330,221 @@ def test_psi_keys_outside_the_machine_are_refused():
         with pytest.raises(PreconditionError) as info:
             with_psi(handcrafted, {**handcrafted.psi, key: ()})
         assert str(info.value) == f"psi key {key} is outside the machine"
+
+
+def unpruned(monkeypatch):
+    """Run the comparisons under ``monkeypatch`` without the suffix filter."""
+    monkeypatch.setattr(transducer, "_suffix_filter", lambda x, y: None)
+
+
+@pytest.mark.parametrize("k,n", GRID)
+def test_both_orientations_reach_the_same_pairs(k, n, monkeypatch):
+    # A bimachine against a transducer reaches the same pairs whichever side
+    # is x, pruned and unpruned; pruning only drops pairs.
+    _, _, prepared, generic, handcrafted = built(k, n)
+    machines = [handcrafted.reduce()] + ([generic.reduce()] if n <= 3 else [])
+    pruned = [(_compare(m, prepared), _compare(prepared, m)) for m in machines]
+    unpruned(monkeypatch)
+    for m, ((w1, p1), (w2, p2)) in zip(machines, pruned):
+        assert w1 is w2 is None
+        assert p1 == p2
+        (_, q1), (_, q2) = _compare(m, prepared), _compare(prepared, m)
+        assert q1 == q2 >= p1
+
+
+def test_reduced_3_4_handcrafted_reaches_few_pairs(monkeypatch):
+    _, _, prepared, _, handcrafted = built(3, 4)
+    reduced = handcrafted.reduce()
+    assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 7277)
+    unpruned(monkeypatch)
+    assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 16635)
+
+
+def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
+    # The transducer states that fit a right state r are the union of the
+    # co-accessible subsets S that the two right automata reach together
+    # with r.
+    for k, n in ((2, 2), (3, 2), (2, 3)):
+        _, _, prepared, generic, handcrafted = built(k, n)
+        dfa, subsets = build_right_automaton(prepared)
+        for machine in (generic, handcrafted.reduce()):
+            right = machine.right
+            _, joint = explore(machine.input_alphabet, (right.start, dfa.start),
+                               lambda j, tok: (right.step(j[0], tok), dfa.step(j[1], tok)))
+            union = [set() for _ in range(right.state_count)]
+            for r, s in joint:
+                union[r] |= subsets[s]
+            width, count, fits = _suffix_filter(machine, prepared)
+            assert (width, count) == (right.state_count, prepared.state_count)
+            assert fits == union
+            count, width, holders = _suffix_filter(prepared, machine)
+            assert holders == [{r for r in range(width) if q in union[r]}
+                               for q in range(count)]
+
+
+def corruptions(machine, rng, count):
+    """``count`` seeded copies of ``machine``, each with one psi cell given
+    another output word: mostly a changed word, sometimes a deleted cell or
+    a new one."""
+    keys = sorted(machine.psi)
+    outputs = machine.output_alphabet.symbols
+    shape = (machine.left.state_count, machine.input_alphabet.symbols,
+             machine.right.state_count)
+    for _ in range(count):
+        psi = dict(machine.psi)
+        change = rng.randrange(6)
+        if change == 0:
+            del psi[rng.choice(keys)]
+        else:
+            key = rng.choice(keys) if change > 1 else (
+                rng.randrange(shape[0]), rng.choice(shape[1]), rng.randrange(shape[2]))
+            old = psi.get(key)
+            while psi.get(key) == old:
+                psi[key] = tuple(rng.choice(outputs) for _ in range(rng.randint(0, 2)))
+        yield with_psi(machine, psi)
+
+
+def test_pruning_keeps_every_witness(monkeypatch):
+    # Seeded psi corruptions of reduced generic and handcrafted machines: the
+    # pruned search reports the very word the unpruned one does, in both
+    # orientations, and reaches no more pairs.
+    rng = random.Random(11)
+    cases = []
+    for k, n in ((2, 3), (3, 2), (3, 3)):
+        _, _, prepared, generic, handcrafted = built(k, n)
+        for machine in (generic.reduce(), handcrafted.reduce()):
+            for bad in corruptions(machine, rng, 12):
+                cases += [(bad, prepared), (prepared, bad)]
+    pruned = [_compare(x, y) for x, y in cases]
+    unpruned(monkeypatch)
+    searched = 0
+    for (x, y), (word, pairs) in zip(cases, pruned):
+        want, want_pairs = _compare(x, y)
+        assert word == want
+        assert pairs <= want_pairs
+        searched += pairs > 0 and word is not None
+    assert searched >= 80
+
+
+def reference_view(machine):
+    """The letter view of ``machine`` built arc by arc and sorted by
+    ``LetterMachine.build``: the states that reach a final state keep their
+    arcs and initial marks."""
+    width = machine.right.state_count
+    arcs, sources = [], {}
+    for (l, a, r), out in machine.psi.items():
+        src = l * width + machine.right.step(r, a)
+        dst = machine.left.step(l, a) * width + r
+        arcs.append((src, a, out, dst))
+        sources.setdefault(dst, []).append(src)
+    finals = [l * width + machine.right.start for l in range(machine.left.state_count)]
+    live, stack = set(finals), list(finals)
+    while stack:
+        for src in sources.get(stack.pop(), ()):
+            if src not in live:
+                live.add(src)
+                stack.append(src)
+    starts = [machine.left.start * width + r for r in range(width)]
+    return LetterMachine.build(machine.input_alphabet, machine.left.state_count * width,
+                               [q for q in starts if q in live], finals,
+                               [arc for arc in arcs if arc[3] in live],
+                               machine.empty_word_output)
+
+
+def assert_same_view(machine):
+    view, want = machine.letter_machine(), reference_view(machine)
+    assert view == want
+    assert list(view.arcs) == list(want.arcs)
+    for state, labels in view.arcs.items():
+        assert list(labels.items()) == list(want.arcs[state].items())
+
+
+@pytest.mark.parametrize("k,n", GRID)
+def test_the_letter_view_is_the_sorted_one(k, n):
+    _, _, _, generic, handcrafted = built(k, n)
+    machines = [handcrafted] + ([generic] if n <= 3 else [])
+    for machine in machines + [m.reduce() for m in machines]:
+        assert_same_view(machine)
+
+
+def test_random_letter_views_are_the_sorted_ones():
+    # Random automata send the right states of one letter anywhere, and
+    # random tables repeat output words across a source's arcs.
+    rng = random.Random(29)
+    ab, xy = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
+
+    def dfa():
+        count = rng.randint(1, 6)
+        return Dfa(ab, count, rng.randrange(count),
+                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
+
+    for _ in range(60):
+        left, right = dfa(), dfa()
+        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
+               for r in range(right.state_count) if rng.random() < 0.6}
+        assert_same_view(Bimachine(left, right, psi, rng.choice([None, ()]), xy))
+
+
+def nth_letter_is_a(m):
+    """``w -> w`` on the words over {a, b} whose letter m+1 is ``a``: a
+    transducer with m+2 states, whose reversed determinization has 2^(m+1)+1
+    states, and a bimachine with a left counter and a right automaton that
+    tells the last letter from the others. Also that bimachine with one
+    output changed after position m+1."""
+    ab = Alphabet(("a", "b"))
+    t = Transducer(ab, ab, m + 2, {0}, {m + 1},
+                   [Arc(i, x, (x,), i + 1) for i in range(m) for x in "ab"]
+                   + [Arc(m, "a", ("a",), m + 1)]
+                   + [Arc(m + 1, x, (x,), m + 1) for x in "ab"])
+    sink = m + 2
+    left = Dfa(ab, m + 3, 0, [(i + 1, i + 1) for i in range(m)]
+               + [(m + 1, sink), (m + 1, m + 1), (sink, sink)])
+    right = Dfa(ab, 2, 0, [(1, 1), (1, 1)])  # 0: empty suffix, 1: nonempty
+    psi = {(l, x, r): (x,) for l in range(m + 2) for x in "ab" for r in (0, 1)
+           if l == m + 1 or (l == m and x == "a") or (l < m and r == 1)}
+    good = Bimachine(left, right, psi, None, ab)
+    bad = with_psi(good, {**psi, (m + 1, "b", 0): ("a",)})
+    return t, good, bad
+
+
+def test_a_transducer_past_the_determinization_cap_keeps_its_verdict(monkeypatch):
+    # The fitting pairs need no subset construction, so a transducer whose
+    # right automaton build_right_automaton would refuse (2^18 + 1 states at
+    # m = 17) is pruned all the same, in a few pairs and milliseconds.
+    for m in (1, 2, 3, 4):
+        t, _, _ = nth_letter_is_a(m)
+        assert build_right_automaton(t)[0].state_count == 2 ** (m + 1) + 1
+    t, good, bad = nth_letter_is_a(17)
+    assert 2 ** 18 + 1 > STATE_CAP
+    mismatch = ("a",) * 18 + ("b",)
+    cases = [(good, t), (t, good), (bad, t), (t, bad)]
+    started = time.perf_counter()
+    pruned = [_compare(x, y) for x, y in cases]
+    pruned_s = time.perf_counter() - started
+    unpruned(monkeypatch)
+    started = time.perf_counter()
+    plain = [_compare(x, y) for x, y in cases]
+    plain_s = time.perf_counter() - started
+    assert [w for w, _ in pruned] == [w for w, _ in plain] == [None, None, mismatch, mismatch]
+    assert [p for _, p in pruned] == [20, 20, 20, 20]
+    assert [p for _, p in plain] == [21, 21, 21, 21]
+    assert pruned_s < plain_s + 0.1
+
+
+def test_too_many_fitting_pairs_run_the_search_unpruned():
+    # A transducer with a 400-state counter that no initial state reaches,
+    # against a bimachine with a 300-state right counter: all 120,000
+    # (right state, counter state) pairs fit, more than STATE_CAP. The
+    # search runs unpruned and needs only the 300 reachable pairs.
+    a, x = Alphabet(("a",)), Alphabet(("x",))
+    junk = [Arc(q, "a", ("x",), 1 + q % 400) for q in range(1, 401)]
+    t = Transducer(a, x, 401, {0}, set(range(401)), [Arc(0, "a", ("x",), 0)] + junk)
+    counter = Dfa(a, 300, 0, [((q + 1) % 300,) for q in range(300)])
+    good = Bimachine(Dfa(a, 1, 0, [(0,)]), counter,
+                     {(0, "a", r): ("x",) for r in range(300)}, (), x)
+    bad = with_psi(good, {**good.psi, (0, "a", 5): ("x", "x")}, ())
+    assert _suffix_filter(good, t) is None and _suffix_filter(t, good) is None
+    assert _compare(good, t) == _compare(t, good) == (None, 300)
+    word, _ = _compare(bad, t)
+    assert word is not None and bad.evaluate(word) != t.evaluate(word)
