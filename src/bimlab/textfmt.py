@@ -326,6 +326,9 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
 # ``splitlines`` breaks only at each "\n", because ``re``'s ``\s`` is
 # ``str.isspace``. No field can be read two ways, so a match takes linear time.
 _ROW = re.compile(r"psi ([^\s#]+) ([^\s#]+) [^\s#]+ [^\s#]+\n(?:psi \1 \2 [^\s#]+ [^\s#]+\n)*")
+# The first line of a canonical run: its prefix, left state, token and the rest.
+# ``_ROW`` matches at a position exactly when this does.
+_HEAD = re.compile(r"(psi ([^\s#]+) ([^\s#]+) )([^\s#]+ [^\s#]+\n)")
 
 
 class _PsiRows:
@@ -333,12 +336,17 @@ class _PsiRows:
 
     ``check`` is the checked per-line loop: the only code that reads a psi
     line's right state and output, and the source of every psi error. ``read``
-    passes it every line but one kind: a canonical run whose text, with its
-    "psi <left> <token> " prefixes removed, equals that of a run already read
-    into a blank row, and whose own row is blank too. That run's row is copied
-    from the earlier one. The earlier run interned its words, so the output
-    ids are those a line-by-line read gives. The row memo lives for one parse
-    call.
+    passes it every line but one kind: a canonical run whose body (its text
+    with the "psi <left> <token> " prefixes removed) equals that of a run
+    already read into a blank row, and whose own row is blank too. That run's
+    row is copied from the earlier one. The earlier run interned its words, so
+    the output ids are those a line-by-line read gives.
+
+    A run is found by a scan with ``_ROW``, but the run that repeats the last
+    body read with the same first line is found without one: the text from
+    the run on must be that body with the prefix put back on every line, and
+    the line after it must not start with the prefix. Bodies, rows and the
+    checked left states and tokens live for one parse call.
     """
 
     def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
@@ -350,6 +358,8 @@ class _PsiRows:
         self.rights = _Memo(_parse_state, self.width, "right state")
         self.outputs = _Memo(lambda line_no, text: self.ids.setdefault(
             _parse_word(line_no, text, oalphabet, "output"), len(self.ids)))
+        # What ``row`` gave for each (left state text, token) checked.
+        self.checked: dict[tuple[str, str], tuple[int, int]] = {}
         # The row of the last left state and token read, and their text.
         self.l_text = self.tok = None
         self.l = self.base = 0
@@ -366,10 +376,10 @@ class _PsiRows:
     def check(self, lines: list[str], first: int) -> int | None:
         """Read lines, the first of them line ``first``, up to the first
         nonblank one that is not a psi line: its index, or None."""
-        cells, rights, outputs = self.cells, self.rights, self.outputs
+        cells, rights, outputs, checked = self.cells, self.rights, self.outputs, self.checked
         l_text, tok, l, base = self.l_text, self.tok, self.l, self.base
         # This loop runs once per psi line read. The left state and token are
-        # checked, and their row found, only when their text changes.
+        # looked up only when their text changes, and checked once each.
         stop = None
         for line_no, raw in enumerate(lines, first):
             fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -385,8 +395,11 @@ class _PsiRows:
                     line_no, "expected 'psi <left> <token> <right> <out>'"
                 ) from None
             if l_new != l_text or tok_new != tok:
-                l, base = self.row(line_no, l_new, tok_new)
                 l_text, tok = l_new, tok_new
+                found = checked.get((l_text, tok))
+                if found is None:
+                    found = checked[l_text, tok] = self.row(line_no, l_text, tok)
+                l, base = found
             r = rights.get(r_text)
             if r is None:
                 r = rights.read(line_no, r_text)
@@ -406,27 +419,37 @@ class _PsiRows:
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
         cells, width = self.cells, self.width
         blank = array("i", [-1]) * width
-        memo: dict[str, array] = {}
-        match = _ROW.match
+        # A run's body, without its last "\n", its row and its line count.
+        memo: dict[str, tuple[str, array, int]] = {}  # by the body
+        last: dict[str, tuple[str, array, int]] = {}  # by the body's first line
         while pos < len(text):
-            run = match(text, pos)
-            if run is not None:
-                l_text, tok = run.group(1, 2)
+            head = _HEAD.match(text, pos)
+            if head is not None:
+                prefix, l_text, tok, first = head.groups()
+                start = head.start(4)
+                known = last.get(first)
+                if known is not None:
+                    run = known[0].replace("\n", "\n" + prefix)
+                    end = start + len(run) + 1
+                    if not (text.startswith(run, start) and text.startswith("\n", end - 1)
+                            and not text.startswith(prefix, end)):
+                        known = None
                 if l_text != self.l_text or tok != self.tok:
                     self.l, self.base = self.row(line_no, l_text, tok)
                     self.l_text, self.tok = l_text, tok
                 base = self.base
                 if cells[base : base + width] == blank:
-                    end = run.end()
-                    head = len(l_text) + len(tok) + 6  # "psi <left> <token> "
-                    key = text[pos + head : end].replace("\n" + text[pos : pos + head], "\n")
-                    row = memo.get(key)
-                    if row is None:
-                        self.check(text[pos:end].splitlines(), line_no)
-                        row = memo[key] = cells[base : base + width]
-                    else:
-                        cells[base : base + width] = row
-                    pos, line_no = end, line_no + text.count("\n", pos, end)
+                    if known is None:
+                        end = _ROW.match(text, pos).end()
+                        body = text[start : end - 1].replace("\n" + prefix, "\n")
+                        known = memo.get(body)
+                        if known is None:
+                            lines = text[pos:end].splitlines()
+                            self.check(lines, line_no)
+                            known = memo[body] = (body, cells[base : base + width], len(lines))
+                    cells[base : base + width] = known[1]
+                    last[first] = known
+                    pos, line_no = end, line_no + known[2]
                     continue
             # Lines that are not a canonical run go through the checked loop
             # one block at a time, and so does a run into a row already begun:

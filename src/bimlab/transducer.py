@@ -141,6 +141,19 @@ class Transducer:
         return {k: tuple(v) for k, v in grouped.items()}
 
     @cached_property
+    def _functionality(self) -> FunctionalityReport:
+        """What ``check_functional`` reports."""
+        m = self.letter_machine()
+        words, _ = _delay_search(m, m, "functionality check")
+        if not words:
+            return FunctionalityReport(True)
+        for word in words:
+            outputs = self.relation(word)
+            if len(outputs) >= 2:
+                return FunctionalityReport(False, word, (outputs[0], outputs[1]))
+        raise AssertionError("internal: conflicting delays without a witness")
+
+    @cached_property
     def _epsilon_closures(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
         """Per state, all (target, output) pairs of epsilon paths (including the
         trivial one). Raises DivergingRelationError when an epsilon cycle emits,
@@ -445,17 +458,9 @@ def check_functional(t: Transducer) -> FunctionalityReport:
     A letter-input machine is functional exactly when no two of its
     accepting paths read one word and emit different outputs. The word the
     search reports is checked with ``relation`` before it is returned. Caps
-    as in ``_delay_search``.
+    as in ``_delay_search``. The report is computed once per machine.
     """
-    m = t.letter_machine()
-    words, _ = _delay_search(m, m, "functionality check")
-    if not words:
-        return FunctionalityReport(True)
-    for word in words:
-        outputs = t.relation(word)
-        if len(outputs) >= 2:
-            return FunctionalityReport(False, word, (outputs[0], outputs[1]))
-    raise AssertionError("internal: conflicting delays without a witness")
+    return t._functionality
 
 
 def _domain_difference(x: LetterMachine, y: LetterMachine) -> Word | None:

@@ -21,7 +21,7 @@ from bimlab import (
     run_experiment,
 )
 from bimlab import ExperimentError, handcrafted_bimachine
-from bimlab import lowerbound
+from bimlab import lowerbound, transducer
 from bimlab.lowerbound import CSV_HEADER
 from bimlab.transducer import equivalent
 from helpers import built, corrupt_handcrafted, merge_bimachine_states
@@ -199,6 +199,21 @@ def test_run_experiment_deterministic():
     first = run_experiment([(2, 1), (2, 2)], seed=7)
     second = run_experiment([(2, 2), (2, 1)], seed=7)
     assert render_csv(first) == render_csv(second)
+
+
+def test_run_experiment_checks_each_cell_once(monkeypatch):
+    searches = []
+    real = transducer._delay_search
+
+    def counting(x, y, what, *args):
+        searches.append(what)
+        return real(x, y, what, *args)
+
+    monkeypatch.setattr(transducer, "_delay_search", counting)
+    rows = run_experiment([(2, 1), (2, 2), (3, 2)], seed=7)
+    # The generic construction reuses the cell's functionality report.
+    assert [r.construction for r in rows].count("generic") == 3
+    assert searches.count("functionality check") == 3
 
 
 def test_run_experiment_budget_skips_generic():

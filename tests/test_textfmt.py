@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,14 @@ REJECTIONS = [
     # is checked again.
     ("psi", 16, ["psi 1 a 1 x", "psi 1 c 0 x"], "line 18: unknown token 'c'"),
     ("psi", 16, ["psi 1 b 1 x", "psi 7 b 0 x"], "line 18: left state 7 out of range (states 2)"),
+    # Row (0, a)'s lines again under another prefix: with one more line, with
+    # one byte changed or added in the last line, and into a row already begun.
+    ("psi", 16, ["psi 1 a 0 x", "psi 1 a 1 x.y", "psi 1 a 0 x"],
+     "line 19: duplicate psi entry (1, a, 0)"),
+    ("psi", 16, ["psi 1 a 0 x", "psi 1 a 1 x.z"], "line 18: unknown output token 'z'"),
+    ("psi", 16, ["psi 1 a 0 x", "psi 1 a 1 x.yx"], "line 18: unknown output token 'yx'"),
+    ("psi", 16, ["psi 1 a 1 x", "psi 1 b 1 x", "psi 1 a 0 x", "psi 1 a 1 x.y"],
+     "line 20: duplicate psi entry (1, a, 1)"),
 ]
 
 
@@ -362,6 +371,26 @@ def test_psi_lines_in_any_order_parse_to_the_same_machine():
     assert emit_bimachine(parse_bimachine(shuffled)) == canonical
 
 
+def test_psi_lines_out_of_order_check_each_left_state_and_token_once(monkeypatch):
+    canonical = emit_bimachine(built(2, 3)[4].reduce())
+    lines = canonical.splitlines(True)
+    psi = [line for line in lines if line.startswith("psi ")]
+    random.Random(9).shuffle(psi)
+    shuffled = "".join(lines[: -len(psi)] + psi)
+    checks = Counter()
+    real = textfmt._PsiRows.row
+
+    def counting(self, line_no, l_text, tok):
+        checks[l_text, tok] += 1
+        return real(self, line_no, l_text, tok)
+
+    monkeypatch.setattr(textfmt._PsiRows, "row", counting)
+    # With no canonical run found, every psi line goes through the checked loop.
+    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
+    assert emit_bimachine(parse_bimachine(shuffled)) == canonical
+    assert len(checks) == 48 and set(checks.values()) == {1}
+
+
 def psi_rows(text):
     """The psi section of an emitted bimachine as (head, lines) runs, one per
     row, with the (0-based) index of the row's first line in the file."""
@@ -395,6 +424,61 @@ def test_repeated_rows_are_read_once(monkeypatch):
     # 48 rows of 4 distinct texts: each distinct row's lines are read once.
     assert (len(rows), len(first_texts)) == (48, 4)
     assert sum(checked) == sum(first_texts.values())
+
+
+class CountingPattern:
+    """A compiled pattern that counts its ``match`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+def count_reads(monkeypatch):
+    """From now on, count ``_ROW`` matches and list the number of lines
+    handed to each ``_PsiRows.check`` call."""
+    pattern = CountingPattern(textfmt._ROW)
+    monkeypatch.setattr(textfmt, "_ROW", pattern)
+    checked = []
+    real = textfmt._PsiRows.check
+
+    def counting(self, lines, first):
+        checked.append(len(lines))
+        return real(self, lines, first)
+
+    monkeypatch.setattr(textfmt._PsiRows, "check", counting)
+    return pattern, checked
+
+
+@pytest.mark.parametrize("k, n, scans", [(3, 5, 5), (2, 8, 4)])
+def test_a_repeated_row_is_read_without_a_scan(k, n, scans, monkeypatch):
+    text = reduced_handcrafted_text(k, n)
+    _, rows = psi_rows(text)
+    first_texts = {}
+    for _, head, run in rows:
+        first_texts.setdefault("".join(line[len(head):] for line in run), len(run))
+    pattern, checked = count_reads(monkeypatch)
+    assert emit_bimachine(load_machine(text)) == text
+    # (3,5): 1,824 rows of 5 distinct texts; (2,8): 1,536 rows of 4. Only the
+    # first run of each text is scanned, and its lines are checked once.
+    assert pattern.calls == len(first_texts) == scans
+    assert sum(checked) == sum(first_texts.values())
+
+
+def test_a_run_that_goes_on_past_a_remembered_one_is_scanned(monkeypatch):
+    # Rows (0, b) and (1, b) begin with the text of rows (0, a) and (1, a).
+    psi = ["psi 0 a 0 x", "psi 0 b 0 x", "psi 0 b 1 y",
+           "psi 1 a 0 x", "psi 1 b 0 x", "psi 1 b 1 y"]
+    text = "\n".join(BIMACHINE_LINES[:13] + psi) + "\n"
+    pattern, checked = count_reads(monkeypatch)
+    assert emit_bimachine(parse_bimachine(text)) == text
+    # Each run is scanned, as the remembered text is a different one or
+    # ends too early; each of the two texts is checked once.
+    assert pattern.calls == 4
+    assert checked == [1, 2]
 
 
 def test_a_repeated_row_is_a_duplicate_on_its_first_line():
@@ -440,6 +524,63 @@ def test_an_error_after_replayed_rows_keeps_its_line(bad, error, replace):
     with pytest.raises(FormatError) as info:
         parse_bimachine("".join(lines))
     assert str(info.value) == f"line {at + 1}: " + error.format(**values)
+
+
+def outcome(text):
+    """A parsed machine's text, table and output words, or the error."""
+    try:
+        machine = parse_bimachine(text)
+    except FormatError as exc:
+        return str(exc)
+    return emit_bimachine(machine), machine.psi.cells.tobytes(), machine.psi.words
+
+
+def longer_run(lines, rows):
+    # Row 1 repeats row 0 (cells 8 to 12); one more line sets its empty cell 0.
+    at, head, run = rows[1]
+    lines.insert(at + len(run), head + "0 -\n")
+
+
+def last_byte_changed(lines, rows):
+    at, head, run = rows[1]
+    assert run[-1] == head + "12 -\n"
+    lines[at + len(run) - 1] = head + "12 3\n"
+
+
+def alternating_bodies(lines, rows):
+    # Every other row of cells 8 to 12 gets another last line, so the two
+    # texts share all their other lines and alternate.
+    fives = [(at, run) for at, _, run in rows if len(run) == 5]
+    for at, run in fives[1::2]:
+        lines[at + 4] = run[4].replace(" 12 -", " 12 3")
+
+
+def row_begun(lines, rows):
+    # Row 7 repeats row 6, whose cell 1 is empty; that cell comes first.
+    at, head, run = rows[7]
+    assert not any(line.startswith(head + "1 ") for line in run)
+    lines.insert(rows[0][0], head + "1 -\n")
+
+
+def row_begun_duplicate(lines, rows):
+    at, head, run = rows[7]
+    lines.insert(rows[0][0], run[-1])
+
+
+@pytest.mark.parametrize("block", [1, textfmt._BLOCK])
+@pytest.mark.parametrize("change", [longer_run, last_byte_changed, alternating_bodies,
+                                    row_begun, row_begun_duplicate])
+def test_remembered_runs_read_as_line_by_line(change, block, monkeypatch):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    canonical = emit_bimachine(built(2, 3)[4].reduce())
+    lines, rows = psi_rows(canonical)
+    change(lines, rows)
+    text = "".join(lines)
+    assert text != canonical
+    read = outcome(text)
+    # With no canonical run found, every psi line goes through the checked loop.
+    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
+    assert read == outcome(text)
 
 
 NONCANONICAL = {

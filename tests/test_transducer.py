@@ -208,6 +208,25 @@ def test_check_functional_parallel_arcs():
     assert len(set(report.outputs)) == 2
 
 
+def test_check_functional_searches_each_machine_once(monkeypatch):
+    searches = []
+    real = transducer._delay_search
+
+    def counting(x, y, what, *args):
+        searches.append(what)
+        return real(x, y, what, *args)
+
+    monkeypatch.setattr(transducer, "_delay_search", counting)
+    arcs = (Arc(0, "a", ("x",), 1), Arc(0, "a", ("y",), 1))
+    t = Transducer(AB, XY, 2, {0}, {1}, arcs)
+    report = check_functional(t)
+    assert check_functional(t) is report
+    assert searches == ["functionality check"]
+    # An equal machine is another object, searched again to the same report.
+    assert check_functional(Transducer(AB, XY, 2, {0}, {1}, arcs)) == report
+    assert len(searches) == 2
+
+
 def test_check_functional_single_path():
     assert check_functional(one_arc()).functional
 
