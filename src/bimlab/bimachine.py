@@ -1,11 +1,13 @@
 """Bimachines: a left-to-right DFA, a right-to-left DFA, and a partial output
 table indexed by (left state, letter, right state).
 
-The output table is dense: one cell per (left state, letter, right state),
-undefined cells included, and that partiality is what carves out the domain
-of the represented function. The empty word gets its own explicit output
-slot so that machines whose function is undefined at the empty word can say
-so.
+The output table has a cell per (left state, letter, right state), undefined
+cells included, and that partiality is what carves out the domain of the
+represented function. It stores each distinct row (one left state and
+letter, over all right states) once, with one row index per left state and
+letter: the hard family's tables have Θ(k^{2n}) cells but only a handful of
+distinct rows. The empty word gets its own explicit output slot so that
+machines whose function is undefined at the empty word can say so.
 """
 
 from __future__ import annotations
@@ -20,38 +22,59 @@ from .fsm import (EDGE_CAP, PSI_CAP, STATE_CAP, Alphabet, Dfa, LetterMachine, Wo
                   moore_reduce)
 
 
-def psi_cells(left_count: int, letters: int, right_count: int) -> array:
-    """The cells of an output table of this shape, all undefined (-1).
-    Every table is allocated here; more than PSI_CAP cells raises
-    ResourceLimitError before any memory is taken."""
-    size = left_count * letters * right_count
-    if size > PSI_CAP:
+def check_psi_shape(left_count: int, letters: int, right_count: int) -> None:
+    """Refuse an output table of this shape when it has more than PSI_CAP
+    cells: raise ResourceLimitError. Every table is checked here before any
+    of its memory is taken."""
+    if left_count * letters * right_count > PSI_CAP:
         raise ResourceLimitError(
             f"psi table of {left_count} x {letters} x {right_count} cells exceeds {PSI_CAP}"
         )
-    return array("i", [-1]) * size
+
+
+def psi_cells(left_count: int, letters: int, right_count: int) -> array:
+    """The cells of a flat output table of this shape, all undefined (-1),
+    after the cap check."""
+    check_psi_shape(left_count, letters, right_count)
+    return array("i", [-1]) * (left_count * letters * right_count)
+
+
+def _slot(shape: tuple[Alphabet, int, int], l, a, r) -> int | None:
+    """The slot of key ``(l, a, r)`` in a table of this shape, or None when
+    the key names a state or letter outside the table."""
+    alphabet, left_count, right_count = shape
+    if not (a in alphabet and isinstance(l, int) and isinstance(r, int)
+            and 0 <= l < left_count and 0 <= r < right_count):
+        return None
+    return l * len(alphabet) + alphabet.index(a)
 
 
 class PsiTable(Mapping):
     """A bimachine's output table, read-only.
 
-    Cell ``(l * |Σ| + a) * right_count + r`` of ``cells`` belongs to left
-    state ``l``, the ``a``-th letter of ``alphabet`` and right state ``r``.
-    It holds an index into ``words``, where each output word appears once
-    (``Bimachine.reduce`` compares rows of indices), or -1 where the output
-    is undefined. As a Mapping, the keys are the
+    The row of left state ``l`` and the ``a``-th letter of ``alphabet`` is
+    slot ``l * |Σ| + a`` of ``row_of``, which holds the row's index among
+    the distinct rows, or -1 where the row is all undefined. ``rows`` holds
+    the distinct rows one after the other, ``right_count`` cells each: cell
+    ``i * right_count + r`` is row ``i``'s cell for right state ``r``. A
+    cell holds an index into ``words``, where each output word appears
+    once, or -1 where the output is undefined.
+
+    The rows are pairwise distinct, none is all undefined, and ``row_of``
+    uses every one, so two rows are equal exactly when their indices are.
+    ``RowInterner`` builds every table so. As a Mapping, the keys are the
     defined ``(l, letter, r)`` triples in cell order and the values their
     output words, so ``len`` counts the defined cells.
     """
 
-    __slots__ = ("alphabet", "left_count", "right_count", "cells", "words", "_len")
+    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "words", "_len")
 
     def __init__(self, alphabet: Alphabet, left_count: int, right_count: int,
-                 cells: array, words: tuple[Word, ...]):
-        if len(cells) != left_count * len(alphabet) * right_count:
-            raise ValueError("psi cells do not match the table's shape")
+                 row_of: array, rows: array, words: tuple[Word, ...]):
+        if len(row_of) != left_count * len(alphabet) or len(rows) % right_count:
+            raise ValueError("psi rows do not match the table's shape")
         self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
-        self.cells, self.words = cells, words
+        self.row_of, self.rows, self.words = row_of, rows, words
         self._len: int | None = None
 
     @classmethod
@@ -60,31 +83,57 @@ class PsiTable(Mapping):
         """The table of ``((l, letter, r), output)`` pairs. Raises
         PreconditionError on a key that names a state or letter the shape
         lacks."""
-        table = cls(alphabet, left_count, right_count,
-                    psi_cells(left_count, len(alphabet), right_count), ())
+        shape = alphabet, left_count, right_count
+        interner, blank = RowInterner(*shape), array("i", [-1]) * right_count
+        begun: dict[int, array] = {}
         ids: dict[Word, int] = {}
         for (l, a, r), out in items:
-            cell = table._cell(l, a, r)
-            if cell is None:
+            slot = _slot(shape, l, a, r)
+            if slot is None:
                 raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
-            table.cells[cell] = ids.setdefault(tuple(out), len(ids))
-        table.words = tuple(ids)
-        return table
+            row = begun.get(slot)
+            if row is None:
+                row = begun[slot] = blank[:]
+            row[r] = ids.setdefault(tuple(out), len(ids))
+        for slot, row in begun.items():
+            interner.row_of[slot] = interner.intern(row)
+        return interner.table(tuple(ids))
 
     @property
     def shape(self) -> tuple[Alphabet, int, int]:
         return self.alphabet, self.left_count, self.right_count
 
+    @property
+    def distinct(self) -> int:
+        """The number of distinct rows."""
+        return len(self.rows) // self.right_count
+
+    @property
+    def cells(self) -> array:
+        """A flat copy of the table: cell ``(l * |Σ| + a) * right_count + r``
+        is that of left state ``l``, the ``a``-th letter and right state ``r``."""
+        width = self.right_count
+        cells = psi_cells(self.left_count, len(self.alphabet), width)
+        for slot, i in enumerate(self.row_of):
+            if i >= 0:
+                cells[slot * width : (slot + 1) * width] = self.rows[i * width : (i + 1) * width]
+        return cells
+
+    def defined_cells(self) -> list[list[tuple[int, int]]]:
+        """Per distinct row, its defined cells as ``(r, word index)`` pairs."""
+        rows, width = self.rows, self.right_count
+        return [[(r, v) for r, v in enumerate(rows[i * width : (i + 1) * width]) if v >= 0]
+                for i in range(self.distinct)]
+
     def entries(self) -> Iterator[tuple[int, int, int, Word]]:
         """``(l, letter position, r, output)`` for each defined cell, in cell order."""
-        cells, words, width = self.cells, self.words, self.right_count
-        base = 0
-        for l in range(self.left_count):
-            for pos in range(len(self.alphabet)):
-                for r, v in enumerate(cells[base : base + width]):
-                    if v >= 0:
-                        yield l, pos, r, words[v]
-                base += width
+        words, letters = self.words, len(self.alphabet)
+        defined = [[(r, words[v]) for r, v in row] for row in self.defined_cells()]
+        for slot, i in enumerate(self.row_of):
+            if i >= 0:
+                l, pos = divmod(slot, letters)
+                for r, out in defined[i]:
+                    yield l, pos, r, out
 
     def items(self):
         symbols = self.alphabet.symbols
@@ -96,25 +145,70 @@ class PsiTable(Mapping):
 
     def __len__(self) -> int:
         if self._len is None:
-            self._len = len(self.cells) - self.cells.count(-1)
+            sizes = [len(row) for row in self.defined_cells()]
+            self._len = sum(sizes[i] for i in self.row_of if i >= 0)
         return self._len
-
-    def _cell(self, l, a, r) -> int | None:
-        """The cell of key ``(l, a, r)``, or None when the key names a state
-        or letter outside the table."""
-        if not (a in self.alphabet and isinstance(l, int) and isinstance(r, int)
-                and 0 <= l < self.left_count and 0 <= r < self.right_count):
-            return None
-        return (l * len(self.alphabet) + self.alphabet.index(a)) * self.right_count + r
 
     def __getitem__(self, key) -> Word:
         try:
-            cell = self._cell(*key)
-        except TypeError:  # the key is not three items
+            l, a, r = key
+        except (TypeError, ValueError):  # the key is not three items
             raise KeyError(key) from None
-        if cell is None or self.cells[cell] < 0:
+        slot = _slot(self.shape, l, a, r)
+        i = -1 if slot is None else self.row_of[slot]
+        v = -1 if i < 0 else self.rows[i * self.right_count + r]
+        if v < 0:
             raise KeyError(key)
-        return self.words[self.cells[cell]]
+        return self.words[v]
+
+
+class RowInterner:
+    """Builds a PsiTable: each row is interned once, and ``row_of`` maps a
+    slot (``l * |Σ| + a``) to its row's index.
+
+    ``intern`` gives a row's index, appending the row to ``rows`` the first
+    time it is seen, or -1 for a row that is all undefined. A builder writes
+    the indices into ``row_of`` itself. ``table`` drops the rows that no
+    slot uses, so a builder may intern a row it ends up not using. The cap
+    is checked before anything is allocated.
+    """
+
+    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "index")
+
+    def __init__(self, alphabet: Alphabet, left_count: int, right_count: int):
+        check_psi_shape(left_count, len(alphabet), right_count)
+        self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
+        self.row_of = array("i", [-1]) * (left_count * len(alphabet))
+        self.rows = array("i")
+        self.index: dict[bytes, int] = {}  # by the row's bytes
+
+    def intern(self, row: array) -> int:
+        key = row.tobytes()
+        i = self.index.get(key)
+        if i is None:
+            if row.count(-1) == len(row):
+                i = -1
+            else:
+                i = len(self.rows) // self.right_count
+                self.rows.extend(row)
+            self.index[key] = i
+        return i
+
+    def table(self, words: tuple[Word, ...]) -> PsiTable:
+        """The table of ``row_of`` and the rows it uses, whose cells index
+        ``words``."""
+        row_of, rows, width = self.row_of, self.rows, self.right_count
+        used = set(row_of)
+        used.discard(-1)
+        if len(used) * width < len(rows):
+            kept = sorted(used)
+            renumber = {old: new for new, old in enumerate(kept)}
+            renumber[-1] = -1
+            row_of = array("i", map(renumber.__getitem__, row_of))
+            rows = array("i")
+            for old in kept:
+                rows.extend(self.rows[old * width : (old + 1) * width])
+        return PsiTable(self.alphabet, self.left_count, width, row_of, rows, words)
 
 
 @dataclass(frozen=True)
@@ -161,7 +255,7 @@ class Bimachine:
             else self.right.alphabet.indices(word)
         )
         left_delta, right_delta = self.left.delta, self.right.delta
-        cells, words = self.psi.cells, self.psi.words
+        row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words
         letters, width = len(self.left.alphabet), self.right.state_count
         l = left_state
         prefix = [l]
@@ -171,7 +265,8 @@ class Bimachine:
         parts: list[Word] = []
         r = right_state
         for pos in range(len(word) - 1, -1, -1):
-            v = cells[(prefix[pos] * letters + left_index[pos]) * width + r]
+            i = row_of[prefix[pos] * letters + left_index[pos]]
+            v = -1 if i < 0 else rows[i * width + r]
             if v < 0:
                 return None
             parts.append(words[v])
@@ -206,7 +301,7 @@ class Bimachine:
         left_count, width = self.left.state_count, self.right.state_count
         symbols = self.input_alphabet.symbols
         letters = len(symbols)
-        cells, words = self.psi.cells, self.psi.words
+        row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words
         left_delta = self.left.delta
         right_col = [self.right.alphabet.index(tok) for tok in symbols]
         # δR(r, a), by r and then by the letter's position in ``symbols``
@@ -223,7 +318,8 @@ class Bimachine:
             l2, r = divmod(stack.pop(), width)
             for pos, r2 in enumerate(right_to[r]):
                 for l in comes_from[l2][pos]:
-                    if cells[(l * letters + pos) * width + r] >= 0:
+                    i = row_of[l * letters + pos]
+                    if i >= 0 and rows[i * width + r] >= 0:
                         src = l * width + r2
                         if src not in live:
                             live.add(src)
@@ -234,19 +330,24 @@ class Bimachine:
         # keys of one source orders its arcs by (output, target).
         rank = {w: i for i, w in enumerate(sorted(set(words)))}
         ranked, by_rank = [rank[w] * width for w in words], sorted(rank)
+        # Each distinct row's arc keys, for its defined cells.
+        keyed = [[(r, ranked[v] + r) for r, v in row] for row in self.psi.defined_cells()]
         arcs: dict[int, dict[str, list[tuple[Word, int]]]] = {}
         for pos, tok in enumerate(symbols):
             sources = [row[pos] for row in right_to]
             for l in range(left_count):
-                base = (l * letters + pos) * width
+                i = row_of[l * letters + pos]
+                if i < 0:
+                    continue
                 dst = left_delta[l][pos] * width
                 groups: dict[int, list[int]] = {}  # source right state -> arc keys
-                for r, (v, r2) in enumerate(zip(cells[base : base + width], sources)):
-                    if v >= 0 and dst + r in live:
+                for r, key in keyed[i]:
+                    if dst + r in live:
+                        r2 = sources[r]
                         if r2 in groups:
-                            groups[r2].append(ranked[v] + r)
+                            groups[r2].append(key)
                         else:
-                            groups[r2] = [ranked[v] + r]
+                            groups[r2] = [key]
                 for r2 in sorted(groups):
                     group = groups[r2]
                     group.sort()
@@ -351,34 +452,43 @@ class Bimachine:
         return self._merge("left")._merge("right")
 
     def _merge(self, side: str) -> "Bimachine":
-        """Moore-reduce one side. A state's signature is its row of psi cells
-        as bytes: a left state's run of cells, letter-major and then by right
-        state; a right state's cells at stride ``|R|``, by left state and then
-        by letter. Each output word has one index in the table, so equal
-        bytes mean equal outputs. Each block keeps its first state's cells."""
+        """Moore-reduce one side. A left state's signature is its |Σ| row
+        indices; a right state's is its column across the distinct rows. Rows
+        are interned, so equal indices mean equal rows, and each output word
+        has one index, so equal columns mean equal outputs. A side where
+        nothing merges is returned as it is.
+
+        A left block keeps its first state's row indices, and every row stays
+        in use. A right block keeps its first state's column: each distinct
+        row is projected onto the blocks' first states. Merged columns are
+        equal in every row, so the projections stay distinct and defined."""
         psi = self.psi
-        cells, letters = psi.cells, len(psi.alphabet)
-        left_count, right_count = psi.left_count, psi.right_count
+        row_of, rows, letters = psi.row_of, psi.rows, len(psi.alphabet)
+        left_count, width = psi.left_count, psi.right_count
         if side == "left":
-            size = letters * right_count
-            rows = [cells[q * size : (q + 1) * size].tobytes() for q in range(left_count)]
+            dfa = self.left
+            signature = [row_of[q * letters : (q + 1) * letters].tobytes()
+                         for q in range(left_count)]
         else:
-            rows = [cells[r::right_count].tobytes() for r in range(right_count)]
-        reduced, block = moore_reduce(self.left if side == "left" else self.right, rows)
-        del rows  # free the signatures before the new table is allocated
+            dfa = self.right
+            signature = [rows[r::width].tobytes() for r in range(width)]
+        reduced, block = moore_reduce(dfa, signature)
+        count = reduced.state_count
+        if count == dfa.state_count:
+            return self
         first: dict[int, int] = {}
         for q, b in enumerate(block):
             first.setdefault(b, q)
-        count = reduced.state_count
         if side == "left":
-            new = psi_cells(count, letters, right_count)
+            new_of = array("i", [-1]) * (count * letters)
             for b, q in first.items():
-                new[b * size : (b + 1) * size] = cells[q * size : (q + 1) * size]
+                new_of[b * letters : (b + 1) * letters] = row_of[q * letters : (q + 1) * letters]
+            table = PsiTable(psi.alphabet, count, width, new_of, rows, psi.words)
             left, right = reduced, self.right
         else:
-            new = psi_cells(left_count, letters, count)
+            new_rows = array("i", [-1]) * (psi.distinct * count)
             for b, r in first.items():
-                new[b::count] = cells[r::right_count]
+                new_rows[b::count] = rows[r::width]
+            table = PsiTable(psi.alphabet, left_count, count, row_of, new_rows, psi.words)
             left, right = self.left, reduced
-        table = PsiTable(psi.alphabet, left.state_count, right.state_count, new, psi.words)
         return Bimachine(left, right, table, self.empty_word_output, self.output_alphabet)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from array import array
 
-from .bimachine import Bimachine, PsiTable, psi_cells
+from .bimachine import Bimachine, PsiTable, RowInterner
 from .errors import NonFunctionalError, PreconditionError
 from .fsm import STATE_CAP, Dfa, Word, explore, reverse, subset_construction
 from .transducer import Transducer, check_functional, is_trim
@@ -54,13 +54,13 @@ def build_psi(
     co-accessible subset. No matching transition means undefined."""
     arcs = t._letter_arcs
     alphabet, right_count = t.input_alphabet, len(right_subsets)
-    cells = psi_cells(len(left_lists), len(alphabet), right_count)
+    table = RowInterner(alphabet, len(left_lists), right_count)
     holders: dict[int, list[int]] = {}  # transducer state -> right states holding it
     for r_id, subset in enumerate(right_subsets):
         for d in subset:
             holders.setdefault(d, []).append(r_id)
     ids: dict[Word, int] = {}
-    base = 0
+    slot = 0
     for lst in left_lists:
         for tok in alphabet.symbols:
             row = [-1] * right_count
@@ -72,9 +72,9 @@ def build_psi(
                             if word_id is None:
                                 word_id = ids.setdefault(w, len(ids))
                             row[r_id] = word_id
-            cells[base : base + right_count] = array("i", row)
-            base += right_count
-    return PsiTable(alphabet, len(left_lists), right_count, cells, tuple(ids))
+            table.row_of[slot] = table.intern(array("i", row))
+            slot += 1
+    return table.table(tuple(ids))
 
 
 def to_bimachine(t: Transducer, state_cap: int = STATE_CAP) -> Bimachine:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bimachine import Bimachine, PsiTable, psi_cells
+from .bimachine import Bimachine, RowInterner
 from .errors import ResourceLimitError
 from .fsm import STATE_CAP, Alphabet, Word, explore
 from .transducer import Arc, Transducer
@@ -185,18 +185,18 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
                       for rs in right_states)
         for i in params.first_half for tok in params.second_half
     }
-    width = right.state_count
-    cells = psi_cells(left.state_count, len(sigma), width)
-    base = 0
+    table = RowInterner(sigma, left.state_count, right.state_count)
+    inside_first, inside_second = table.intern(inside_first), table.intern(inside_second)
+    boundary = {key: table.intern(row) for key, row in boundary.items()}
+    slot = 0
     for ls in left_states:
         for tok in sigma.symbols:
             if ls[0] == "first":
                 if tok in first:
-                    cells[base : base + width] = inside_first
+                    table.row_of[slot] = inside_first
                 elif len(ls[1]) == n:
-                    cells[base : base + width] = boundary[(ls[1][0], tok)]
+                    table.row_of[slot] = boundary[(ls[1][0], tok)]
             elif ls[0] == "second" and tok not in first:
-                cells[base : base + width] = inside_second
-            base += width
-    psi = PsiTable(sigma, left.state_count, width, cells, tuple(ids))
-    return Bimachine(left, right, psi, None, sigma)
+                table.row_of[slot] = inside_second
+            slot += 1
+    return Bimachine(left, right, table.table(tuple(ids)), None, sigma)

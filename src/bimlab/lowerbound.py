@@ -268,7 +268,7 @@ def run_experiment(
                     continue
                 machine = handcrafted_bimachine(params)
             reduced = machine.reduce()
-            del machine  # frees the raw psi table before the check builds its own
+            del machine  # the check needs only the reduced machine
             word = equivalent(reduced, prepared)
             if word is not None:
                 raise ExperimentError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from array import array
 
-from .bimachine import Bimachine, PsiTable, psi_cells
+from .bimachine import Bimachine, PsiTable, RowInterner
 from .errors import FormatError
 from .fsm import Alphabet, Dfa, Word
 from .transducer import Arc, Transducer
@@ -252,24 +252,18 @@ def emit_bimachine(b: Bimachine) -> str:
     if b.empty_word_output is not None:
         lines.append(f"epsout {word_to_text(b.empty_word_output)}")
     # The table's cell order is the emitted order: left state, letter, right
-    # state. Rows repeat, so each distinct row formats its "<right> <out>"
-    # fields once.
+    # state. Each distinct row formats its "<right> <out>" fields once.
     psi = b.psi
-    cells, width = psi.cells, psi.right_count
     texts = [word_to_text(word) for word in psi.words]
-    fields_of: dict[bytes, list[str]] = {}
-    base = 0
+    fields = [[f"{r} {texts[v]}" for r, v in row] for row in psi.defined_cells()]
+    row_of, slot = psi.row_of, 0
     for l in range(psi.left_count):
         for tok in psi.alphabet.symbols:
-            row = cells[base : base + width]
-            base += width
-            key = row.tobytes()
-            fields = fields_of.get(key)
-            if fields is None:
-                fields = fields_of[key] = [f"{r} {texts[v]}" for r, v in enumerate(row) if v >= 0]
-            if fields:
+            i = row_of[slot]
+            slot += 1
+            if i >= 0:
                 head = f"psi {l} {tok} "
-                lines.append(head + ("\n" + head).join(fields))
+                lines.append(head + ("\n" + head).join(fields[i]))
     return "\n".join(lines) + "\n"
 
 
@@ -335,49 +329,64 @@ class _PsiRows:
     """Reads a bimachine's psi lines into its output table.
 
     ``check`` is the checked per-line loop: the only code that reads a psi
-    line's right state and output, and the source of every psi error. ``read``
-    passes it every line but one kind: a canonical run whose body (its text
-    with the "psi <left> <token> " prefixes removed) equals that of a run
-    already read into a blank row, and whose own row is blank too. That run's
-    row is copied from the earlier one. The earlier run interned its words, so
-    the output ids are those a line-by-line read gives.
+    line's right state and output, and the source of every psi error. It
+    writes into begun rows, one array per row, which are interned when the
+    read ends. ``read`` passes it every line but one kind: a canonical run
+    whose body (its text with the "psi <left> <token> " prefixes removed)
+    equals that of a run already read into a blank row, and whose own row is
+    blank too. A row is blank when its index is -1 and it is not begun. That
+    run's row gets the earlier run's row index. The earlier run interned its
+    words, so the output ids are those a line-by-line read gives.
 
     A run is found by a scan with ``_ROW``, but the run that repeats the last
     body read with the same first line is found without one: the text from
     the run on must be that body with the prefix put back on every line, and
-    the line after it must not start with the prefix. Bodies, rows and the
-    checked left states and tokens live for one parse call.
+    the line after it must not start with the prefix. Bodies, begun rows and
+    the checked left states and tokens live for one parse call.
     """
 
     def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
+        self.interner = RowInterner(left.alphabet, left.state_count, right.state_count)
         self.left_count, self.width = left.state_count, right.state_count
         self.letters = len(left.alphabet)
         self.column = {tok: pos for pos, tok in enumerate(left.alphabet.symbols)}
-        self.cells = psi_cells(self.left_count, self.letters, self.width)
+        self.begun: dict[int, array] = {}  # by slot
         self.ids: dict[Word, int] = {}
         self.rights = _Memo(_parse_state, self.width, "right state")
         self.outputs = _Memo(lambda line_no, text: self.ids.setdefault(
             _parse_word(line_no, text, oalphabet, "output"), len(self.ids)))
         # What ``row`` gave for each (left state text, token) checked.
         self.checked: dict[tuple[str, str], tuple[int, int]] = {}
-        # The row of the last left state and token read, and their text.
+        # The slot of the last run read, and its left state and token text.
         self.l_text = self.tok = None
-        self.l = self.base = 0
+        self.slot = 0
 
     def row(self, line_no: int, l_text: str, tok: str) -> tuple[int, int]:
-        """Check a left state and token: the left state, and the index of
-        their row's first cell."""
+        """Check a left state and token: the left state, and their row's slot."""
         l = _parse_state(line_no, l_text, self.left_count, "left state")
         pos = self.column.get(tok)
         if pos is None:
             raise FormatError(line_no, f"unknown token {tok!r}")
-        return l, (l * self.letters + pos) * self.width
+        return l, l * self.letters + pos
+
+    def begin(self, slot: int) -> array:
+        """Begin the row of slot, blank or a copy of its interned row, for
+        ``check`` to write into."""
+        i, width = self.interner.row_of[slot], self.width
+        if i < 0:
+            cells = self.begun[slot] = array("i", [-1]) * width
+        else:
+            cells = self.begun[slot] = self.interner.rows[i * width : (i + 1) * width]
+        return cells
+
+    def table(self) -> PsiTable:
+        return self.interner.table(tuple(self.ids))
 
     def check(self, lines: list[str], first: int) -> int | None:
         """Read lines, the first of them line ``first``, up to the first
         nonblank one that is not a psi line: its index, or None."""
-        cells, rights, outputs, checked = self.cells, self.rights, self.outputs, self.checked
-        l_text, tok, l, base = self.l_text, self.tok, self.l, self.base
+        begun, rights, outputs, checked = self.begun, self.rights, self.outputs, self.checked
+        l_text = tok = cells = None
         # This loop runs once per psi line read. The left state and token are
         # looked up only when their text changes, and checked once each.
         stop = None
@@ -399,29 +408,30 @@ class _PsiRows:
                 found = checked.get((l_text, tok))
                 if found is None:
                     found = checked[l_text, tok] = self.row(line_no, l_text, tok)
-                l, base = found
+                l, slot = found
+                cells = begun.get(slot)
+                if cells is None:
+                    cells = self.begin(slot)
             r = rights.get(r_text)
             if r is None:
                 r = rights.read(line_no, r_text)
-            cell = base + r
-            if cells[cell] != -1:
+            if cells[r] != -1:
                 raise FormatError(line_no, f"duplicate psi entry ({l}, {tok}, {r})")
             out = outputs.get(out_text)
             if out is None:
                 out = outputs.read(line_no, out_text)
-            cells[cell] = out
-        self.l_text, self.tok, self.l, self.base = l_text, tok, l, base
+            cells[r] = out
         return stop
 
     def read(self, parser: _Parser) -> None:
-        """Read the psi lines from the parser's lookahead on, then hand the
-        text after them back to the parser."""
+        """Read the psi lines from the parser's lookahead on, intern the rows
+        begun, then hand the text after the psi lines back to the parser."""
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
-        cells, width = self.cells, self.width
-        blank = array("i", [-1]) * width
-        # A run's body, without its last "\n", its row and its line count.
-        memo: dict[str, tuple[str, array, int]] = {}  # by the body
-        last: dict[str, tuple[str, array, int]] = {}  # by the body's first line
+        interner, begun = self.interner, self.begun
+        row_of = interner.row_of
+        # A run's body, without its last "\n", its row index and its line count.
+        memo: dict[str, tuple[str, int, int]] = {}  # by the body
+        last: dict[str, tuple[str, int, int]] = {}  # by the body's first line
         while pos < len(text):
             head = _HEAD.match(text, pos)
             if head is not None:
@@ -435,10 +445,10 @@ class _PsiRows:
                             and not text.startswith(prefix, end)):
                         known = None
                 if l_text != self.l_text or tok != self.tok:
-                    self.l, self.base = self.row(line_no, l_text, tok)
+                    _, self.slot = self.row(line_no, l_text, tok)
                     self.l_text, self.tok = l_text, tok
-                base = self.base
-                if cells[base : base + width] == blank:
+                slot = self.slot
+                if row_of[slot] < 0 and slot not in begun:
                     if known is None:
                         end = _ROW.match(text, pos).end()
                         body = text[start : end - 1].replace("\n" + prefix, "\n")
@@ -446,8 +456,9 @@ class _PsiRows:
                         if known is None:
                             lines = text[pos:end].splitlines()
                             self.check(lines, line_no)
-                            known = memo[body] = (body, cells[base : base + width], len(lines))
-                    cells[base : base + width] = known[1]
+                            index = interner.intern(begun.pop(slot))
+                            known = memo[body] = (body, index, len(lines))
+                    row_of[slot] = known[1]
                     last[first] = known
                     pos, line_no = end, line_no + known[2]
                     continue
@@ -463,6 +474,9 @@ class _PsiRows:
                 line_no += stop
                 break
             pos, line_no = end, line_no + len(lines)
+        while begun:
+            slot, cells = begun.popitem()
+            row_of[slot] = interner.intern(cells)
         parser.seek(pos, line_no)
 
 
@@ -485,8 +499,7 @@ def parse_bimachine(text: str) -> Bimachine:
     if item and item[1][0] == "psi":
         rows.read(parser)
     parser.finish("psi")
-    psi = PsiTable(alphabet, left.state_count, right.state_count, rows.cells, tuple(rows.ids))
-    return Bimachine(left, right, psi, empty_out, oalphabet)
+    return Bimachine(left, right, rows.table(), empty_out, oalphabet)
 
 
 def load_machine(text: str) -> Transducer | Bimachine:

@@ -20,6 +20,7 @@ from bimlab import (
     Transducer,
     emit_bimachine,
     handcrafted_bimachine,
+    moore_reduce,
     instance_transducer,
     remove_input_epsilons,
     to_bimachine,
@@ -189,3 +190,49 @@ def built(k: int, n: int):
 def reduced_handcrafted_text(k: int, n: int) -> str:
     """Emitted text of a large cell's reduced handcrafted bimachine, built once."""
     return emit_bimachine(handcrafted_bimachine(InstanceParams(k, n)).reduce())
+
+
+def assert_psi_invariants(psi):
+    """A PsiTable's rows are pairwise distinct, none is all undefined, and
+    ``row_of`` uses every one and no other index."""
+    width = psi.right_count
+    assert len(psi.row_of) == psi.left_count * len(psi.alphabet)
+    assert len(psi.rows) == psi.distinct * width
+    rows = [psi.rows[i * width : (i + 1) * width].tolist() for i in range(psi.distinct)]
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert all(max(row) >= 0 for row in rows)
+    assert set(psi.row_of) - {-1} == set(range(len(rows)))
+    assert all(-1 <= v < len(psi.words) for v in psi.rows)
+    assert len(set(psi.words)) == len(psi.words)
+
+
+def reference_reduce(machine):
+    """``Bimachine.reduce`` as it ran over a flat table, recomputed from the
+    table's items: left side first, a left state's signature its run of
+    cells (letter-major, then by right state), a right state's its column
+    (by left state, then by letter), and each block keeping its first
+    state's cells."""
+    for side in ("left", "right"):
+        psi = dict(machine.psi.items())
+        symbols = machine.input_alphabet.symbols
+        lefts, rights = range(machine.left.state_count), range(machine.right.state_count)
+        if side == "left":
+            runs = [tuple(psi.get((l, a, r)) for a in symbols for r in rights) for l in lefts]
+            reduced, block = moore_reduce(machine.left, runs)
+        else:
+            columns = [tuple(psi.get((l, a, r)) for l in lefts for a in symbols) for r in rights]
+            reduced, block = moore_reduce(machine.right, columns)
+        first = {}
+        for q, b in enumerate(block):
+            first.setdefault(b, q)
+        if side == "left":
+            table = {(block[l], a, r): out for (l, a, r), out in psi.items()
+                     if first[block[l]] == l}
+            left, right = reduced, machine.right
+        else:
+            table = {(l, a, block[r]): out for (l, a, r), out in psi.items()
+                     if first[block[r]] == r}
+            left, right = machine.left, reduced
+        machine = Bimachine(left, right, table, machine.empty_word_output,
+                            machine.output_alphabet)
+    return machine

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,10 +11,13 @@ from bimlab import (
     Dfa,
     PreconditionError,
     ResourceLimitError,
+    InstanceParams,
     UnknownSymbolError,
     bimachine,
+    handcrafted_bimachine,
 )
-from helpers import built, random_word, with_psi, words_upto
+from helpers import (assert_psi_invariants, built, random_word, reference_reduce, with_psi,
+                     words_upto)
 
 
 def tiny_bimachine(empty_word_output=None):
@@ -310,3 +315,130 @@ def test_reduce_respects_lower_bound():
     _, _, _, generic, _ = built(2, 2)
     reduced = generic.reduce()
     assert reduced.left.state_count + reduced.right.state_count >= 5
+
+
+def assert_reduces_as_the_reference(machine):
+    assert_psi_invariants(machine.psi)
+    reduced = machine.reduce()
+    assert_psi_invariants(reduced.psi)
+    assert reduced == reference_reduce(machine)
+    # Nothing merges on either side of a reduced machine.
+    assert reduced.reduce() is reduced
+    return reduced
+
+
+GRID = [(k, n) for k in (2, 3) for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("k, n", GRID)
+def test_reduce_matches_the_flat_table_reference_on_the_grid(k, n):
+    _, _, _, generic, handcrafted = built(k, n)
+    for machine in [handcrafted] + ([generic] if n <= 3 else []):
+        reduced = assert_reduces_as_the_reference(machine)
+        assert reference_reduce(reduced) == reduced
+
+
+def test_reduce_matches_the_flat_table_reference_on_raw_3_5():
+    machine = handcrafted_bimachine(InstanceParams(3, 5))
+    assert len(machine.psi) == 503_736 and machine.psi.distinct == 5
+    assert assert_reduces_as_the_reference(machine).psi.distinct == 5
+
+
+def random_table_machines(rng, count):
+    """Random automata and tables over {a, b, c}, whose rows repeat output
+    words: the machines of ``test_random_letter_views_are_the_sorted_ones``."""
+    ab, xy = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
+
+    def dfa():
+        count = rng.randint(1, 6)
+        return Dfa(ab, count, rng.randrange(count),
+                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
+
+    for _ in range(count):
+        left, right = dfa(), dfa()
+        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
+               for r in range(right.state_count) if rng.random() < 0.6}
+        yield Bimachine(left, right, psi, rng.choice([None, ()]), xy)
+
+
+def coloured_machines(rng, count):
+    """Random automata over {a, b, c} whose outputs depend only on the
+    letter and a colour (0 or 1) of each state, so both sides often merge."""
+    ab, xy = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y")]
+    for _ in range(count):
+        left, right = (Dfa(ab, size, rng.randrange(size),
+                           [[rng.randrange(size) for _ in ab] for _ in range(size)])
+                       for size in (rng.randint(1, 6), rng.randint(1, 6)))
+        lc = [rng.randrange(2) for _ in range(left.state_count)]
+        rc = [rng.randrange(2) for _ in range(right.state_count)]
+        psi = {(l, a, r): words[lc[l] + rc[r] + (a == "c")] for l in range(left.state_count)
+               for a in ab for r in range(right.state_count) if lc[l] + rc[r] < 2}
+        yield Bimachine(left, right, psi, None, xy)
+
+
+def test_reduce_matches_the_flat_table_reference_on_random_machines():
+    for machine in random_table_machines(random.Random(29), 60):
+        assert_reduces_as_the_reference(machine)
+    merged = Counter()
+    for machine in coloured_machines(random.Random(31), 60):
+        reduced = assert_reduces_as_the_reference(machine)
+        merged["left"] += reduced.left.state_count < machine.left.state_count
+        merged["right"] += reduced.right.state_count < machine.right.state_count
+    assert min(merged.values()) >= 10
+
+
+def test_reduce_matches_the_flat_table_reference_when_every_row_differs():
+    # Left state 4 copies 3, and right state 5 copies 4 in every row, so
+    # both sides merge although no two rows are equal; a second table leaves
+    # the copies apart, and nothing merges.
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    left = Dfa(ab, 5, 0, ((1, 2), (3, 0), (4, 3), (2, 1), (2, 1)))
+    right = Dfa(ab, 6, 0, ((1, 2), (4, 3), (0, 5), (2, 1), (3, 0), (3, 0)))
+    rng = random.Random(3)
+    words = [(), ("x",), ("y",), ("x", "y")]
+    for copies in (True, False):
+        psi = {}
+        for l in range(5):
+            for pos, a in enumerate("ab"):
+                row = [("x",) * (l * 2 + pos + 1)] + [rng.choice(words) for _ in range(5)]
+                if copies:
+                    row[5] = row[4]
+                for r, out in enumerate(row):
+                    psi[(l, a, r)] = out
+        if copies:
+            psi.update({(4, a, r): psi[(3, a, r)] for a in "ab" for r in range(6)})
+        machine = Bimachine(left, right, psi, None, xy)
+        assert machine.psi.distinct == 8 + 2 * (not copies)
+        reduced = assert_reduces_as_the_reference(machine)
+        assert (reduced.left.state_count, reduced.right.state_count) == (
+            (4, 5) if copies else (5, 6))
+        assert (reduced is machine) == (not copies)
+
+
+def test_a_row_only_a_merged_away_left_state_uses_stays_used():
+    # Left states 1 and 2 are copies, and no other state uses their rows on
+    # b; no word reaches state 2.
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    left = Dfa(ab, 3, 0, ((1, 0), (0, 1), (0, 1)))
+    right = Dfa(ab, 2, 0, ((1, 1), (0, 0)))
+    psi = {(l, "a", r): ("x",) for l in range(3) for r in range(2)}
+    psi.update({(l, "b", 1): ("y", "y") for l in (1, 2)})
+    machine = Bimachine(left, right, psi, None, xy)
+    assert machine.psi.distinct == 2
+    reduced = assert_reduces_as_the_reference(machine)
+    assert reduced.left.state_count == 2 and reduced.psi.distinct == 2
+
+
+def test_building_and_reducing_a_raw_machine_takes_no_flat_table():
+    # Raw (2,8) handcrafted has 511 x 4 x 512 cells; flat, they take 4 MB.
+    tracemalloc.start()
+    try:
+        machine = handcrafted_bimachine(InstanceParams(2, 8))
+        reduced = machine.reduce()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert machine.psi.distinct == reduced.psi.distinct == 4

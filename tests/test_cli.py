@@ -277,6 +277,33 @@ def test_bimachine_with_too_many_psi_cells_is_input_error(tmp_path, capsys):
     assert err.count("psi table of 5000 x 1 x 5000 cells exceeds 16777216") == 2
 
 
+def wide_machine(states):
+    """A bimachine file over one letter with ``states`` states per side and
+    one psi line: a table of states x 1 x states cells."""
+    arcs = {side: "".join(f"{side} {q} a {(q + 1) % states}\n" for q in range(states))
+            for side in ("larc", "rarc")}
+    return (f"bimachine v1\nalphabet a\noalphabet x\nleft states {states} start 0\n"
+            f"{arcs['larc']}right states {states} start 0\n{arcs['rarc']}psi 0 a 0 x\n")
+
+
+def test_a_machine_at_the_psi_cap_reads_in_little_memory(tmp_path, capsys):
+    # 4096 x 1 x 4096 cells is exactly PSI_CAP, declared by a 135 kB file.
+    text = wide_machine(4096)
+    assert len(text) < 140_000
+    tracemalloc.start()
+    try:
+        machine = parse_bimachine(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a flat table alone would take 64 MB
+    assert len(machine.psi) == 1 and machine.psi.distinct == 1
+    wide = tmp_path / "wide.txt"
+    wide.write_text(wide_machine(4097), encoding="utf-8")
+    assert run_cli("eval", "--machine", str(wide), "--word", "a") == 2
+    assert "psi table of 4097 x 1 x 4097 cells exceeds 16777216" in capsys.readouterr().err
+
+
 def test_squared_machine_too_large_is_input_error(tmp_path, capsys):
     states = " ".join(map(str, range(700)))
     machine = tmp_path / "starts.txt"

@@ -25,7 +25,7 @@ from bimlab import (
     word_to_text,
 )
 from bimlab import textfmt
-from helpers import built, random_word, reduced_handcrafted_text
+from helpers import assert_psi_invariants, built, random_word, reduced_handcrafted_text
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -640,6 +640,83 @@ def test_reading_a_large_machine_holds_no_list_of_its_lines():
         tracemalloc.stop()
     # The file has 211,673 lines; a list of them alone takes about 15 MB.
     assert peak < 8 * 10**6
+
+
+@pytest.mark.parametrize("k, n, distinct", [(3, 5, 5), (2, 8, 4)])
+def test_reading_a_reduced_machine_takes_no_flat_table(k, n, distinct):
+    text = reduced_handcrafted_text(k, n)
+    tracemalloc.start()
+    try:
+        machine = load_machine(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Flat, the table of reduced (3,5) takes 1.8 MB and that of (2,8) 3.2 MB.
+    assert peak < 1.5 * 2**20
+    assert machine.psi.distinct == distinct
+    assert_psi_invariants(machine.psi)
+
+
+def shuffled_psi(text):
+    lines = text.splitlines(True)
+    psi = [line for line in lines if line.startswith("psi ")]
+    random.Random(9).shuffle(psi)
+    return "".join(lines[: -len(psi)] + psi)
+
+
+def rows_split_in_two(text):
+    # Each row's first lines first, then the rest of every row.
+    lines, rows = psi_rows(text)
+    firsts = [line for _, _, run in rows for line in run[: len(run) // 2 + 1]]
+    rests = [line for _, _, run in rows for line in run[len(run) // 2 + 1 :]]
+    return "".join(lines[: rows[0][0]] + firsts + rests)
+
+
+PSI_VARIANTS = {
+    "canonical": lambda text: text,
+    "shuffled": shuffled_psi,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "split": rows_split_in_two,
+    "comments": lambda text: text.replace(" -\n", " - # c\n"),
+}
+
+
+@pytest.mark.parametrize("block", [1, textfmt._BLOCK])
+@pytest.mark.parametrize("variant", PSI_VARIANTS)
+def test_parsed_tables_keep_the_row_invariants(variant, block, monkeypatch):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    _, _, _, generic, handcrafted = built(2, 3)
+    for machine in (handcrafted.reduce(), handcrafted, generic):
+        canonical = emit_bimachine(machine)
+        text = PSI_VARIANTS[variant](canonical)
+        parsed = parse_bimachine(text)
+        assert_psi_invariants(parsed.psi)
+        assert parsed.psi.distinct == machine.psi.distinct
+        assert parsed == machine and emit_bimachine(parsed) == canonical
+
+
+def row_begun_by_the_checked_loop(lines, rows):
+    # As row_begun, but the line has a comment, so the checked loop begins
+    # row 7 from blank, and the run that repeats row 6 must not replace it.
+    at, head, run = rows[7]
+    lines.insert(rows[0][0], head + "1 - # begun\n")
+
+
+@pytest.mark.parametrize("block", [1, textfmt._BLOCK])
+@pytest.mark.parametrize("change", [longer_run, last_byte_changed, alternating_bodies,
+                                    row_begun, row_begun_duplicate,
+                                    row_begun_by_the_checked_loop])
+def test_changed_runs_parse_to_tables_with_the_row_invariants(change, block, monkeypatch):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    lines, rows = psi_rows(emit_bimachine(built(2, 3)[4].reduce()))
+    change(lines, rows)
+    text = "".join(lines)
+    read = outcome(text)
+    if not isinstance(read, str):
+        assert_psi_invariants(parse_bimachine(text).psi)
+    # With no canonical run found, every psi line goes through the checked loop.
+    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
+    assert read == outcome(text)
 
 
 # Tokens the format can carry, some of which look like its own syntax.
