@@ -54,7 +54,7 @@ def build_psi(
     co-accessible subset. No matching transition means undefined."""
     arcs = t._letter_arcs
     alphabet, right_count = t.input_alphabet, len(right_subsets)
-    table = RowInterner(alphabet, len(left_lists), right_count)
+    interner = RowInterner(alphabet, len(left_lists), right_count)
     holders: dict[int, list[int]] = {}  # transducer state -> right states holding it
     for r_id, subset in enumerate(right_subsets):
         for d in subset:
@@ -72,9 +72,9 @@ def build_psi(
                             if word_id is None:
                                 word_id = ids.setdefault(w, len(ids))
                             row[r_id] = word_id
-            table.row_of[slot] = table.intern(array("i", row))
+            interner.row_of[slot] = interner.intern(array("i", row))
             slot += 1
-    return table.table(tuple(ids))
+    return interner.table(tuple(ids))
 
 
 def to_bimachine(t: Transducer, state_cap: int = STATE_CAP) -> Bimachine:

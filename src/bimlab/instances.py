@@ -185,18 +185,19 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
                       for rs in right_states)
         for i in params.first_half for tok in params.second_half
     }
-    table = RowInterner(sigma, left.state_count, right.state_count)
-    inside_first, inside_second = table.intern(inside_first), table.intern(inside_second)
-    boundary = {key: table.intern(row) for key, row in boundary.items()}
+    interner = RowInterner(sigma, left.state_count, right.state_count)
+    row_of = interner.row_of
+    inside_first, inside_second = interner.intern(inside_first), interner.intern(inside_second)
+    boundary = {key: interner.intern(row) for key, row in boundary.items()}
     slot = 0
     for ls in left_states:
         for tok in sigma.symbols:
             if ls[0] == "first":
                 if tok in first:
-                    table.row_of[slot] = inside_first
+                    row_of[slot] = inside_first
                 elif len(ls[1]) == n:
-                    table.row_of[slot] = boundary[(ls[1][0], tok)]
+                    row_of[slot] = boundary[(ls[1][0], tok)]
             elif ls[0] == "second" and tok not in first:
-                table.row_of[slot] = inside_second
+                row_of[slot] = inside_second
             slot += 1
-    return Bimachine(left, right, table.table(tuple(ids)), None, sigma)
+    return Bimachine(left, right, interner.table(tuple(ids)), None, sigma)

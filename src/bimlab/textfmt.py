@@ -335,8 +335,10 @@ class _PsiRows:
     whose body (its text with the "psi <left> <token> " prefixes removed)
     equals that of a run already read into a blank row, and whose own row is
     blank too. A row is blank when its index is -1 and it is not begun. That
-    run's row gets the earlier run's row index. The earlier run interned its
-    words, so the output ids are those a line-by-line read gives.
+    run's row gets the earlier run's row index: a run read into a blank row
+    is interned as soon as it is read, so that its body can be remembered
+    with its index. The earlier run interned its words, so the output ids
+    are those a line-by-line read gives.
 
     A run is found by a scan with ``_ROW``, but the run that repeats the last
     body read with the same first line is found without one: the text from
@@ -380,6 +382,7 @@ class _PsiRows:
         return cells
 
     def table(self) -> PsiTable:
+        """The table read."""
         return self.interner.table(tuple(self.ids))
 
     def check(self, lines: list[str], first: int) -> int | None:
