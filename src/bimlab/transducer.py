@@ -3,16 +3,17 @@
 Arcs carry a single input letter (or epsilon) and an output word; the machine
 recognizes a relation between input and output words via accepting paths. The
 module provides relation/function evaluation, epsilon-input removal, trimming,
-and one delay search, a single forward pass over the product of two
-letter-input machines, which runs both the exact functionality test and the
-exact equivalence test.
+and one delay search, a single forward pass over a product of two machines,
+which runs both the exact functionality test and the exact equivalence test.
+The equivalence test reads a bimachine straight from its psi rows, both for
+its domain and, against a transducer, for the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DivergingRelationError,
@@ -22,6 +23,13 @@ from .errors import (
 )
 from .bimachine import Bimachine
 from .fsm import EDGE_CAP, STATE_CAP, Alphabet, LetterMachine, Nfa, Word, explore
+
+
+# successors(pair, spend) of a product: see ``_delay_search``.
+Successors = Callable[[int, Callable[[int], None]],
+                      Iterable[tuple[Hashable, int, Iterable[tuple[int, int, bool]]]]]
+# What ``_delay_search`` runs on: start pairs, successors and output words.
+Product = tuple[Iterable[int], Successors, tuple[Word, ...]]
 
 
 class Arc(NamedTuple):
@@ -144,7 +152,8 @@ class Transducer:
     def _functionality(self) -> FunctionalityReport:
         """What ``check_functional`` reports."""
         m = self.letter_machine()
-        words, _ = _delay_search(m, m, "functionality check")
+        starts, successors, outputs = _letter_product(m, m)
+        words, _ = _delay_search(starts, successors, "functionality check", outputs)
         if not words:
             return FunctionalityReport(True)
         for word in words:
@@ -304,152 +313,199 @@ def _word_to(parents: dict[int, tuple[int, str] | None], pair: int) -> Word:
     return tuple(reversed(toks))
 
 
-def _delay_search(x: LetterMachine, y: LetterMachine, what: str,
-                  fit: tuple[int, int, Sequence[Container[int]]] | None = None,
-                  ) -> tuple[list[Word], int]:
-    """Look for two accepting paths, one in ``x`` and one in ``y``, that read
-    the same word and emit different outputs.
+def _delay_search(starts: Iterable[int], successors: Successors, what: str,
+                  words: Sequence[Word]) -> tuple[list[Word], int]:
+    """Look for two accepting paths, one in each machine of a product, that
+    read the same word and emit different outputs.
 
-    One breadth-first pass runs over the input-synchronized product, whose
-    pairs are ids ``p * y.state_count + q``; two arcs pair up when they carry
-    the same label, so the words found are words of labels. The pass keeps,
-    for every pair reached from the pairs of initial states, its parent and
-    the two outstanding outputs with their common prefix cancelled (the
-    delay). A final pair reached with a nonzero delay shows such paths exist.
-    So does a conflict, a pair reached with two different delays or a delay
-    with both sides outstanding, but only if a final pair can be reached from
-    it: a shortest forward search from the conflict checks that and gives the
-    continuation. A failed search puts every pair it met into one shared dead
-    set, so the failed searches together scan each pair at most once. Every
-    pair reachable from a dead pair is dead, and no delay at a dead pair can
-    matter, so an edge into one builds no delay. Dead pairs never pass a delay
-    on to a live pair (one that can reach a final pair), because every
-    reached predecessor of a live pair is live. On a witness the pass stops and
-    returns the words that can show it; the caller checks which one does.
-    Otherwise the list is empty. The second value counts the pairs reached
-    by then. No edge is stored: the searches read the arcs again.
+    The product is given by its sorted ``starts``, its pair ids, and by
+    ``successors(pair, spend)``. That yields the pair's edges in groups
+    ``(label, base, edges)``, one group per label with edges, in the order
+    the search walks them. Each edge is ``(w, offset, final)``: it leads to
+    pair ``base + offset``, which is a final pair when ``final`` is true,
+    and ``w = w1 * len(words) + w2`` names its two outputs, indices into
+    ``words``, where ``words[0]`` is the empty word. Before ``successors``
+    scans anything it calls ``spend(n)`` with the number of arc pairs it is
+    about to examine; ``spend`` raises ResourceLimitError past the cap. The
+    words found are words of labels.
 
-    ``fit``, when given, is ``(xmod, ymod, allowed)``: the pair of states
-    ``p`` and ``q`` fits when ``q % ymod in allowed[p % xmod]``. It must hold
-    for every live pair (``_suffix_filter`` builds one that does). The start
-    pairs and the edges are then kept only where their pair fits, so only
-    dead pairs are left out: the live pairs are reached in the same order,
-    with the same parents, delays, conflicts and continuations, and only the
-    count of reached pairs falls.
+    One breadth-first pass keeps, for every pair reached from the start
+    pairs, its parent and the two outstanding outputs with their common
+    prefix cancelled (the delay). A final pair reached with a nonzero delay
+    shows such paths exist. So does a conflict, a pair reached with two
+    different delays or a delay with both sides outstanding, but only if a
+    final pair can be reached from it: a shortest forward search from the
+    conflict checks that and gives the continuation. A failed search puts
+    every pair it met into one shared dead set, so the failed searches
+    together scan each pair at most once. Every pair reachable from a dead
+    pair is dead, and no delay at a dead pair can matter, so an edge into
+    one builds no delay. Dead pairs never pass a delay on to a live pair
+    (one that can reach a final pair), because every reached predecessor of
+    a live pair is live. On a witness the pass stops and returns the words
+    that can show it; the caller checks which one does. Otherwise the list
+    is empty. The second value counts the pairs reached by then.
 
-    The cap is one rule, the same for every alphabet: the search holds at
-    most STATE_CAP pairs and delay tokens together, and the pass and the
-    continuation searches together examine at most EDGE_CAP edges. An edge
-    is one pair of arcs with the same label, counted whether or not it fits.
-    The start pairs are counted before any is built, each pair's edges
-    before they are scanned and each delay before it is stored. More raise
-    ResourceLimitError. The largest product of the experiment grid, reduced
-    (3,4) handcrafted against its transducer, holds 7,277 pairs and 13,122
-    delay tokens and examines 103,800 edges, of which 41,592 fit (16,635
-    pairs, 14,040 tokens and 105,348 edges unpruned).
+    Delays are interned: each distinct delay gets a small integer, and the
+    step from a delay over an edge's two outputs to the next delay (or a
+    conflict) is computed once and remembered. No edge is stored here; the
+    continuation searches ask ``successors`` again.
+
+    The cap is one rule, the same for every alphabet. The search holds at
+    most STATE_CAP pairs and delay tokens together, and its distinct delays
+    hold at most STATE_CAP tokens. The pass and the continuation searches
+    together examine at most EDGE_CAP arc pairs: an arc pair counts when
+    ``successors`` scans it to build a group of edges (a group counts at
+    least 1), and an edge counts each time it is walked. The start pairs
+    are counted as they are taken, each group before it is scanned and each
+    delay before it is stored. More raise ResourceLimitError. So on an
+    untrusted file the search takes at most EDGE_CAP steps over arc pairs,
+    besides one look at each letter of each reached pair (at most
+    STATE_CAP of them) and, in ``_row_product``, one pass over a psi row's
+    cells per letter it is read on. The largest product of the experiment
+    grid, reduced (3,4) handcrafted against its transducer, holds 7,277
+    pairs and 13,122 delay tokens and examines 46,122 arc pairs: 4,530 to
+    build 1,377 groups and 41,592 edges walked (over the unpruned letter
+    views: 16,635 pairs, 14,040 tokens and 105,348 arc pairs). Raw (3,4)
+    handcrafted against the same transducer examines 63,132 in 7,493 pairs.
     """
-    width = y.state_count
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
-    if len(x.initial) * len(y.initial) > STATE_CAP:
-        raise ResourceLimitError(too_large)
-    xarcs, yarcs, xfinal, yfinal = x.arcs, y.arcs, x.final, y.final
-    xmod, ymod, allowed = fit or (1, 1, ({0},))  # without a fit, every pair fits
     budget = EDGE_CAP
+
+    def spend(n: int) -> None:
+        nonlocal budget
+        budget -= n
+        if budget < 0:
+            raise ResourceLimitError(too_large)
+
     dead: set[int] = set()
 
-    def continuation(start: int) -> Word | None:
+    def continuation(start: int, start_final: bool) -> Word | None:
         """The shortest word from ``start`` to a final pair, or None when
         there is none; then every pair met is dead."""
-        nonlocal budget
+        if start_final:
+            return ()
         back: dict[int, tuple[int, str] | None] = {start: None}
         queue = [start]
         for pair in queue:
-            p, q = divmod(pair, width)
-            if p in xfinal and q in yfinal:
-                return _word_to(back, pair)
-            xout = xarcs.get(p)
-            yout = xout and yarcs.get(q)
-            if not yout:
-                continue
-            for tok, left in xout.items():
-                right = yout.get(tok)
-                if not right:
-                    continue
-                budget -= len(left) * len(right)
-                if budget < 0:
-                    raise ResourceLimitError(too_large)
-                for _, d1 in left:
-                    base = d1 * width
-                    fits = allowed[d1 % xmod]
-                    for _, d2 in right:
-                        if d2 % ymod not in fits:
-                            continue
-                        nxt = base + d2
-                        if nxt not in back and nxt not in dead:
-                            if len(queue) >= STATE_CAP:
-                                raise ResourceLimitError(too_large)
-                            back[nxt] = (pair, tok)
-                            queue.append(nxt)
+            for tok, base, edges in successors(pair, spend):
+                for _, offset, final in edges:
+                    nxt = base + offset
+                    if nxt not in back and nxt not in dead:
+                        if len(queue) >= STATE_CAP:
+                            raise ResourceLimitError(too_large)
+                        back[nxt] = (pair, tok)
+                        if final:
+                            return _word_to(back, nxt)
+                        queue.append(nxt)
         dead.update(queue)
         return None
 
-    empty = ((), ())
-    starts = sorted({p * width + q for p in x.initial for q in y.initial
-                     if q % ymod in allowed[p % xmod]})
-    delays: dict[int, tuple[Word, Word]] = dict.fromkeys(starts, empty)
-    parents: dict[int, tuple[int, str] | None] = dict.fromkeys(starts)
-    order = list(starts)  # the queue: it grows while it is walked
+    order: list[int] = []  # the queue: it grows while it is walked
+    for pair in starts:
+        if len(order) >= STATE_CAP:
+            raise ResourceLimitError(too_large)
+        order.append(pair)
+    delays: dict[int, int] = dict.fromkeys(order, 0)
+    parents: dict[int, tuple[int, str] | None] = dict.fromkeys(order)
     held = len(order)  # pairs, and the tokens of their delays
+
+    # Delay d is table[d]; 0 is the empty delay. tokens[d] counts its
+    # tokens, and split[d] tells a conflict: both sides outstanding.
+    table: list[tuple[Word, Word]] = [((), ())]
+    ids = {table[0]: 0}
+    tokens, split = [0], [False]
+    interned = 0
+    span = len(words)
+    area = span * span
+    steps: dict[int, int] = {}  # d * area + w -> the next delay
+
+    def step(d: int, w: int) -> int:
+        nonlocal interned
+        w1, w2 = divmod(w, span)
+        u, v = table[d]
+        u, v = u + words[w1], v + words[w2]
+        if u and v:
+            u, v = _strip_common_prefix(u, v)
+        nxt = ids.get((u, v))
+        if nxt is None:
+            interned += len(u) + len(v)
+            if interned > STATE_CAP:
+                raise ResourceLimitError(too_large)
+            nxt = ids[u, v] = len(table)
+            table.append((u, v))
+            tokens.append(len(u) + len(v))
+            split.append(bool(u and v))
+        steps[d * area + w] = nxt
+        return nxt
+
     for pair in order:
+        d = delays[pair]
+        key = d * area
+        for tok, base, edges in successors(pair, spend):
+            for w, offset, final in edges:
+                nxt = base + offset
+                if nxt in dead:  # no delay there can matter
+                    delay = 0
+                elif w:
+                    delay = steps.get(key + w)
+                    if delay is None:
+                        delay = step(d, w)
+                    if split[delay]:
+                        z = continuation(nxt, final)
+                        if z is not None:
+                            return [_word_to(parents, pair) + (tok,) + z], len(order)
+                else:
+                    delay = d
+                if delay and final:
+                    return [_word_to(parents, pair) + (tok,)], len(order)
+                seen = delays.get(nxt)
+                if seen is None:
+                    held += 1 + tokens[delay]
+                    if held > STATE_CAP:
+                        raise ResourceLimitError(too_large)
+                    delays[nxt] = delay
+                    parents[nxt] = (pair, tok)
+                    order.append(nxt)
+                elif seen != delay and nxt not in dead:
+                    z = continuation(nxt, final)
+                    if z is not None:
+                        words_found = [_word_to(parents, pair) + (tok,) + z,
+                                       _word_to(parents, nxt) + z]
+                        return words_found, len(order)
+    return [], len(order)
+
+
+def _letter_product(x: LetterMachine, y: LetterMachine) -> Product:
+    """The product of two letter machines as ``_delay_search`` reads it:
+    pair ``p * y.state_count + q``, and every two arcs with one label from
+    ``p`` and ``q`` an edge, in ``x``'s label order and then each machine's
+    arc order. The start pairs are the pairs of initial states."""
+    index: dict[Word, int] = {(): 0}
+
+    def interned(m: LetterMachine):
+        return {p: {label: [(index.setdefault(out, len(index)), t) for out, t in arcs]
+                    for label, arcs in labels.items()}
+                for p, labels in m.arcs.items()}
+
+    xarcs = interned(x)
+    yarcs = xarcs if y is x else interned(y)
+    width, span, xfinal, yfinal = y.state_count, len(index), x.final, y.final
+
+    def successors(pair: int, spend: Callable[[int], None]):
         p, q = divmod(pair, width)
         xout = xarcs.get(p)
         yout = xout and yarcs.get(q)
         if not yout:
-            continue
-        d1, d2 = delays[pair]
+            return
         for tok, left in xout.items():
             right = yout.get(tok)
-            if not right:
-                continue
-            budget -= len(left) * len(right)
-            if budget < 0:
-                raise ResourceLimitError(too_large)
-            for w1, t1 in left:
-                base = t1 * width
-                fits = allowed[t1 % xmod]
-                for w2, t2 in right:
-                    if t2 % ymod not in fits:
-                        continue
-                    nxt = base + t2
-                    if nxt in dead:  # no delay there can matter
-                        delay = empty
-                    elif w1 or w2:
-                        u, v = d1 + w1, d2 + w2
-                        if u and v:
-                            u, v = _strip_common_prefix(u, v)
-                            if u and v:
-                                z = continuation(nxt)
-                                if z is not None:
-                                    return [_word_to(parents, pair) + (tok,) + z], len(order)
-                        delay = (u, v)
-                    else:
-                        delay = (d1, d2)
-                    if delay != empty and t1 in xfinal and t2 in yfinal:
-                        return [_word_to(parents, pair) + (tok,)], len(order)
-                    seen = delays.get(nxt)
-                    if seen is None:
-                        held += 1 + len(delay[0]) + len(delay[1])
-                        if held > STATE_CAP:
-                            raise ResourceLimitError(too_large)
-                        delays[nxt] = delay
-                        parents[nxt] = (pair, tok)
-                        order.append(nxt)
-                    elif seen != delay and nxt not in dead:
-                        z = continuation(nxt)
-                        if z is not None:
-                            words = [_word_to(parents, pair) + (tok,) + z, _word_to(parents, nxt) + z]
-                            return words, len(order)
-    return [], len(order)
+            if right:
+                spend(len(left) * len(right))
+                yield tok, 0, [(w1 * span + w2, t1 * width + t2, t1 in xfinal and t2 in yfinal)
+                               for w1, t1 in left for w2, t2 in right]
+
+    starts = (p * width + q for p in sorted(set(x.initial)) for q in sorted(set(y.initial)))
+    return starts, successors, tuple(index)
 
 
 def check_functional(t: Transducer) -> FunctionalityReport:
@@ -463,33 +519,75 @@ def check_functional(t: Transducer) -> FunctionalityReport:
     return t._functionality
 
 
-def _domain_difference(x: LetterMachine, y: LetterMachine) -> Word | None:
+def _subsets(m) -> tuple[Hashable, Callable[[Hashable, str], Hashable],
+                        Callable[[Hashable], bool], Word | None]:
+    """The subset automaton of ``m``, a letter-input transducer or a
+    bimachine: its start subset, its step on a letter, whether a subset
+    accepts, and the output at the empty word.
+
+    A transducer's subset is the set of states a prefix reaches. A
+    bimachine's is ``(l, rs)``: the left state the prefix reaches, and the
+    right states ``r`` (guesses of the suffix behind it) at which the
+    prefix's outputs are all defined. It is stepped straight from the psi
+    rows: on letter ``a`` from left state ``l``, ``r'`` stays when ``psi(l,
+    a, r')`` is defined and ``δR(r', a)`` is in ``rs``. A prefix is in the
+    domain when ``R.start`` is in ``rs``. Every empty subset is one state.
+    """
+    if isinstance(m, Transducer):
+        arcs, final = m._letter_arcs, m.final
+
+        def step(subset: frozenset[int], tok: str) -> frozenset[int]:
+            return frozenset(d for q in subset for _, d in arcs.get((q, tok), ()))
+
+        empty = () if m.initial & final else None
+        return frozenset(m.initial), step, lambda subset: not subset.isdisjoint(final), empty
+    symbols, right = m.input_alphabet.symbols, m.right
+    letters, position = len(symbols), {tok: pos for pos, tok in enumerate(symbols)}
+    row_of, left_delta = m.psi.row_of, m.left.delta
+    defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
+    into = [[row[c] for row in right.delta] for c in map(right.alphabet.index, symbols)]
+    nowhere = (-1, frozenset())
+
+    def row_step(subset: tuple[int, frozenset[int]], tok: str) -> tuple[int, frozenset[int]]:
+        l, rs = subset
+        if rs:
+            pos = position[tok]
+            i = row_of[l * letters + pos]
+            if i >= 0:
+                to = into[pos]
+                rs = frozenset(r for r in defined[i] if to[r] in rs)
+                if rs:
+                    return left_delta[l][pos], rs
+        return nowhere
+
+    start = (m.left.start, frozenset(range(right.state_count)))
+    return start, row_step, lambda subset: right.start in subset[1], m.empty_word_output
+
+
+def _domain_difference(x, y) -> Word | None:
     """The length-lex least word on which exactly one machine is defined, or
-    the empty word when the two disagree there. Runs the subset construction
-    of both machines side by side, breadth-first in alphabet order."""
-    if x.empty_output != y.empty_output:
+    the empty word when the two disagree there. Runs the subset automata of
+    both machines (``_subsets``) side by side, breadth-first in alphabet
+    order."""
+    (xstart, xstep, xaccepts, xempty), (ystart, ystep, yaccepts, yempty) = _subsets(x), _subsets(y)
+    if xempty != yempty:
         return ()
 
-    no_arcs: dict = {}
-
     def step(state, tok: str):
-        subsets = (frozenset(x.initial), frozenset(y.initial)) if state is None else state
-        return tuple(
-            frozenset(d for q in subset for _, d in m.arcs.get(q, no_arcs).get(tok, ()))
-            for m, subset in zip((x, y), subsets)
-        )
+        sx, sy = (xstart, ystart) if state is None else state
+        return xstep(sx, tok), ystep(sy, tok)
 
-    # A start of its own keeps the empty word, which the letter machines do
+    # A start of its own keeps the empty word, which the subset automata do
     # not read, apart from every word that returns to the start subsets.
-    dfa, states = explore(x.alphabet, None, step)
+    dfa, states = explore(x.input_alphabet, None, step)
     for target in range(1, dfa.state_count):
         sx, sy = states[target]
-        if sx.isdisjoint(x.final) != sy.isdisjoint(y.final):
+        if xaccepts(sx) != yaccepts(sy):
             # Breadth-first: the first (state, letter) leading to a state
             # is its parent.
             parent: dict[int, tuple[int, str]] = {}
             for src, row in enumerate(dfa.delta):
-                for tok, dst in zip(x.alphabet.symbols, row):
+                for tok, dst in zip(dfa.alphabet.symbols, row):
                     parent.setdefault(dst, (src, tok))
             word = []
             while target:
@@ -507,21 +605,25 @@ def _letter_input(machine):
 
 
 def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
-    """The ``fit`` of ``_delay_search`` for the views of ``x`` and ``y``
-    when one is a bimachine and the other a letter-input transducer, else
-    None. None too when the fitting pairs below number more than STATE_CAP:
-    the search then runs unpruned.
+    """The pairs of a right state and a transducer state that fit, when one
+    of ``x`` and ``y`` is a bimachine and the other a letter-input
+    transducer, else None: ``(xmod, ymod, fits)``, where the states of
+    ``x``'s kind (right states or transducer states) number ``xmod``, those
+    of ``y``'s kind ``ymod``, and ``fits[s]`` holds the ``y``-kind states
+    that fit ``x``-kind state ``s``. ``_row_product`` enters only pairs that
+    fit. None too when the fitting pairs number more than STATE_CAP: the
+    search then runs unpruned, over the two letter views.
 
-    A view state ``(l, r)`` of the bimachine accepts only suffixes whose
-    reversal takes its right automaton R to ``r``, and a transducer state
-    ``q`` only suffixes it can read to acceptance. They fit when one suffix
-    does both, which is when ``(r, q)`` is reached from ``(R.start, f)``,
-    ``f`` final, by reading the suffix backwards: R steps forward on each
-    letter while the transducer steps back along an arc that reads it. The
-    ``q`` that fit an ``r`` are the union of the co-accessible subsets
-    (``construct.build_right_automaton``) that R meets in ``r``, but they
-    are found without that subset construction, in at most ``|R| * |Q|``
-    pairs.
+    A bimachine state ``(l, r)``, a left state with a guessed right state,
+    accepts only suffixes whose reversal takes its right automaton R to
+    ``r``, and a transducer state ``q`` only suffixes it can read to
+    acceptance. They fit when one suffix does both, which is when ``(r, q)``
+    is reached from ``(R.start, f)``, ``f`` final, by reading the suffix
+    backwards: R steps forward on each letter while the transducer steps
+    back along an arc that reads it. The ``q`` that fit an ``r`` are the
+    union of the co-accessible subsets (``construct.build_right_automaton``)
+    that R meets in ``r``, but they are found without that subset
+    construction, in at most ``|R| * |Q|`` pairs.
     """
     if isinstance(x, Bimachine) == isinstance(y, Bimachine):
         return None
@@ -552,22 +654,151 @@ def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
     return (width, count, fits) if b is x else (count, width, fits)
 
 
+def _row_product(x, y, fit: tuple[int, int, list[set[int]]]) -> Product:
+    """The product of a bimachine and a letter-input transducer, one of them
+    ``x`` and the other ``y``, as ``_delay_search`` reads it, straight from
+    the bimachine's psi rows; ``fit`` is ``_suffix_filter(x, y)``.
+
+    A bimachine state is ``(l, r)``: left state ``l``, and right state
+    ``r`` guessed for the unread suffix. Its id is ``l * |R| + r``, and a
+    pair's id is ``s * |y| + q`` as in the product of the two machines'
+    letter views. On letter ``a`` the bimachine steps to ``(δL(l, a), r')``
+    for each ``r'`` with ``δR(r', a) = r`` where ``psi(l, a, r')`` is
+    defined, and emits that output. Only pairs whose right state and
+    transducer state fit are started or entered. Once the domains are
+    equal, a reached pair that fits is live (it can reach a final pair), so
+    the search meets the same pairs in the same order, with the same
+    delays, as over the letter view, whose trim is not needed here.
+
+    A pair's edges on a letter depend only on its psi row, the letter,
+    ``r`` and the transducer state, up to the base that ``δL(l, a)`` adds to
+    their targets, so each such group is built once. It pairs the
+    bimachine's arcs, in (output, target) order, with the transducer's, in
+    its own order, the arcs of ``x`` outside, and keeps the pairs whose
+    targets fit. Arcs into a right state or a transducer state that fits
+    nothing are dropped before the pairing. Building a group spends the arc
+    pairs it scans, at least 1; walking it spends its edges.
+    """
+    b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
+    bimachine_first = b is x
+    _, _, fits = fit
+    if bimachine_first:
+        fitting_r, fitting_q = {r for r, qs in enumerate(fits) if qs}, set().union(*fits)
+    else:
+        fitting_q, fitting_r = {q for q, rs in enumerate(fits) if rs}, set().union(*fits)
+    psi, right, left_delta = b.psi, b.right, b.left.delta
+    symbols = b.input_alphabet.symbols
+    letters, width, count = len(symbols), right.state_count, t.state_count
+    states = b.left.state_count * width
+    row_of, rows, rstart, tfinal = psi.row_of, psi.rows, right.start, t.final
+
+    index: dict[Word, int] = {(): 0}
+    ids = [index.setdefault(w, len(index)) for w in psi.words]
+    # A bimachine arc sorts by (output, target), which is rank * |R| + r'.
+    keyed = [0] * len(psi.words)
+    for k, v in enumerate(sorted(range(len(psi.words)), key=psi.words.__getitem__)):
+        keyed[v] = k * width
+    # tarcs[q]: (letter position, letter, arcs) for each letter q reads,
+    # in alphabet order; an arc is (output id, target).
+    position = {tok: pos for pos, tok in enumerate(symbols)}
+    tarcs: list[list[tuple[int, str, list[tuple[int, int]]]]] = [[] for _ in range(count)]
+    for (q, tok), arcs in t._letter_arcs.items():
+        own = [(index.setdefault(out, len(index)), d) for out, d in arcs if d in fitting_q]
+        if own:
+            tarcs[q].append((position[tok], tok, own))
+    for by_letter in tarcs:
+        by_letter.sort()
+    span = len(index)
+
+    # sources[pos][r]: the r' with δR(r', a) = r that fit, ascending.
+    sources: list[list[list[int]]] = []
+    for c in map(right.alphabet.index, symbols):
+        by_target: list[list[int]] = [[] for _ in range(width)]
+        for r2, row in enumerate(right.delta):
+            if r2 in fitting_r:
+                by_target[row[c]].append(r2)
+        sources.append(by_target)
+    barcs: dict[int, list[tuple[int, int]]] = {}
+    groups: dict[int, list[tuple[int, int, bool]]] = {}
+
+    def bimachine_arcs(i: int, pos: int, r: int) -> list[tuple[int, int]]:
+        """The (output id, r') arcs of row ``i`` on letter ``pos`` from right
+        state ``r``, in (output, target) order."""
+        key = (i * letters + pos) * width + r
+        arcs = barcs.get(key)
+        if arcs is None:
+            base = i * width
+            found = sorted((keyed[v] + r2, v) for r2 in sources[pos][r]
+                           for v in (rows[base + r2],) if v >= 0)
+            arcs = barcs[key] = [(ids[v], k % width) for k, v in found]
+        return arcs
+
+    def build(i: int, pos: int, r: int, own: list[tuple[int, int]],
+              spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
+        arcs = bimachine_arcs(i, pos, r)
+        spend(max(1, len(arcs) * len(own)))
+        if bimachine_first:
+            return [(w1 * span + w2, r2 * count + t2, r2 == rstart and t2 in tfinal)
+                    for w1, r2 in arcs for fitting in (fits[r2],)
+                    for w2, t2 in own if t2 in fitting]
+        return [(w1 * span + w2, t1 * states + r2, r2 == rstart and t1 in tfinal)
+                for w1, t1 in own for fitting in (fits[t1],)
+                for w2, r2 in arcs if r2 in fitting]
+
+    scale = width * count if bimachine_first else width
+
+    def successors(pair: int, spend: Callable[[int], None]):
+        if bimachine_first:
+            s, q = divmod(pair, count)
+        else:
+            q, s = divmod(pair, states)
+        l, r = divmod(s, width)
+        slot, to = l * letters, left_delta[l]
+        for pos, tok, own in tarcs[q]:
+            i = row_of[slot + pos]
+            if i < 0:
+                continue
+            key = ((i * letters + pos) * width + r) * count + q
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = build(i, pos, r, own, spend)
+            if group:
+                spend(len(group))
+                yield tok, to[pos] * scale, group
+
+    lstart = b.left.start * width
+    initial = sorted(t.initial)
+    if bimachine_first:
+        starts = [(lstart + r) * count + q for r in range(width) for q in initial
+                  if q in fits[r]]
+    else:
+        starts = [q * states + lstart + r for q in initial for r in range(width)
+                  if r in fits[q]]
+    return starts, successors, tuple(index)
+
+
 def _compare(x, y) -> tuple[Word | None, int]:
     """``equivalent``, together with the number of product pairs its delay
     search reached before it stopped (0 when the domains already differ).
     ``bimlab equiv`` prints that number when the machines are equivalent."""
     lx, ly = _letter_input(x), _letter_input(y)
-    mx, my = lx.letter_machine(), ly.letter_machine()
-    if mx.alphabet.symbols != my.alphabet.symbols:
+    if lx.input_alphabet.symbols != ly.input_alphabet.symbols:
         raise ValueError("machines have different input alphabets")
-    word = _domain_difference(mx, my)
+    word = _domain_difference(lx, ly)
     if word is not None:
         words, pairs = [word], 0
     elif isinstance(x, Bimachine) and isinstance(y, Bimachine):
-        labelled, pairs = _delay_search(*x.paired_letter_machines(y), "equivalence check")
+        starts, successors, outputs = _letter_product(*x.paired_letter_machines(y))
+        labelled, pairs = _delay_search(starts, successors, "equivalence check", outputs)
         words = [tuple(label[0] for label in word) for word in labelled]
     else:
-        words, pairs = _delay_search(mx, my, "equivalence check", _suffix_filter(lx, ly))
+        fit = _suffix_filter(lx, ly)
+        if fit is None:
+            product = _letter_product(lx.letter_machine(), ly.letter_machine())
+        else:
+            product = _row_product(lx, ly, fit)
+        starts, successors, outputs = product
+        words, pairs = _delay_search(starts, successors, "equivalence check", outputs)
     for word in words:
         if x.evaluate(word) != y.evaluate(word):
             return word, pairs
@@ -581,17 +812,20 @@ def equivalent(x, y) -> Word | None:
     None when they compute the same partial function, else a word on which
     they differ.
 
-    Two checks run. The domains are compared first, and a difference there
-    yields the length-lex least word (in ``x``'s alphabet order) on which
-    exactly one machine is defined. On the common domain the delay search
-    then pairs each accepting path of ``x`` with each of ``y`` on the same
-    word; a word it yields comes from its breadth-first search trees and
-    need not be the least. Two bimachines enter that search as their
+    Two checks run. The domains are compared first, by the two machines'
+    subset automata side by side (a bimachine's is stepped straight from
+    its psi rows, ``_subsets``), and a difference there yields the
+    length-lex least word (in ``x``'s alphabet order) on which exactly one
+    machine is defined. On the common domain the delay search then pairs
+    each accepting path of ``x`` with each of ``y`` on the same word; a word
+    it yields comes from its breadth-first search trees and need not be the
+    least. Two bimachines enter that search as their
     ``paired_letter_machines``, so that both guess the same suffix. A
-    bimachine and a transducer enter it as their letter views, and the
-    search leaves out every pair whose two states cannot accept a common
-    suffix (``_suffix_filter``). Every returned word is checked with both
-    machines' ``evaluate``.
+    bimachine meets a transducer straight from its psi rows
+    (``_row_product``), only in pairs of states that can accept a common
+    suffix (``_suffix_filter``); when more than STATE_CAP pairs fit, both
+    enter as their letter views, unpruned. Every returned word is checked
+    with both machines' ``evaluate``.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when

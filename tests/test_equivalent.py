@@ -68,9 +68,9 @@ def test_every_grid_machine_is_equivalent_to_its_transducer(k, n):
     for raw in (generic, handcrafted):
         reduced = raw.reduce()
         assert equivalent(reduced, prepared) is None
-        # Raw (3,4) handcrafted against the transducer is over the edge cap
-        # (213,798 edges, 55,362 of which fit); against its reduced machine
-        # it is not.
+        # Raw (3,4) handcrafted against the transducer examines 63,132 arc
+        # pairs in 7,493 pairs.
+        assert equivalent(raw, prepared) is None
         assert equivalent(raw, reduced) is None
     assert equivalent(prepared, reduced) is None
     assert equivalent(generated, reduced) is None
@@ -415,6 +415,9 @@ def test_pruning_keeps_every_witness(monkeypatch):
         for machine in (generic.reduce(), handcrafted.reduce()):
             for bad in corruptions(machine, rng, 12):
                 cases += [(bad, prepared), (prepared, bad)]
+    _, _, prepared, _, handcrafted = built(2, 4)
+    for bad in corruptions(handcrafted.reduce(), rng, 12):
+        cases += [(bad, prepared), (prepared, bad)]
     pruned = [_compare(x, y) for x, y in cases]
     unpruned(monkeypatch)
     searched = 0
@@ -548,3 +551,97 @@ def test_too_many_fitting_pairs_run_the_search_unpruned():
     assert _compare(good, t) == _compare(t, good) == (None, 300)
     word, _ = _compare(bad, t)
     assert word is not None and bad.evaluate(word) != t.evaluate(word)
+
+
+# The pairs the reduced handcrafted and generic machines of each grid cell
+# reach against their transducer (generic only for n <= 3).
+GRID_PAIRS = {(2, 1): (9, 7), (2, 2): (38, 30), (2, 3): (134, 102), (2, 4): (450, None),
+              (3, 1): (15, 9), (3, 2): (119, 65), (3, 3): (905, 419), (3, 4): (7277, None)}
+
+
+def no_letter_views(monkeypatch):
+    """Make building a bimachine's letter view fail under ``monkeypatch``."""
+    def refuse(self):
+        raise AssertionError("a bimachine's letter view was built")
+
+    monkeypatch.setattr(Bimachine, "letter_machine", refuse)
+
+
+@pytest.mark.parametrize("k,n", GRID)
+def test_a_bimachine_meets_a_transducer_without_its_letter_view(k, n, monkeypatch):
+    # The domain check and the search read the bimachine from its psi rows.
+    _, _, prepared, generic, handcrafted = built(k, n)
+    machines = [handcrafted.reduce()] + ([generic.reduce()] if n <= 3 else [])
+    no_letter_views(monkeypatch)
+    for machine, pairs in zip(machines, GRID_PAIRS[k, n]):
+        assert _compare(machine, prepared) == _compare(prepared, machine) == (None, pairs)
+
+
+def test_raw_3_4_handcrafted_is_decided_exactly(monkeypatch):
+    # Counted before the fit test, its arc pairs passed EDGE_CAP (213,798);
+    # the groups scan and walk 63,132.
+    _, _, prepared, _, handcrafted = built(3, 4)
+    no_letter_views(monkeypatch)
+    assert _compare(handcrafted, prepared) == _compare(prepared, handcrafted) == (None, 7493)
+
+
+def test_two_bimachines_are_compared_without_letter_views(monkeypatch):
+    # Their domains are stepped from the psi rows; the search runs over the
+    # paired views.
+    params, _, _, generic, handcrafted = built(2, 2)
+    bad = corrupt_handcrafted(handcrafted, params, random.Random(3))
+    want = [_compare(handcrafted, bad), _compare(generic, handcrafted)]
+    _, _, _, _, big = built(3, 4)
+    no_letter_views(monkeypatch)
+    assert [_compare(handcrafted, bad), _compare(generic, handcrafted)] == want
+    assert _compare(big.reduce(), big.reduce()) == (None, 3428)
+    for key in list(boundary_walk(handcrafted, ("1", "1", "3", "3")))[:2]:
+        psi = dict(handcrafted.psi)
+        del psi[key]
+        cut = with_psi(handcrafted, psi)
+        word = equivalent(cut, handcrafted)
+        assert word is not None
+        assert word == least_domain_difference(cut.evaluate, handcrafted.evaluate,
+                                               params.alphabet.symbols, 4)
+
+
+def test_a_group_over_the_edge_cap_is_refused():
+    # A right automaton that every right state leaves for state 0 on "a",
+    # with a psi cell at each of 400 right states, against a transducer
+    # with 400 arcs on "a": the first group pairs 400 x 400 arcs, and all
+    # of them fit, which is more than EDGE_CAP.
+    ab, x = Alphabet(("a", "b")), Alphabet(("x",))
+    right = Dfa(ab, 400, 0, [(0, min(r + 1, 399)) for r in range(400)])
+    psi = {(0, a, r): ("x",) for a in "ab" for r in range(400)}
+    machine = Bimachine(Dfa(ab, 1, 0, [(0, 0)]), right, psi, (), x)
+    t = Transducer(ab, x, 1, {0}, {0},
+                   [Arc(0, "a", ("x",) * i, 0) for i in range(400)] + [Arc(0, "b", ("x",), 0)])
+    assert _suffix_filter(machine, t) is not None
+    for pair in ((machine, t), (t, machine)):
+        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+            _compare(*pair)
+
+
+def test_distinct_delays_are_capped():
+    # A product built by hand: pair 1 holds a delay of 1,000 tokens, and its
+    # edges lead, each with another one-token output, to pairs already held
+    # with the empty delay, from which no final pair can be reached. Each
+    # edge steps to a new delay of 1,001 tokens. With the delay of pair 1,
+    # 98 of them fit in STATE_CAP tokens (99,098), 99 do not (100,099).
+    words = ((), ("x",) * 1000) + tuple((f"y{i}",) for i in range(100))
+    span = len(words)
+
+    def search(targets):
+        def successors(pair, spend):
+            spend(1)
+            if pair == 0:
+                yield "a", 0, [(1 * span, 1, False)]
+            elif pair == 1:
+                yield "b", 0, [((2 + i) * span, 2 + i, False) for i in range(targets)]
+
+        return transducer._delay_search([0] + [2 + i for i in range(targets)], successors,
+                                        "search", words)
+
+    assert search(98) == ([], 100)
+    with pytest.raises(ResourceLimitError, match="search exceeds"):
+        search(99)
