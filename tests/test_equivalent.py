@@ -577,6 +577,25 @@ def test_a_bimachine_meets_a_transducer_without_its_letter_view(k, n, monkeypatc
         assert _compare(machine, prepared) == _compare(prepared, machine) == (None, pairs)
 
 
+def test_the_domain_check_steps_as_many_subsets_as_the_letter_views_did(monkeypatch):
+    # A bimachine's subsets are stepped from its rows without the letter
+    # view's trim; on these machines the subset product keeps its size.
+    sizes = []
+
+    def counting(*args, **kwargs):
+        dfa, states = explore(*args, **kwargs)
+        sizes.append(dfa.state_count)
+        return dfa, states
+
+    monkeypatch.setattr(transducer, "explore", counting)
+    for (k, n), index, want in (((2, 4), 4, 36), ((3, 3), 3, 26), ((3, 3), 4, 44),
+                                ((3, 4), 4, 126)):
+        cell = built(k, n)
+        sizes.clear()
+        assert transducer._domain_difference(cell[index].reduce(), cell[2]) is None
+        assert sizes == [want]
+
+
 def test_raw_3_4_handcrafted_is_decided_exactly(monkeypatch):
     # Counted before the fit test, its arc pairs passed EDGE_CAP (213,798);
     # the groups scan and walk 63,132.
@@ -645,3 +664,102 @@ def test_distinct_delays_are_capped():
     assert search(98) == ([], 100)
     with pytest.raises(ResourceLimitError, match="search exceeds"):
         search(99)
+
+
+def test_reduced_3_4_examines_few_arc_pairs():
+    # Building the 1,377 groups scans 4,530 arc pairs (at least 1 per
+    # group), and the search walks 41,592 edges; counted before the fit
+    # test, the letter views' product examined 103,800.
+    _, _, prepared, _, handcrafted = built(3, 4)
+    reduced = handcrafted.reduce()
+    for x, y in ((reduced, prepared), (prepared, reduced)):
+        starts, successors, words = transducer._row_product(x, y, _suffix_filter(x, y))
+        spent, walked = [], []
+
+        def counting(pair, spend):
+            def record(n):
+                spent.append(n)
+                spend(n)
+
+            for tok, base, edges in successors(pair, record):
+                walked.append(len(edges))
+                yield tok, base, edges
+
+        assert transducer._delay_search(starts, counting, "check", words) == ([], 7277)
+        assert (sum(spent), sum(walked)) == (46122, 41592)
+
+
+def decoded(product, pairs):
+    """Per pair of ``pairs``, its edges as (label, first output, second
+    output, target, final), in the order ``product`` lists them."""
+    _, successors, words = product
+    span = len(words)
+    return {pair: [(tok, words[w // span], words[w % span], base + offset, final)
+                   for tok, base, edges in successors(pair, lambda n: None)
+                   for w, offset, final in edges]
+            for pair in pairs}
+
+
+def assert_rows_match_views(x, y):
+    """At every pair the row product reaches, its edges into bimachine
+    states that can accept are the edges of the two letter views' product
+    whose target fits, in the same order; so are its start pairs."""
+    fit = _suffix_filter(x, y)
+    if fit is None:
+        return
+    xmod, ymod, fits = fit
+    b = x if isinstance(x, Bimachine) else y
+    states = b.left.state_count * b.right.state_count
+    width = ymod if b is x else states
+    view = b.letter_machine()
+    live = {d for labels in view.arcs.values() for arcs in labels.values() for _, d in arcs}
+    live |= view.final | set(view.initial)
+
+    def fitting(pair):
+        return pair % width % ymod in fits[pair // width % xmod]
+
+    def accepting(pair):
+        return (pair // width if b is x else pair % width) in live
+
+    rows = transducer._row_product(x, y, fit)
+    views = transducer._letter_product(x.letter_machine(), y.letter_machine())
+    starts = list(rows[0])
+    assert [s for s in starts if accepting(s)] == [s for s in views[0] if fitting(s)]
+    reached, order = set(starts), list(starts)
+    for pair in order:
+        for edge in decoded(rows, [pair])[pair]:
+            if edge[3] not in reached:
+                reached.add(edge[3])
+                order.append(edge[3])
+    got, want = decoded(rows, order), decoded(views, order)
+    for pair in order:
+        assert [e for e in got[pair] if accepting(e[3])] == [e for e in want[pair]
+                                                             if fitting(e[3])]
+
+
+def test_row_groups_are_the_letter_views_fitting_edges_in_order():
+    # Grid machines (equal domains, so every fitting target can accept),
+    # and random machines whose right states of one letter go anywhere and
+    # whose outputs repeat across arcs, against random transducers.
+    for k, n in ((2, 3), (3, 2), (3, 3)):
+        _, _, prepared, generic, handcrafted = built(k, n)
+        for machine in (generic.reduce(), handcrafted.reduce()):
+            assert_rows_match_views(machine, prepared)
+            assert_rows_match_views(prepared, machine)
+    rng = random.Random(41)
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
+
+    def dfa():
+        count = rng.randint(1, 6)
+        return Dfa(ab, count, rng.randrange(count),
+                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
+
+    for _ in range(80):
+        left, right = dfa(), dfa()
+        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
+               for r in range(right.state_count) if rng.random() < 0.6}
+        machine = Bimachine(left, right, psi, None, xy)
+        t = random_letter_transducer(rng)
+        assert_rows_match_views(machine, t)
+        assert_rows_match_views(t, machine)
