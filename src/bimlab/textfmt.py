@@ -48,15 +48,16 @@ def _block_end(text: str, pos: int, size: int) -> int:
 def _lines(text: str, pos: int, line_no: int):
     """(line_no, pos, line) for each line of text from position pos, which
     starts line line_no. Lines keep their line break. The first block is a
-    single "\n"-ended line, so a reader that wants one line splits no more."""
-    size = 0
+    single "\n"-ended line, and each later block is about as long as the
+    text split before it, up to _BLOCK, so a reader that stops early has
+    split at most about twice what it took."""
+    start = pos
     while pos < len(text):
-        end = _block_end(text, pos, size)
+        end = _block_end(text, pos, min(pos - start, _BLOCK))
         for line in text[pos:end].splitlines(True):
             yield line_no, pos, line
             line_no += 1
             pos += len(line)
-        size = _BLOCK
 
 
 class _Parser:
@@ -251,20 +252,52 @@ def emit_bimachine(b: Bimachine) -> str:
                 lines.append(f"{arc_word} {state} {tok} {target}")
     if b.empty_word_output is not None:
         lines.append(f"epsout {word_to_text(b.empty_word_output)}")
+    lines.append("")
     # The table's cell order is the emitted order: left state, letter, right
-    # state. Each distinct row formats its "<right> <out>" fields once.
+    # state. Each distinct row formats its "<right> <out>" lines once; a
+    # row's psi lines are then one join, and the text one join of them all.
     psi = b.psi
     texts = [word_to_text(word) for word in psi.words]
-    fields = [[f"{r} {texts[v]}" for r, v in row] for row in psi.defined_cells()]
+    fields = [[""] + [f"{r} {texts[v]}\n" for r, v in row] for row in psi.defined_cells()]
     row_of, slot = psi.row_of, 0
+    pieces = ["\n".join(lines)]
     for l in range(psi.left_count):
         for tok in psi.alphabet.symbols:
             i = row_of[slot]
             slot += 1
             if i >= 0:
-                head = f"psi {l} {tok} "
-                lines.append(head + ("\n" + head).join(fields[i]))
-    return "\n".join(lines) + "\n"
+                pieces.append(f"psi {l} {tok} ".join(fields[i]))
+    return "".join(pieces)
+
+
+# The arc lines of a side with four fields, single spaces, LF endings and
+# digits for both states. On such lines ``split()`` splits at each space and
+# "\n" only (see ``_ROW``).
+_SIDE = {word: re.compile(rf"(?:{word} [0-9]+ [^\s#]+ [0-9]+\n)*") for word in ("larc", "rarc")}
+
+
+def _canonical_side(parser: _Parser, arc_word: str, alphabet: Alphabet, count: int) -> list[int]:
+    """The targets of a side's arc lines from the parser's lookahead on, in
+    table order, when those lines are the whole table written as
+    ``emit_bimachine`` writes it: the states in order, in each the tokens
+    in alphabet order, and every state ``s`` spelled ``str(s)``. The parser
+    then reads on after them. Otherwise no targets, and the checked loop
+    reads the lines."""
+    text, pos, letters = parser.text, parser.pos, len(alphabet)
+    end = _SIDE[arc_word].match(text, pos).end()
+    fields = text[pos:end].split()
+    if not fields or len(fields) != 4 * count * letters:
+        return []
+    names = list(map(str, range(count)))
+    if fields[2::4] != list(alphabet.symbols) * count or any(
+            fields[1 + 4 * i :: 4 * letters] != names for i in range(letters)):
+        return []
+    try:
+        targets = list(map(dict(zip(names, range(count))).__getitem__, fields[3::4]))
+    except KeyError:  # a target spelled otherwise, or out of range
+        return []
+    parser.seek(end, parser.peek()[0] + len(targets))
+    return targets
 
 
 def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -> Dfa:
@@ -273,13 +306,26 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
         raise FormatError(line_no, f"expected '{side} states <count> start <id>'")
     count = _parse_int(line_no, fields[2], "state count")
     start = _parse_state(line_no, fields[4], count, "start state")
+    letters = len(alphabet)
+    flat = _canonical_side(parser, arc_word, alphabet, count)
+    item = parser.peek()
+    if len(flat) < count * letters or (item is not None and item[1][0] == arc_word):
+        flat = _checked_side(parser, side, alphabet, arc_word, count, dict(enumerate(flat)))
+    rows = tuple(tuple(flat[i : i + letters]) for i in range(0, len(flat), letters))
+    return Dfa(alphabet, count, start, rows)
+
+
+def _checked_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str, count: int,
+                  cells: dict[int, int]) -> list[int]:
+    """Read a side's arc lines from the parser's lookahead on, one at a time,
+    into cells, which holds the targets read before them: the whole table.
+
+    Cell src * |Σ| + column of the table. A dict, not a list of the declared
+    count * |Σ| cells, so a short file cannot make a large allocation."""
     sources = _Memo(_parse_state, count, "arc source")
     targets = _Memo(_parse_state, count, "arc target")
     letters = len(alphabet)
     column = {tok: pos for pos, tok in enumerate(alphabet.symbols)}
-    # Cell src * |Σ| + column of the table. A dict, not a list of the declared
-    # count * |Σ| cells, so a short file cannot make a large allocation.
-    cells: dict[int, int] = {}
     for fields in parser.section(arc_word):
         try:
             _, src_text, tok, dst_text = fields
@@ -309,9 +355,7 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
             parser.here(),
             f"{side} automaton is not total: missing ({state}, {alphabet.symbols[pos]})",
         )
-    flat = list(map(cells.__getitem__, range(size)))
-    rows = tuple(tuple(flat[i : i + letters]) for i in range(0, size, letters))
-    return Dfa(alphabet, count, start, rows)
+    return list(map(cells.__getitem__, range(size)))
 
 
 # A canonical run of psi lines: lines of five fields, each field followed by
@@ -320,9 +364,24 @@ def _parse_side(parser: _Parser, side: str, alphabet: Alphabet, arc_word: str) -
 # ``splitlines`` breaks only at each "\n", because ``re``'s ``\s`` is
 # ``str.isspace``. No field can be read two ways, so a match takes linear time.
 _ROW = re.compile(r"psi ([^\s#]+) ([^\s#]+) [^\s#]+ [^\s#]+\n(?:psi \1 \2 [^\s#]+ [^\s#]+\n)*")
-# The first line of a canonical run: its prefix, left state, token and the rest.
+# The first line of a canonical run: its prefix "psi <left> <token> ", the
+# block prefix "psi <left> ", the left state, the token and the rest.
 # ``_ROW`` matches at a position exactly when this does.
-_HEAD = re.compile(r"(psi ([^\s#]+) ([^\s#]+) )([^\s#]+ [^\s#]+\n)")
+_HEAD = re.compile(r"((psi ([^\s#]+) )([^\s#]+) )([^\s#]+ [^\s#]+\n)")
+
+
+def _repeat(text: str, start: int, prefix: str, known: tuple) -> int:
+    """The end of the text from start if it repeats the remembered lines
+    ``known`` with their prefix ``known[2]`` changed to ``prefix`` on every
+    line but the first, and the line after it does not start with
+    ``prefix``; else -1. ``known[0]`` and ``known[1]`` bound the remembered
+    text after its first prefix. One slice, one ``replace`` and one
+    comparison."""
+    lines = text[known[0] : known[1]].replace("\n" + known[2], "\n" + prefix)
+    end = start + len(lines)
+    if text.startswith(lines, start) and not text.startswith(prefix, end):
+        return end
+    return -1
 
 
 class _PsiRows:
@@ -331,20 +390,33 @@ class _PsiRows:
     ``check`` is the checked per-line loop: the only code that reads a psi
     line's right state and output, and the source of every psi error. It
     writes into begun rows, one array per row, which are interned when the
-    read ends. ``read`` passes it every line but one kind: a canonical run
-    whose body (its text with the "psi <left> <token> " prefixes removed)
-    equals that of a run already read into a blank row, and whose own row is
-    blank too. A row is blank when its index is -1 and it is not begun. That
-    run's row gets the earlier run's row index: a run read into a blank row
-    is interned as soon as it is read, so that its body can be remembered
-    with its index. The earlier run interned its words, so the output ids
-    are those a line-by-line read gives.
+    read ends. ``read`` passes it every line but two kinds, both written as
+    ``emit_bimachine`` writes them. A row is blank when its index is -1 and
+    it is not begun.
 
-    A run is found by a scan with ``_ROW``, but the run that repeats the last
-    body read with the same first line is found without one: the text from
-    the run on must be that body with the prefix put back on every line, and
-    the line after it must not start with the prefix. Bodies, begun rows and
-    the checked left states and tokens live for one parse call.
+    A block is the canonical runs of one left state that follow each other.
+    A block that repeats the text of a block read before, with only its
+    "psi <left> " prefixes changed, and whose left state's rows are all
+    blank, gets that block's row indices; the left state is checked once.
+    The earlier block must have been read wholly into rows that were blank,
+    and only such blocks are remembered. The one compared is the last block
+    remembered with the same first line; the text from the block on must be
+    its text with the prefix put back on every line, and the line after it
+    must not start with the prefix.
+
+    A run is the canonical lines of one row. A run whose body (its text
+    with the "psi <left> <token> " prefixes removed) equals that of a run
+    already read into a blank row, and whose own row is blank too, gets
+    that run's row index: a run read into a blank row is interned as soon as
+    it is read, so that it can be remembered with its index. The run that
+    repeats the last run read with the same first line is found with one
+    comparison, as a block is; any other run is found by a scan with
+    ``_ROW``, and the runs read are remembered by the hash of their body.
+
+    The earlier lines interned their words, so the output ids are those a
+    line-by-line read gives. Runs and blocks are remembered by their place
+    in the text, not by a copy of it; they, the begun rows and the checked
+    left states and tokens live for one parse call.
     """
 
     def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
@@ -359,9 +431,6 @@ class _PsiRows:
             _parse_word(line_no, text, oalphabet, "output"), len(self.ids)))
         # What ``row`` gave for each (left state text, token) checked.
         self.checked: dict[tuple[str, str], tuple[int, int]] = {}
-        # The slot of the last run read, and its left state and token text.
-        self.l_text = self.tok = None
-        self.slot = 0
 
     def row(self, line_no: int, l_text: str, tok: str) -> tuple[int, int]:
         """Check a left state and token: the left state, and their row's slot."""
@@ -430,45 +499,69 @@ class _PsiRows:
         """Read the psi lines from the parser's lookahead on, intern the rows
         begun, then hand the text after the psi lines back to the parser."""
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
-        interner, begun = self.interner, self.begun
+        interner, begun, letters = self.interner, self.begun, self.letters
         row_of = interner.row_of
-        # A run's body, without its last "\n", its row index and its line count.
-        memo: dict[str, tuple[str, int, int]] = {}  # by the body
-        last: dict[str, tuple[str, int, int]] = {}  # by the body's first line
+        blank = array("i", [-1]) * letters
+        # A remembered run or block: where its text after its first prefix
+        # begins and where it ends, the prefix, its row index or the row
+        # indices of its left state, and its line count.
+        runs: dict[int, tuple] = {}  # by the hash of the body
+        last: dict[str, tuple] = {}  # runs by their first line
+        blocks: dict[tuple[str, str], tuple] = {}  # by token and first line
+        # The block being read: its first line, where its text begins, its
+        # prefix, its left state's first slot and its first line number;
+        # None when it cannot be remembered. Its left state and the token and
+        # slot of the run being read, as text and as checked.
+        block = block_l = run_tok = None
+        slot = 0
         while pos < len(text):
             head = _HEAD.match(text, pos)
             if head is not None:
-                prefix, l_text, tok, first = head.groups()
-                start = head.start(4)
-                known = last.get(first)
-                if known is not None:
-                    run = known[0].replace("\n", "\n" + prefix)
-                    end = start + len(run) + 1
-                    if not (text.startswith(run, start) and text.startswith("\n", end - 1)
-                            and not text.startswith(prefix, end)):
-                        known = None
-                if l_text != self.l_text or tok != self.tok:
-                    _, self.slot = self.row(line_no, l_text, tok)
-                    self.l_text, self.tok = l_text, tok
-                slot = self.slot
+                prefix, l_prefix, l_text, tok, first = head.groups()
+                if l_text != block_l:
+                    if block is not None:
+                        key, begin, l_old, base, first_no = block
+                        blocks[key] = (begin, pos, l_old, row_of[base : base + letters],
+                                       line_no - first_no)
+                    block, block_l, run_tok = None, l_text, tok
+                    l, slot = self.row(line_no, l_text, tok)
+                    base = l * letters
+                    if row_of[base : base + letters] == blank and not (
+                            begun and any(slot in begun for slot in range(base, base + letters))):
+                        known = blocks.get((tok, first))
+                        end = -1 if known is None else _repeat(text, head.end(2), l_prefix, known)
+                        if end >= 0:
+                            row_of[base : base + letters] = known[3]
+                            pos, line_no = end, line_no + known[4]
+                            continue
+                        block = ((tok, first), head.end(2), l_prefix, base, line_no)
+                elif tok != run_tok:
+                    _, slot = self.row(line_no, l_text, tok)
+                    run_tok = tok
                 if row_of[slot] < 0 and slot not in begun:
-                    if known is None:
+                    start = head.start(5)
+                    known = last.get(first)
+                    end = -1 if known is None else _repeat(text, start, prefix, known)
+                    if end < 0:
                         end = _ROW.match(text, pos).end()
-                        body = text[start : end - 1].replace("\n" + prefix, "\n")
-                        known = memo.get(body)
-                        if known is None:
+                        body = text[start:end].replace("\n" + prefix, "\n")
+                        known = runs.get(hash(body))
+                        if known is None or body != text[known[0] : known[1]].replace(
+                                "\n" + known[2], "\n"):
                             lines = text[pos:end].splitlines()
                             self.check(lines, line_no)
                             index = interner.intern(begun.pop(slot))
-                            known = memo[body] = (body, index, len(lines))
-                    row_of[slot] = known[1]
+                            known = runs[hash(body)] = (start, end, prefix, index, len(lines))
+                    row_of[slot] = known[3]
                     last[first] = known
-                    pos, line_no = end, line_no + known[2]
+                    pos, line_no = end, line_no + known[4]
                     continue
-            # Lines that are not a canonical run go through the checked loop
-            # one block at a time, and so does a run into a row already begun:
-            # such a file is not written a row at a time, and short runs cost
-            # more through the memo than line by line.
+            # Lines that are not a canonical run go through the checked loop,
+            # _BLOCK characters at a time, and so does a run into a row
+            # already begun: such a file is not written a row at a time, and
+            # short runs cost more through the memo than line by line. The
+            # block being read is then not remembered.
+            block = None
             end = _block_end(text, pos, _BLOCK)
             lines = text[pos:end].splitlines(True)
             stop = self.check(lines, line_no)

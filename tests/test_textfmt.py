@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 import tracemalloc
@@ -25,7 +26,10 @@ from bimlab import (
     word_to_text,
 )
 from bimlab import textfmt
-from helpers import assert_psi_invariants, built, random_word, reduced_handcrafted_text
+from helpers import (
+    assert_psi_invariants, built, merge_bimachine_states, random_word,
+    reduced_handcrafted_text,
+)
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -468,17 +472,101 @@ def test_a_repeated_row_is_read_without_a_scan(k, n, scans, monkeypatch):
     assert sum(checked) == sum(first_texts.values())
 
 
+def count_repeats(monkeypatch):
+    """From now on, list the prefix of each text ``_repeat`` finds repeated:
+    "psi <left> " for a block, "psi <left> <token> " for a run."""
+    found = []
+    real = textfmt._repeat
+
+    def counting(text, start, prefix, known):
+        end = real(text, start, prefix, known)
+        if end >= 0:
+            found.append(prefix)
+        return end
+
+    monkeypatch.setattr(textfmt, "_repeat", counting)
+    return found
+
+
 def test_a_run_that_goes_on_past_a_remembered_one_is_scanned(monkeypatch):
-    # Rows (0, b) and (1, b) begin with the text of rows (0, a) and (1, a).
+    # Rows (0, b) and (1, b) begin with the text of rows (0, a) and (1, a);
+    # row (1, a) has one line more than row (0, a), so left state 1's block
+    # does not repeat left state 0's and is read run by run.
+    psi = ["psi 0 a 0 x", "psi 0 b 0 x", "psi 0 b 1 y",
+           "psi 1 a 0 x", "psi 1 a 1 x", "psi 1 b 0 x", "psi 1 b 1 y"]
+    text = "\n".join(BIMACHINE_LINES[:13] + psi) + "\n"
+    pattern, checked = count_reads(monkeypatch)
+    repeats = count_repeats(monkeypatch)
+    assert emit_bimachine(parse_bimachine(text)) == text
+    # Each run is scanned, as the remembered text is a different one or
+    # ends too early; each of the three texts is checked once.
+    assert pattern.calls == 4
+    assert checked == [1, 2, 2]
+    assert repeats == []
+
+
+def test_a_repeated_block_is_read_with_one_comparison(monkeypatch):
+    # Left state 1's rows repeat left state 0's.
     psi = ["psi 0 a 0 x", "psi 0 b 0 x", "psi 0 b 1 y",
            "psi 1 a 0 x", "psi 1 b 0 x", "psi 1 b 1 y"]
     text = "\n".join(BIMACHINE_LINES[:13] + psi) + "\n"
     pattern, checked = count_reads(monkeypatch)
+    repeats = count_repeats(monkeypatch)
     assert emit_bimachine(parse_bimachine(text)) == text
-    # Each run is scanned, as the remembered text is a different one or
-    # ends too early; each of the two texts is checked once.
-    assert pattern.calls == 4
+    # Only left state 0's runs are scanned and checked.
+    assert pattern.calls == 2
     assert checked == [1, 2]
+    assert repeats == ["psi 1 "]
+
+
+def test_a_block_that_goes_on_past_a_remembered_one_is_read_run_by_run(monkeypatch):
+    # Left state 1's block begins with the text of left state 0's, then goes on.
+    psi = ["psi 0 a 0 x", "psi 1 a 0 x", "psi 1 b 0 x", "psi 1 b 1 y"]
+    text = "\n".join(BIMACHINE_LINES[:13] + psi) + "\n"
+    pattern, checked = count_reads(monkeypatch)
+    repeats = count_repeats(monkeypatch)
+    assert emit_bimachine(parse_bimachine(text)) == text
+    # Row (1, a) repeats row (0, a) with one comparison; row (1, b) goes on
+    # past it, so it is scanned and checked.
+    assert pattern.calls == 2
+    assert checked == [1, 2]
+    assert repeats == ["psi 1 a "]
+
+
+@pytest.mark.parametrize("build, blocks, repeated", [
+    (lambda: reduced_handcrafted_text(3, 3), 41, 36),
+    (lambda: reduced_handcrafted_text(3, 4), 122, 117),
+    (lambda: reduced_handcrafted_text(3, 5), 365, 360),
+    (lambda: reduced_handcrafted_text(2, 8), 512, 508),
+    (lambda: emit_bimachine(built(3, 3)[3]), 25, 15),
+], ids=["reduced_3_3", "reduced_3_4", "reduced_3_5", "reduced_2_8", "raw_generic_3_3"])
+def test_repeated_blocks_are_read_without_a_line_check(build, blocks, repeated, monkeypatch):
+    text = build()
+    lines = text.splitlines(True)
+    psi = [line.split(" ")[1] for line in lines if line.startswith("psi ")]
+    assert len(set(psi)) == blocks
+    scanned, checked = set(), set()
+    row, check = textfmt._ROW, textfmt._PsiRows.check
+
+    class Scan:
+        def match(self, text, pos):
+            scanned.add(text[pos:].split(" ", 2)[1])
+            return row.match(text, pos)
+
+    def checking(self, lines, first):
+        checked.update(line.split()[1] for line in lines if line.startswith("psi "))
+        return check(self, lines, first)
+
+    monkeypatch.setattr(textfmt, "_ROW", Scan())
+    monkeypatch.setattr(textfmt._PsiRows, "check", checking)
+    repeats = count_repeats(monkeypatch)
+    assert emit_bimachine(load_machine(text)) == text
+    # Only the blocks seen for the first time are scanned and checked; each
+    # of the others is one comparison with the last block remembered under
+    # its first line.
+    repeated_blocks = {prefix.split()[1] for prefix in repeats if prefix.count(" ") == 2}
+    assert len(repeated_blocks) == repeated
+    assert not repeated_blocks & (scanned | checked)
 
 
 def test_a_repeated_row_is_a_duplicate_on_its_first_line():
@@ -702,10 +790,20 @@ def row_begun_by_the_checked_loop(lines, rows):
     lines.insert(rows[0][0], head + "1 - # begun\n")
 
 
+def block_begun_by_the_checked_loop(lines, rows):
+    # Left state 1's block repeats left state 0's. A line with a comment
+    # first begins its row (1, 1) from blank in the checked loop, so the
+    # block must not be copied over that row.
+    at, head, run = next(row for row in rows if row[1] == "psi 1 1 ")
+    assert not any(line.startswith(head + "0 ") for line in run)
+    lines.insert(rows[0][0], head + "0 - # begun\n")
+
+
 @pytest.mark.parametrize("block", [1, textfmt._BLOCK])
 @pytest.mark.parametrize("change", [longer_run, last_byte_changed, alternating_bodies,
                                     row_begun, row_begun_duplicate,
-                                    row_begun_by_the_checked_loop])
+                                    row_begun_by_the_checked_loop,
+                                    block_begun_by_the_checked_loop])
 def test_changed_runs_parse_to_tables_with_the_row_invariants(change, block, monkeypatch):
     monkeypatch.setattr(textfmt, "_BLOCK", block)
     lines, rows = psi_rows(emit_bimachine(built(2, 3)[4].reduce()))
@@ -717,6 +815,19 @@ def test_changed_runs_parse_to_tables_with_the_row_invariants(change, block, mon
     # With no canonical run found, every psi line goes through the checked loop.
     monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
     assert read == outcome(text)
+
+
+def test_runs_whose_bodies_hash_alike_read_as_line_by_line(monkeypatch):
+    # Runs are remembered by the hash of their body. With every hash 0, a
+    # run looked up by its body meets the last run remembered, which has
+    # another body unless the run repeats it.
+    _, _, _, generic, handcrafted = built(2, 3)
+    canonical = [emit_bimachine(machine)
+                 for machine in (generic, handcrafted, handcrafted.reduce(), built(3, 3)[3])]
+    texts = canonical + [shuffled_psi(text) for text in canonical]
+    read = [outcome(text) for text in texts]
+    monkeypatch.setattr(textfmt, "hash", lambda text: 0, raising=False)
+    assert [outcome(text) for text in texts] == read
 
 
 # Tokens the format can carry, some of which look like its own syntax.
@@ -820,3 +931,124 @@ def test_golden_mutants_end_in_a_machine_or_a_format_error():
             assert emit(load_machine(emit(machine))) == emit(machine)
     assert len(goldens) == 4
     assert min(outcomes.values()) > 300
+
+
+GRID = [(k, n) for k in (2, 3) for n in (1, 2, 3, 4)]
+
+
+def grid_machines():
+    """The raw and reduced machines of the experiment grid's cells, generic
+    up to n = 3 as the grid builds it."""
+    for k, n in GRID:
+        _, _, _, generic, handcrafted = built(k, n)
+        for machine in (handcrafted, generic) if n <= 3 else (handcrafted,):
+            yield machine
+            yield machine.reduce()
+
+
+def test_every_emitted_file_takes_the_side_fast_path(monkeypatch):
+    checked = []
+    real = textfmt._checked_side
+
+    def checking(parser, side, *args):
+        checked.append(side)
+        return real(parser, side, *args)
+
+    monkeypatch.setattr(textfmt, "_checked_side", checking)
+    rng = random.Random(17)
+    machines = [*grid_machines(), *(random_bimachine(rng) for _ in range(150))]
+    for machine in machines:
+        assert parse_bimachine(emit_bimachine(machine)) == machine
+    assert checked == []
+    # Another spelling, a line too many and a target out of range each go
+    # through the checked loop, which reads them as it always has.
+    text = "\n".join(BIMACHINE_LINES) + "\n"
+    for old, new in (("larc 1 a 1", "larc 1 a 01"), ("rarc 1 b 1", "rarc 1 b 1\nrarc 1 b 1"),
+                     ("larc 0 b 0", "larc 0 b 2")):
+        with contextlib.suppress(FormatError):
+            parse_bimachine(text.replace(old + "\n", new + "\n"))
+    assert checked == ["left", "right", "left"]
+
+
+@pytest.mark.parametrize("text", [
+    lambda: reduced_handcrafted_text(3, 3), lambda: emit_bimachine(built(3, 3)[3]),
+], ids=["reduced_3_3", "raw_generic_3_3"])
+def test_lines_splits_about_what_it_hands_out(text, monkeypatch):
+    text = text()
+    sizes = Counter()
+    block_end, lines = textfmt._block_end, textfmt._lines
+
+    def cutting(text, pos, size):
+        end = block_end(text, pos, size)
+        sizes["split"] += end - pos
+        return end
+
+    def handing(text, pos, line_no):
+        for item in lines(text, pos, line_no):
+            sizes["handed"] += len(item[2])
+            yield item
+
+    monkeypatch.setattr(textfmt, "_block_end", cutting)
+    monkeypatch.setattr(textfmt, "_lines", handing)
+    load_machine(text)
+    # The psi and side readers take the text over from the lines, so only
+    # the header lines are handed out: no block is split far past them.
+    assert 0 < sizes["handed"] <= sizes["split"] <= 2 * sizes["handed"]
+
+
+def read(text):
+    """What ``load_machine`` makes of a text: the machine's emitted text
+    (and a bimachine's table and words), or the error."""
+    try:
+        machine = load_machine(text)
+    except (FormatError, ResourceLimitError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(machine, Transducer):
+        return emit_transducer(machine)
+    return emit_bimachine(machine), machine.psi.cells.tobytes(), machine.psi.words
+
+
+def workload_texts():
+    """The files the benchmark's workloads read, with the kinds of damage
+    its rejection traffic has, shuffled psi lines and golden mutants."""
+    texts = [emit_bimachine(machine) for machine in grid_machines()]
+    for k, n in ((2, 2), (3, 2), (2, 3), (3, 3), (3, 4)):
+        _, generated, _, generic, _ = built(k, n)
+        reduced = reduced_handcrafted_text(k, n)
+        texts += [emit_transducer(generated), reduced, shuffled_psi(reduced)]
+        if n <= 3:
+            texts.append(emit_bimachine(generic))
+    for k, n in ((2, 2), (2, 3)):
+        _, generated, _, _, handcrafted = built(k, n)
+        reduced = handcrafted.reduce()
+        psi = dict(reduced.psi)
+        key = next(key for key, out in psi.items() if out)
+        psi[key] = ("x",) + psi[key]
+        good = emit_bimachine(reduced)
+        texts += [
+            emit_bimachine(Bimachine(reduced.left, reduced.right, psi,
+                                     reduced.empty_word_output, reduced.output_alphabet)),
+            emit_bimachine(merge_bimachine_states(reduced, (0, 1), (0, 1))),
+            good.replace(next(line for line in good.splitlines(True)
+                              if line.startswith("larc ")), "", 1),
+            emit_transducer(generated) + "arc 0\n",
+        ]
+    texts += [reduced_handcrafted_text(3, 5), reduced_handcrafted_text(2, 8)]
+    rng = random.Random(11)
+    for path in sorted((Path(__file__).parent / "golden").glob("*.txt")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        texts += [mutate(rng, lines) for _ in range(750)]
+    return texts
+
+
+def test_fast_paths_read_as_the_checked_loops_do(monkeypatch):
+    texts = workload_texts()
+    fast = [read(text) for text in texts]
+    # With no canonical side section and no canonical psi run found, every
+    # line goes through the checked loops.
+    monkeypatch.setattr(textfmt, "_canonical_side", lambda *args: [])
+    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
+    assert [read(text) for text in texts] == fast
+    rejected = [outcome for outcome in fast if isinstance(outcome[0], str)
+                and outcome[0] in ("FormatError", "ResourceLimitError")]
+    assert 300 < len(rejected) < len(texts) - 300
