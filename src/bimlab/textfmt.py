@@ -510,8 +510,8 @@ class _PsiRows:
         blocks: dict[tuple[str, str], tuple] = {}  # by token and first line
         # The block being read: its first line, where its text begins, its
         # prefix, its left state's first slot and its first line number;
-        # None when it cannot be remembered. Its left state and the token and
-        # slot of the run being read, as text and as checked.
+        # None when it cannot be remembered. block_l is its left state's
+        # text, and run_tok and slot the token text and slot of the run read.
         block = block_l = run_tok = None
         slot = 0
         while pos < len(text):
@@ -527,7 +527,7 @@ class _PsiRows:
                     l, slot = self.row(line_no, l_text, tok)
                     base = l * letters
                     if row_of[base : base + letters] == blank and not (
-                            begun and any(slot in begun for slot in range(base, base + letters))):
+                            begun and any(s in begun for s in range(base, base + letters))):
                         known = blocks.get((tok, first))
                         end = -1 if known is None else _repeat(text, head.end(2), l_prefix, known)
                         if end >= 0:
@@ -545,13 +545,14 @@ class _PsiRows:
                     if end < 0:
                         end = _ROW.match(text, pos).end()
                         body = text[start:end].replace("\n" + prefix, "\n")
-                        known = runs.get(hash(body))
+                        digest = hash(body)
+                        known = runs.get(digest)
                         if known is None or body != text[known[0] : known[1]].replace(
                                 "\n" + known[2], "\n"):
                             lines = text[pos:end].splitlines()
                             self.check(lines, line_no)
                             index = interner.intern(begun.pop(slot))
-                            known = runs[hash(body)] = (start, end, prefix, index, len(lines))
+                            known = runs[digest] = (start, end, prefix, index, len(lines))
                     row_of[slot] = known[3]
                     last[first] = known
                     pos, line_no = end, line_no + known[4]
