@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceLimitError
-from .fsm import (EDGE_CAP, PSI_CAP, STATE_CAP, Alphabet, Dfa, LetterMachine, Word, explore,
-                  moore_reduce)
+from .fsm import PSI_CAP, Alphabet, Dfa, Word, moore_reduce
 
 
 def check_psi_shape(left_count: int, letters: int, right_count: int) -> None:
@@ -279,149 +278,6 @@ class Bimachine:
         if not word:
             return self.empty_word_output
         return self.psi_star(self.left.start, word, self.right.start)
-
-    def letter_machine(self) -> LetterMachine:
-        """The bimachine as an unambiguous letter transducer.
-
-        State ``l * |R| + r`` is left state ``l`` with right state ``r`` for
-        the unread suffix. Wherever ``psi(l, a, r')`` is defined there is an
-        arc ``(l, δR(r', a)) --a/psi(l, a, r')--> (δL(l, a), r')``. Every
-        ``(L.start, r)`` is initial and every ``(l, R.start)`` final, so a
-        nonempty word of the domain has one accepting path, and it emits the
-        word's output. The empty word is left to ``empty_word_output``. Only
-        states that can reach a final state keep their arcs and initial
-        marks; the others are wrong guesses of the suffix, which no product
-        search needs to visit.
-
-        The arc table is read off the psi rows, letter by letter and left
-        state by left state, and comes out as ``LetterMachine.build`` would
-        order it: sources in order of their first letter, then by number,
-        and each source's arcs on a letter by (output, target).
-        """
-        left_count, width = self.left.state_count, self.right.state_count
-        symbols = self.input_alphabet.symbols
-        letters = len(symbols)
-        row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words
-        left_delta = self.left.delta
-        right_col = [self.right.alphabet.index(tok) for tok in symbols]
-        # δR(r, a), by r and then by the letter's position in ``symbols``
-        right_to = [[row[c] for c in right_col] for row in self.right.delta]
-        # The live states: a backward search from the finals, which finds the
-        # arcs into (l2, r) through the left states each (l2, letter) comes from.
-        comes_from: list[list[list[int]]] = [[[] for _ in symbols] for _ in range(left_count)]
-        for l, row in enumerate(left_delta):
-            for pos, l2 in enumerate(row):
-                comes_from[l2][pos].append(l)
-        finals = [l * width + self.right.start for l in range(left_count)]
-        live, stack = set(finals), list(finals)
-        while stack:
-            l2, r = divmod(stack.pop(), width)
-            for pos, r2 in enumerate(right_to[r]):
-                for l in comes_from[l2][pos]:
-                    i = row_of[l * letters + pos]
-                    if i >= 0 and rows[i * width + r] >= 0:
-                        src = l * width + r2
-                        if src not in live:
-                            live.add(src)
-                            stack.append(src)
-        del comes_from
-        # An arc from left state l on a letter is keyed rank * |R| + r, where
-        # rank orders its output word among the table's words; sorting the
-        # keys of one source orders its arcs by (output, target).
-        rank = {w: i for i, w in enumerate(sorted(set(words)))}
-        ranked, by_rank = [rank[w] * width for w in words], sorted(rank)
-        # Each distinct row's arc keys, for its defined cells.
-        keyed = [[(r, ranked[v] + r) for r, v in row] for row in self.psi.defined_cells()]
-        arcs: dict[int, dict[str, list[tuple[Word, int]]]] = {}
-        for pos, tok in enumerate(symbols):
-            sources = [row[pos] for row in right_to]
-            for l in range(left_count):
-                i = row_of[l * letters + pos]
-                if i < 0:
-                    continue
-                dst = left_delta[l][pos] * width
-                groups: dict[int, list[int]] = {}  # source right state -> arc keys
-                for r, key in keyed[i]:
-                    if dst + r in live:
-                        r2 = sources[r]
-                        if r2 in groups:
-                            groups[r2].append(key)
-                        else:
-                            groups[r2] = [key]
-                for r2 in sorted(groups):
-                    group = groups[r2]
-                    group.sort()
-                    arcs.setdefault(l * width + r2, {})[tok] = [
-                        (by_rank[key // width], dst + key % width) for key in group]
-        starts = (self.left.start * width + r for r in range(width))
-        return LetterMachine(self.input_alphabet, left_count * width,
-                             tuple(q for q in starts if q in live), frozenset(finals), arcs,
-                             self.empty_word_output)
-
-    def paired_letter_machines(self, other: Bimachine) -> tuple[LetterMachine, LetterMachine]:
-        """This bimachine and ``other`` as two letter transducers with one
-        path per word between them, for the product searches.
-
-        Alone, each view of ``letter_machine`` guesses its right state anew
-        at every step, so a product of two such views pairs every guess of
-        one with every guess of the other. Here both views read with the same
-        automata: the pairs of left states that ``L`` and ``L'`` reach
-        together, and the pairs of right states that ``R`` and ``R'`` reach
-        together (``J``). State ``i * |J| + j`` is left pair ``i`` with right
-        pair ``j`` for the unread suffix, and the arc for left pair ``i``,
-        letter ``a`` and right pair ``j`` is labelled ``(a, i, j)``. So a
-        product pairs each arc of one view only with its twin in the other,
-        and each path with the other machine's path on the same word. The
-        last state is the only initial one; it has the arcs of every
-        ``(i0, j)``, where ``i0`` is the start pair. Raises
-        ResourceLimitError when a view would have more than STATE_CAP states
-        or more than EDGE_CAP arcs, the edge cap of the search.
-        """
-        alphabet, machines = self.input_alphabet, (self, other)
-        lefts, left_pairs = explore(alphabet, tuple(m.left.start for m in machines),
-                                    lambda i, tok: tuple(m.left.step(l, tok)
-                                                         for m, l in zip(machines, i)))
-        rights, right_pairs = explore(alphabet, tuple(m.right.start for m in machines),
-                                      lambda j, tok: tuple(m.right.step(r, tok)
-                                                           for m, r in zip(machines, j)))
-        width = rights.state_count
-        start = lefts.state_count * width
-        too_large = f"paired views exceed {STATE_CAP} states or {EDGE_CAP} arcs"
-        if start >= STATE_CAP:
-            raise ResourceLimitError(too_large)
-
-        def arcs(k: int, psi: PsiTable):
-            lefts_of: dict[int, list[int]] = {}
-            rights_of: dict[int, list[int]] = {}
-            for i, pair in enumerate(left_pairs):
-                lefts_of.setdefault(pair[k], []).append(i)
-            for j, pair in enumerate(right_pairs):
-                rights_of.setdefault(pair[k], []).append(j)
-            budget = EDGE_CAP
-            symbols = psi.alphabet.symbols
-            columns = [alphabet.index(tok) for tok in symbols]
-            for l, col, r, out in psi.entries():
-                tok, pos = symbols[col], columns[col]
-                for i in lefts_of.get(l, ()):
-                    budget -= len(rights_of.get(r, ())) * (1 + (i == lefts.start))
-                    if budget < 0:
-                        raise ResourceLimitError(too_large)
-                    dst = lefts.delta[i][pos] * width
-                    for j in rights_of.get(r, ()):
-                        arc = (tok, i, j), out, dst + j
-                        yield (i * width + rights.delta[j][pos], *arc)
-                        if i == lefts.start:
-                            yield (start, *arc)
-
-        def label_key(label):
-            return (alphabet.index(label[0]), *label[1:])
-
-        finals = [i * width + rights.start for i in range(lefts.state_count)]
-        return tuple(
-            LetterMachine.build(alphabet, start + 1, (start,), finals, arcs(k, m.psi),
-                                m.empty_word_output, label_key)
-            for k, m in enumerate(machines)
-        )
 
     def validate(self) -> list[str]:
         """Diagnostics for structural problems; an empty list means valid.

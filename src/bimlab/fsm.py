@@ -21,7 +21,7 @@ Word = tuple[str, ...]
 STATE_CAP = 10**5
 
 # Bound on the edges (pairs of arcs with one label) one product search may
-# examine in all, and on the arcs of a view built for such a search.
+# examine in all.
 EDGE_CAP = 3 * STATE_CAP // 2
 
 # Bound on the cells (left states x letters x right states) of one
@@ -155,34 +155,29 @@ class LetterMachine(NamedTuple):
     """A letter-input machine with outputs, as the product searches of
     ``bimlab.transducer`` read it; they only walk forward, so it keeps no
     table of predecessors. States are integers below ``state_count``.
-    ``arcs[q][label]`` lists the (output, target) arcs that read ``label``
-    from ``q``; a state or label without such arcs has no entry, so no scan
-    of a state costs more than its own arcs. A label is a letter, or a tuple
-    that starts with the letter when two machines' arcs must agree on more
-    than it (``Bimachine.paired_letter_machines``). ``empty_output`` is the
-    output at the empty word, or None where it is undefined."""
+    ``arcs[q][a]`` lists the (output, target) arcs that read letter ``a``
+    from ``q``; a state or letter without such arcs has no entry, so no scan
+    of a state costs more than its own arcs. ``empty_output`` is the output
+    at the empty word, or None where it is undefined."""
 
     alphabet: Alphabet
     state_count: int
     initial: tuple[int, ...]
     final: frozenset[int]
-    arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]]
+    arcs: dict[int, dict[str, list[tuple[Word, int]]]]
     empty_output: Word | None
 
     @classmethod
     def build(cls, alphabet: Alphabet, state_count: int, initial: Iterable[int],
-              final: Iterable[int], arcs: Iterable[tuple[int, Hashable, Word, int]],
-              empty_output: Word | None,
-              label_key: Callable[[Hashable], Hashable] | None = None) -> LetterMachine:
-        """The machine of the (source, label, output, target) ``arcs``. The
-        labels are letters in alphabet order, unless ``label_key`` gives
-        each label its sort key. The table lists labels in that order and
-        arcs in (output, target) order, so every search over it is
-        deterministic."""
-        key = alphabet.index if label_key is None else label_key
-        out_arcs: dict[int, dict[Hashable, list[tuple[Word, int]]]] = {}
-        for src, label, out, dst in sorted(arcs, key=lambda a: (key(a[1]), a[0], a[2], a[3])):
-            out_arcs.setdefault(src, {}).setdefault(label, []).append((out, dst))
+              final: Iterable[int], arcs: Iterable[tuple[int, str, Word, int]],
+              empty_output: Word | None) -> LetterMachine:
+        """The machine of the (source, letter, output, target) ``arcs``. The
+        table lists letters in alphabet order and arcs in (output, target)
+        order, so every search over it is deterministic."""
+        key = alphabet.index
+        out_arcs: dict[int, dict[str, list[tuple[Word, int]]]] = {}
+        for src, tok, out, dst in sorted(arcs, key=lambda a: (key(a[1]), a[0], a[2], a[3])):
+            out_arcs.setdefault(src, {}).setdefault(tok, []).append((out, dst))
         return cls(alphabet, state_count, tuple(initial), frozenset(final), out_arcs,
                    empty_output)
 

@@ -6,7 +6,7 @@ module provides relation/function evaluation, epsilon-input removal, trimming,
 and one delay search, a single forward pass over a product of two machines,
 which runs both the exact functionality test and the exact equivalence test.
 The equivalence test reads a bimachine straight from its psi rows, both for
-its domain and, against a transducer, for the search.
+its domain and for the search, against a transducer or another bimachine.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def _strip_common_prefix(u: Word, v: Word) -> tuple[Word, Word]:
 
 
 def _word_to(parents: dict[int, tuple[int, str] | None], pair: int) -> Word:
-    """The labels along the ``parents`` links from a root to ``pair``."""
+    """The letters along the ``parents`` links from a root to ``pair``."""
     toks = []
     while parents[pair] is not None:
         pair, tok = parents[pair]
@@ -320,14 +320,13 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
 
     The product is given by its sorted ``starts``, its pair ids, and by
     ``successors(pair, spend)``. That yields the pair's edges in groups
-    ``(label, base, edges)``, one group per label with edges, in the order
+    ``(letter, base, edges)``, one group per letter with edges, in the order
     the search walks them. Each edge is ``(w, offset, final)``: it leads to
     pair ``base + offset``, which is a final pair when ``final`` is true,
     and ``w = w1 * len(words) + w2`` names its two outputs, indices into
     ``words``, where ``words[0]`` is the empty word. Before ``successors``
     scans anything it calls ``spend(n)`` with the number of arc pairs it is
-    about to examine; ``spend`` raises ResourceLimitError past the cap. The
-    words found are words of labels.
+    about to examine; ``spend`` raises ResourceLimitError past the cap.
 
     One breadth-first pass keeps, for every pair reached from the start
     pairs, its parent and the two outstanding outputs with their common
@@ -364,9 +363,9 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     cells per letter it is read on. The largest product of the experiment
     grid, reduced (3,4) handcrafted against its transducer, holds 7,277
     pairs and 13,122 delay tokens and examines 46,122 arc pairs: 4,530 to
-    build 1,377 groups and 41,592 edges walked (over the unpruned letter
-    views: 16,635 pairs, 14,040 tokens and 105,348 arc pairs). Raw (3,4)
-    handcrafted against the same transducer examines 63,132 in 7,493 pairs.
+    build 1,377 groups and 41,592 edges walked (20,509 pairs with every
+    pair fitting). Raw (3,4) handcrafted against the same transducer
+    examines 63,132 in 7,493 pairs.
     """
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
     budget = EDGE_CAP
@@ -477,15 +476,15 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
 
 def _letter_product(x: LetterMachine, y: LetterMachine) -> Product:
     """The product of two letter machines as ``_delay_search`` reads it:
-    pair ``p * y.state_count + q``, and every two arcs with one label from
-    ``p`` and ``q`` an edge, in ``x``'s label order and then each machine's
+    pair ``p * y.state_count + q``, and every two arcs with one letter from
+    ``p`` and ``q`` an edge, in ``x``'s letter order and then each machine's
     arc order. The start pairs are the pairs of initial states."""
     index: dict[Word, int] = {(): 0}
 
     def interned(m: LetterMachine):
-        return {p: {label: [(index.setdefault(out, len(index)), t) for out, t in arcs]
-                    for label, arcs in labels.items()}
-                for p, labels in m.arcs.items()}
+        return {p: {tok: [(index.setdefault(out, len(index)), t) for out, t in arcs]
+                    for tok, arcs in letters.items()}
+                for p, letters in m.arcs.items()}
 
     xarcs = interned(x)
     yarcs = xarcs if y is x else interned(y)
@@ -605,14 +604,14 @@ def _letter_input(machine):
 
 
 def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
-    """The pairs of a right state and a transducer state that fit, when one
+    """The pairs of a right state and a transducer state that fit, where one
     of ``x`` and ``y`` is a bimachine and the other a letter-input
-    transducer, else None: ``(xmod, ymod, fits)``, where the states of
-    ``x``'s kind (right states or transducer states) number ``xmod``, those
-    of ``y``'s kind ``ymod``, and ``fits[s]`` holds the ``y``-kind states
-    that fit ``x``-kind state ``s``. ``_row_product`` enters only pairs that
-    fit. None too when the fitting pairs number more than STATE_CAP: the
-    search then runs unpruned, over the two letter views.
+    transducer: ``(xmod, ymod, fits)``, where the states of ``x``'s kind
+    (right states or transducer states) number ``xmod``, those of ``y``'s
+    kind ``ymod``, and ``fits[s]`` holds the ``y``-kind states that fit
+    ``x``-kind state ``s``. ``_row_product`` enters only pairs that fit.
+    None when the fitting pairs number more than STATE_CAP: the search then
+    runs unpruned, with every pair fitting.
 
     A bimachine state ``(l, r)``, a left state with a guessed right state,
     accepts only suffixes whose reversal takes its right automaton R to
@@ -625,8 +624,6 @@ def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
     that R meets in ``r``, but they are found without that subset
     construction, in at most ``|R| * |Q|`` pairs.
     """
-    if isinstance(x, Bimachine) == isinstance(y, Bimachine):
-        return None
     b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
     right, count = b.right, t.state_count
     column = {tok: right.alphabet.index(tok) for tok in t.input_alphabet.symbols}
@@ -654,21 +651,33 @@ def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
     return (width, count, fits) if b is x else (count, width, fits)
 
 
-def _row_product(x, y, fit: tuple[int, int, list[set[int]]]) -> Product:
+class _Everything:
+    """The fit when every pair fits: it holds every state, and so does each
+    of its items. It takes no room, however many states there are."""
+
+    def __contains__(self, item) -> bool:
+        return True
+
+    def __getitem__(self, item) -> _Everything:
+        return self
+
+
+def _row_product(x, y, fit: tuple[int, int, list[set[int]]] | None) -> Product:
     """The product of a bimachine and a letter-input transducer, one of them
     ``x`` and the other ``y``, as ``_delay_search`` reads it, straight from
-    the bimachine's psi rows; ``fit`` is ``_suffix_filter(x, y)``.
+    the bimachine's psi rows; ``fit`` is ``_suffix_filter(x, y)``, and None
+    lets every pair fit.
 
     A bimachine state is ``(l, r)``: left state ``l``, and right state
     ``r`` guessed for the unread suffix. Its id is ``l * |R| + r``, and a
-    pair's id is ``s * |y| + q`` as in the product of the two machines'
-    letter views. On letter ``a`` the bimachine steps to ``(δL(l, a), r')``
-    for each ``r'`` with ``δR(r', a) = r`` where ``psi(l, a, r')`` is
-    defined, and emits that output. Only pairs whose right state and
-    transducer state fit are started or entered. Once the domains are
-    equal, a reached pair that fits is live (it can reach a final pair), so
-    the search meets the same pairs in the same order, with the same
-    delays, as over the letter view, whose trim is not needed here.
+    pair's id is ``s * |y| + q`` with the bimachine first, ``q * |x| + s``
+    with the transducer first. On letter ``a`` the bimachine steps to
+    ``(δL(l, a), r')`` for each ``r'`` with ``δR(r', a) = r`` where ``psi(l,
+    a, r')`` is defined, and emits that output. Every ``(L.start, r)``
+    starts and every ``(l, R.start)`` is final. Only pairs whose right
+    state and transducer state fit are started or entered. Once the domains
+    are equal, a reached pair that fits is live (it can reach a final
+    pair), so no wrong guess of the suffix needs to be trimmed first.
 
     A pair's edges on a letter depend only on its psi row, the letter,
     ``r`` and the transducer state, up to the base that ``δL(l, a)`` adds to
@@ -681,11 +690,12 @@ def _row_product(x, y, fit: tuple[int, int, list[set[int]]]) -> Product:
     """
     b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
     bimachine_first = b is x
-    _, _, fits = fit
-    if bimachine_first:
-        fitting_r, fitting_q = {r for r, qs in enumerate(fits) if qs}, set().union(*fits)
+    if fit is None:
+        fits = fitting_r = fitting_q = _Everything()
     else:
-        fitting_q, fitting_r = {q for q, rs in enumerate(fits) if rs}, set().union(*fits)
+        fits = fit[2]
+        held, union = {s for s, fitting in enumerate(fits) if fitting}, set().union(*fits)
+        fitting_r, fitting_q = (held, union) if bimachine_first else (union, held)
     psi, right, left_delta = b.psi, b.right, b.left.delta
     symbols = b.input_alphabet.symbols
     letters, width, count = len(symbols), right.state_count, t.state_count
@@ -768,13 +778,84 @@ def _row_product(x, y, fit: tuple[int, int, list[set[int]]]) -> Product:
 
     lstart = b.left.start * width
     initial = sorted(t.initial)
+    # Lazy: with every pair fitting there may be far more than the search
+    # takes before it refuses.
     if bimachine_first:
-        starts = [(lstart + r) * count + q for r in range(width) for q in initial
-                  if q in fits[r]]
+        starts = ((lstart + r) * count + q for r in range(width) for q in initial
+                  if q in fits[r])
     else:
-        starts = [q * states + lstart + r for q in initial for r in range(width)
-                  if r in fits[q]]
+        starts = (q * states + lstart + r for q in initial for r in range(width)
+                  if r in fits[q])
     return starts, successors, tuple(index)
+
+
+def _paired_row_product(x: Bimachine, y: Bimachine) -> Product:
+    """The product of two bimachines as ``_delay_search`` reads it,
+    straight from their psi rows.
+
+    Both machines guess the right state of the unread suffix, and they guess
+    it together: the right pairs ``J`` are the pairs ``(r1, r2)`` that R1 and
+    R2 reach together from ``(R1.start, R2.start)``, read as one automaton.
+    Every right pair is reachable, so no guess is filtered. A pair is ``(l1,
+    l2, j)``, with id ``(l1 * |L2| + l2) * |J| + j``. The start pairs are
+    ``(L1.start, L2.start, j)`` for every ``j``, and a pair is final when
+    ``j`` is J's start. On letter ``a`` the pair steps to ``(δL1(l1, a),
+    δL2(l2, a), j')`` for each ``j'`` with ``δJ(j', a) = j`` where both psi
+    cells at ``j'`` are defined, in ascending ``j'``, and emits them. So each
+    path of one machine meets only the other's path on the same word.
+
+    A pair's edges on a letter depend only on its two psi rows, the letter
+    and ``j``, up to the base that its left states add to their targets, so
+    each such group is built once. Building a group spends the right pairs
+    it scans, at least 1; walking it spends its edges. Raises
+    ResourceLimitError when R1 and R2 reach more than STATE_CAP right pairs.
+    """
+    alphabet, (right1, right2) = x.input_alphabet, (x.right, y.right)
+    rights, right_pairs = explore(alphabet, (right1.start, right2.start),
+                                  lambda j, tok: (right1.step(j[0], tok), right2.step(j[1], tok)))
+    size, symbols = rights.state_count, alphabet.symbols
+    letters, count = len(symbols), y.left.state_count
+    # sources[pos][j]: the j' with δJ(j', a) = j, ascending.
+    sources: list[list[list[int]]] = [[[] for _ in range(size)] for _ in symbols]
+    for j2, row in enumerate(rights.delta):
+        for by_target, j in zip(sources, row):
+            by_target[j].append(j2)
+    index: dict[Word, int] = {(): 0}
+    ids1, ids2 = ([index.setdefault(w, len(index)) for w in m.psi.words] for m in (x, y))
+    span = len(index)
+    rows1, rows2, width1, width2 = x.psi.rows, y.psi.rows, right1.state_count, right2.state_count
+    row_of1, row_of2, distinct = x.psi.row_of, y.psi.row_of, y.psi.distinct
+    left1, left2 = x.left.delta, y.left.delta
+    groups: dict[int, list[tuple[int, int, bool]]] = {}
+
+    def build(i1: int, i2: int, pos: int, j: int,
+              spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
+        found = sources[pos][j]
+        spend(max(1, len(found)))
+        base1, base2 = i1 * width1, i2 * width2
+        return [(ids1[v1] * span + ids2[v2], j2, j2 == 0) for j2 in found
+                for r1, r2 in (right_pairs[j2],)
+                for v1, v2 in ((rows1[base1 + r1], rows2[base2 + r2]),)
+                if v1 >= 0 and v2 >= 0]
+
+    def successors(pair: int, spend: Callable[[int], None]):
+        lefts, j = divmod(pair, size)
+        l1, l2 = divmod(lefts, count)
+        slot1, slot2, to1, to2 = l1 * letters, l2 * letters, left1[l1], left2[l2]
+        for pos, tok in enumerate(symbols):
+            i1, i2 = row_of1[slot1 + pos], row_of2[slot2 + pos]
+            if i1 < 0 or i2 < 0:
+                continue
+            key = ((i1 * distinct + i2) * letters + pos) * size + j
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = build(i1, i2, pos, j, spend)
+            if group:
+                spend(len(group))
+                yield tok, (to1[pos] * count + to2[pos]) * size, group
+
+    start = (x.left.start * count + y.left.start) * size
+    return range(start, start + size), successors, tuple(index)
 
 
 def _compare(x, y) -> tuple[Word | None, int]:
@@ -787,16 +868,13 @@ def _compare(x, y) -> tuple[Word | None, int]:
     word = _domain_difference(lx, ly)
     if word is not None:
         words, pairs = [word], 0
-    elif isinstance(x, Bimachine) and isinstance(y, Bimachine):
-        starts, successors, outputs = _letter_product(*x.paired_letter_machines(y))
-        labelled, pairs = _delay_search(starts, successors, "equivalence check", outputs)
-        words = [tuple(label[0] for label in word) for word in labelled]
     else:
-        fit = _suffix_filter(lx, ly)
-        if fit is None:
-            product = _letter_product(lx.letter_machine(), ly.letter_machine())
+        if isinstance(x, Bimachine) and isinstance(y, Bimachine):
+            product = _paired_row_product(x, y)
+        elif isinstance(x, Bimachine) or isinstance(y, Bimachine):
+            product = _row_product(lx, ly, _suffix_filter(lx, ly))
         else:
-            product = _row_product(lx, ly, fit)
+            product = _letter_product(lx.letter_machine(), ly.letter_machine())
         starts, successors, outputs = product
         words, pairs = _delay_search(starts, successors, "equivalence check", outputs)
     for word in words:
@@ -819,19 +897,19 @@ def equivalent(x, y) -> Word | None:
     machine is defined. On the common domain the delay search then pairs
     each accepting path of ``x`` with each of ``y`` on the same word; a word
     it yields comes from its breadth-first search trees and need not be the
-    least. Two bimachines enter that search as their
-    ``paired_letter_machines``, so that both guess the same suffix. A
-    bimachine meets a transducer straight from its psi rows
-    (``_row_product``), only in pairs of states that can accept a common
-    suffix (``_suffix_filter``); when more than STATE_CAP pairs fit, both
-    enter as their letter views, unpruned. Every returned word is checked
-    with both machines' ``evaluate``.
+    least. A bimachine enters that search straight from its psi rows. Two
+    bimachines guess the right states of the suffix together
+    (``_paired_row_product``). A bimachine meets a transducer only in pairs
+    of states that can accept a common suffix (``_row_product`` and
+    ``_suffix_filter``); when more than STATE_CAP pairs fit, the search runs
+    with every pair fitting. Every returned word is checked with both
+    machines' ``evaluate``.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when
     the empty word maps to a nonempty output. A transducer that is not
     functional may make ``evaluate`` raise NonFunctionalError. Raises
     ValueError when the input alphabets differ and ResourceLimitError past
-    the caps of ``_delay_search``, ``explore`` and the paired views.
+    the caps of ``_delay_search`` and ``explore``.
     """
     return _compare(x, y)[0]

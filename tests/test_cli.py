@@ -121,7 +121,7 @@ def test_equiv_two_bimachines_without_a_transducer(tmp_path, capsys):
     reduced.write_text(emit_bimachine(hc.reduce()), encoding="utf-8")
     # Side a is the pivot; the two machines guess their right states together.
     assert run_cli("equiv", "--a", str(reduced), "--b", str(raw)) == 0
-    assert capsys.readouterr().out == "EQUIVALENT(pairs=9962)\n"
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=10085)\n"
 
 
 def test_equiv_reports_first_mismatch(tmp_path, capsys):

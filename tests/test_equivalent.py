@@ -4,6 +4,7 @@ against brute-force enumeration."""
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -147,53 +148,19 @@ def test_bimachine_against_bimachine():
 def test_two_bimachines_guess_their_right_states_together():
     # Reduced (3,4) handcrafted against itself: with a right state guessed
     # apart on each side, the product reached 103,330 pairs (over the cap).
-    # Paired, a machine's left and right states reach only themselves
-    # together, and each path meets only its twin.
+    # Guessed together, a machine's right states reach only themselves
+    # together, one start pair each, and each path meets only its twin.
     _, _, _, _, handcrafted = built(3, 4)
     reduced = handcrafted.reduce()
-    views = reduced.paired_letter_machines(reduced)
-    size = reduced.left.state_count * reduced.right.state_count + 1
-    assert views[0].state_count == views[1].state_count == size
-    assert _compare(reduced, reduced) == (None, 3428)
-
-
-def test_a_bimachine_view_keeps_only_states_that_can_accept():
-    # State (l, r) of the view can accept when some word u has
-    # R.run(reversed(u)) == r and psi*(l, u, R.start) defined. The view keeps
-    # exactly the arcs into such states; the others guess the right state of
-    # the suffix wrongly. Brute force over words up to length 5 finds every
-    # such state of these machines.
-    for machine in built(2, 1)[3:] + built(2, 2)[3:]:
-        left, right = machine.left, machine.right
-        width = right.state_count
-        live = {l * width + right.run(reversed(u))
-                for u in words_upto(machine.input_alphabet.symbols, 5)
-                for l in range(left.state_count)
-                if machine.psi_star(l, u, right.start) is not None}
-        every_arc = {(l * width + right.step(r, a), a, out, left.step(l, a) * width + r)
-                     for (l, a, r), out in machine.psi.items()}
-        view = machine.letter_machine()
-        kept = {(src, a, out, dst) for src, labels in view.arcs.items()
-                for a, arcs in labels.items() for out, dst in arcs}
-        assert kept == {arc for arc in every_arc if arc[3] in live}
-        starts = {left.start * width + r for r in range(width)}
-        assert set(view.initial) == starts & live
-    # Reduced (3,4) handcrafted: 3,496 view states reachable before, 2,376 now.
-    view = built(3, 4)[4].reduce().letter_machine()
-    reached, stack = set(view.initial), list(view.initial)
-    while stack:
-        for arcs in view.arcs.get(stack.pop(), {}).values():
-            for _, dst in arcs:
-                if dst not in reached:
-                    reached.add(dst)
-                    stack.append(dst)
-    assert len(reached) == 2376
+    starts, _, _ = transducer._paired_row_product(reduced, reduced)
+    assert len(starts) == reduced.right.state_count
+    assert _compare(reduced, reduced) == (None, 3496)
 
 
 def test_random_bimachine_pairs_agree_with_brute_force():
     # Two machines of different shape, the reduced generic one and the
-    # handcrafted one with one seeded change to its psi table, compared
-    # through their paired views.
+    # handcrafted one with one seeded change to its psi table, guessing
+    # their right states together.
     rng = random.Random(47)
     differ = equal = 0
     for k, n in ((2, 1), (2, 2), (3, 1)):
@@ -223,6 +190,69 @@ def test_random_bimachine_pairs_agree_with_brute_force():
                 differ += 1
                 assert good.evaluate(word) != bad.evaluate(word)
     assert differ >= 20 and equal >= 10
+
+
+def test_random_bimachine_pairs_of_any_shape_agree_with_brute_force():
+    # Random left and right automata, drawn apart for the two machines: a
+    # total table against another total table (equal domains, so the delay
+    # search decides), or a machine against its product with two more
+    # random automata, the same function on other states, with one output
+    # changed half the time.
+    rng = random.Random(43)
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
+
+    def dfa(most):
+        count = rng.randint(1, most)
+        return Dfa(ab, count, rng.randrange(count),
+                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
+
+    def drawn(density):
+        left, right = dfa(4), dfa(4)
+        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
+               for r in range(right.state_count) if rng.random() < density}
+        return Bimachine(left, right, psi, rng.choice([None, ()]), xy)
+
+    def times(m, d):
+        width = d.state_count
+        delta = [[m.delta[p][c] * width + d.delta[q][c] for c in range(len(ab))]
+                 for p in range(m.state_count) for q in range(width)]
+        return Dfa(ab, m.state_count * width, m.start * width + d.start, delta)
+
+    def blown_up(m):
+        d, e = dfa(3), dfa(3)
+        dw, ew = d.state_count, e.state_count
+        psi = {(l * dw + p, a, r * ew + q): out for (l, a, r), out in m.psi.items()
+               for p in range(dw) for q in range(ew)}
+        return Bimachine(times(m.left, d), times(m.right, e), psi, m.empty_word_output, xy)
+
+    verdicts, searched = {True: 0, False: 0}, 0
+    for trial in range(120):
+        if trial % 2:
+            x, y = drawn(1.0), drawn(1.0)
+            y, same = with_psi(y, y.psi, x.empty_word_output), False
+        else:
+            x = drawn(0.8)
+            y = blown_up(x)
+            same = rng.random() < 0.5
+            if not same and y.psi:
+                key = rng.choice(sorted(y.psi))
+                y = with_psi(y, {**y.psi, key: rng.choice(
+                    [w for w in words if w != y.psi[key]])}, y.empty_word_output)
+        (word, pairs), back = _compare(x, y), equivalent(y, x)
+        assert (word is None) == (back is None)
+        brute = next((w for w in words_upto(ab.symbols, 6) if x.evaluate(w) != y.evaluate(w)),
+                     None)
+        if same or word is None:
+            assert brute is None and word is None
+        if brute is not None:
+            assert word is not None
+        for found in (word, back):
+            if found is not None:
+                assert x.evaluate(found) != y.evaluate(found)
+        verdicts[word is None] += 1
+        searched += pairs > 0 and word is not None
+    assert verdicts[True] >= 30 and searched >= 60
 
 
 def test_transducer_against_transducer():
@@ -309,18 +339,27 @@ def test_product_over_the_cap_is_refused():
     assert into.relation(()) == ((),)
 
 
-def test_paired_views_over_the_cap_are_refused():
+def test_too_many_right_pairs_are_refused():
     a, x = Alphabet(("a",)), Alphabet(("x",))
 
-    def counter(n):
-        return Dfa(a, n, 0, [((q + 1) % n,) for q in range(n)])
+    def counter(left, right):
+        def cycle(n):
+            return Dfa(a, n, 0, [((q + 1) % n,) for q in range(n)])
 
-    # 400 left pairs times 300 right pairs: 120,000 states.
-    wide = Bimachine(counter(400), counter(300), {(0, "a", 0): ("x",)}, None, x)
-    with pytest.raises(ResourceLimitError, match="paired views exceed"):
-        equivalent(wide, wide)
-    narrow = Bimachine(counter(400), counter(200), {(0, "a", 0): ("x",)}, None, x)
-    assert equivalent(narrow, narrow) is None
+        return Bimachine(cycle(left), cycle(right), {(0, "a", 0): ("x",)}, None, x)
+
+    # Against itself a machine's right states pair only with themselves:
+    # one start pair each, and the one pair that reads "a" to acceptance.
+    wide, narrow = counter(400, 300), counter(400, 200)
+    assert _compare(wide, wide) == (None, 301)
+    assert _compare(narrow, narrow) == (None, 201)
+    # Right counters of 301 and 400 states, coprime, reach all 120,400
+    # right pairs together, more than STATE_CAP. Both machines map "a", and
+    # only "a", to "x", so the domain check passes and the search runs.
+    coprime = counter(400, 301), counter(200, 400)
+    for pair in (coprime, coprime[::-1]):
+        with pytest.raises(ResourceLimitError, match="state space exceeded"):
+            equivalent(*pair)
 
 
 def test_psi_keys_outside_the_machine_are_refused():
@@ -357,7 +396,7 @@ def test_reduced_3_4_handcrafted_reaches_few_pairs(monkeypatch):
     reduced = handcrafted.reduce()
     assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 7277)
     unpruned(monkeypatch)
-    assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 16635)
+    assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 20509)
 
 
 def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
@@ -454,41 +493,6 @@ def reference_view(machine):
                                machine.empty_word_output)
 
 
-def assert_same_view(machine):
-    view, want = machine.letter_machine(), reference_view(machine)
-    assert view == want
-    assert list(view.arcs) == list(want.arcs)
-    for state, labels in view.arcs.items():
-        assert list(labels.items()) == list(want.arcs[state].items())
-
-
-@pytest.mark.parametrize("k,n", GRID)
-def test_the_letter_view_is_the_sorted_one(k, n):
-    _, _, _, generic, handcrafted = built(k, n)
-    machines = [handcrafted] + ([generic] if n <= 3 else [])
-    for machine in machines + [m.reduce() for m in machines]:
-        assert_same_view(machine)
-
-
-def test_random_letter_views_are_the_sorted_ones():
-    # Random automata send the right states of one letter anywhere, and
-    # random tables repeat output words across a source's arcs.
-    rng = random.Random(29)
-    ab, xy = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
-    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
-
-    def dfa():
-        count = rng.randint(1, 6)
-        return Dfa(ab, count, rng.randrange(count),
-                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
-
-    for _ in range(60):
-        left, right = dfa(), dfa()
-        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
-               for r in range(right.state_count) if rng.random() < 0.6}
-        assert_same_view(Bimachine(left, right, psi, rng.choice([None, ()]), xy))
-
-
 def nth_letter_is_a(m):
     """``w -> w`` on the words over {a, b} whose letter m+1 is ``a``: a
     transducer with m+2 states, whose reversed determinization has 2^(m+1)+1
@@ -551,6 +555,25 @@ def test_too_many_fitting_pairs_run_the_search_unpruned():
     assert _compare(good, t) == _compare(t, good) == (None, 300)
     word, _ = _compare(bad, t)
     assert word is not None and bad.evaluate(word) != t.evaluate(word)
+    # 10,000 right states and 10,000 counter states: 10^8 pairs fit. A set
+    # of fitting states per right state would take gigabytes. The search
+    # holds the 10,000 reachable pairs, and the whole comparison peaks at
+    # about 12 MB, most of it the suffix filter's search up to STATE_CAP.
+    size = 10**4
+    junk = [Arc(q, "a", ("x",), 1 + q % size) for q in range(1, size + 1)]
+    t = Transducer(a, x, size + 1, {0}, set(range(size + 1)), [Arc(0, "a", ("x",), 0)] + junk)
+    counter = Dfa(a, size, 0, [((q + 1) % size,) for q in range(size)])
+    good = Bimachine(Dfa(a, 1, 0, [(0,)]), counter,
+                     {(0, "a", r): ("x",) for r in range(size)}, (), x)
+    assert good.right.state_count * t.state_count >= 10**8
+    tracemalloc.start()
+    try:
+        found = _compare(good, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (None, size)
+    assert peak < 24 * 2**20
 
 
 # The pairs the reduced handcrafted and generic machines of each grid cell
@@ -559,20 +582,11 @@ GRID_PAIRS = {(2, 1): (9, 7), (2, 2): (38, 30), (2, 3): (134, 102), (2, 4): (450
               (3, 1): (15, 9), (3, 2): (119, 65), (3, 3): (905, 419), (3, 4): (7277, None)}
 
 
-def no_letter_views(monkeypatch):
-    """Make building a bimachine's letter view fail under ``monkeypatch``."""
-    def refuse(self):
-        raise AssertionError("a bimachine's letter view was built")
-
-    monkeypatch.setattr(Bimachine, "letter_machine", refuse)
-
-
 @pytest.mark.parametrize("k,n", GRID)
-def test_a_bimachine_meets_a_transducer_without_its_letter_view(k, n, monkeypatch):
+def test_a_bimachine_meets_a_transducer_without_its_letter_view(k, n):
     # The domain check and the search read the bimachine from its psi rows.
     _, _, prepared, generic, handcrafted = built(k, n)
     machines = [handcrafted.reduce()] + ([generic.reduce()] if n <= 3 else [])
-    no_letter_views(monkeypatch)
     for machine, pairs in zip(machines, GRID_PAIRS[k, n]):
         assert _compare(machine, prepared) == _compare(prepared, machine) == (None, pairs)
 
@@ -596,24 +610,22 @@ def test_the_domain_check_steps_as_many_subsets_as_the_letter_views_did(monkeypa
         assert sizes == [want]
 
 
-def test_raw_3_4_handcrafted_is_decided_exactly(monkeypatch):
+def test_raw_3_4_handcrafted_is_decided_exactly():
     # Counted before the fit test, its arc pairs passed EDGE_CAP (213,798);
     # the groups scan and walk 63,132.
     _, _, prepared, _, handcrafted = built(3, 4)
-    no_letter_views(monkeypatch)
     assert _compare(handcrafted, prepared) == _compare(prepared, handcrafted) == (None, 7493)
 
 
-def test_two_bimachines_are_compared_without_letter_views(monkeypatch):
-    # Their domains are stepped from the psi rows; the search runs over the
-    # paired views.
+def test_two_bimachines_are_compared_without_letter_views():
+    # Their domains are stepped from the psi rows, and so is the search.
     params, _, _, generic, handcrafted = built(2, 2)
     bad = corrupt_handcrafted(handcrafted, params, random.Random(3))
-    want = [_compare(handcrafted, bad), _compare(generic, handcrafted)]
+    word = equivalent(handcrafted, bad)
+    assert word is not None and handcrafted.evaluate(word) != bad.evaluate(word)
+    assert equivalent(generic, handcrafted) is None
     _, _, _, _, big = built(3, 4)
-    no_letter_views(monkeypatch)
-    assert [_compare(handcrafted, bad), _compare(generic, handcrafted)] == want
-    assert _compare(big.reduce(), big.reduce()) == (None, 3428)
+    assert _compare(big.reduce(), big.reduce()) == (None, 3496)
     for key in list(boundary_walk(handcrafted, ("1", "1", "3", "3")))[:2]:
         psi = dict(handcrafted.psi)
         del psi[key]
@@ -711,7 +723,7 @@ def assert_rows_match_views(x, y):
     b = x if isinstance(x, Bimachine) else y
     states = b.left.state_count * b.right.state_count
     width = ymod if b is x else states
-    view = b.letter_machine()
+    view = reference_view(b)
     live = {d for labels in view.arcs.values() for arcs in labels.values() for _, d in arcs}
     live |= view.final | set(view.initial)
 
@@ -722,7 +734,7 @@ def assert_rows_match_views(x, y):
         return (pair // width if b is x else pair % width) in live
 
     rows = transducer._row_product(x, y, fit)
-    views = transducer._letter_product(x.letter_machine(), y.letter_machine())
+    views = transducer._letter_product(*(view if m is b else m.letter_machine() for m in (x, y)))
     starts = list(rows[0])
     assert [s for s in starts if accepting(s)] == [s for s in views[0] if fitting(s)]
     reached, order = set(starts), list(starts)
@@ -763,3 +775,14 @@ def test_row_groups_are_the_letter_views_fitting_edges_in_order():
         t = random_letter_transducer(rng)
         assert_rows_match_views(machine, t)
         assert_rows_match_views(t, machine)
+
+
+@pytest.mark.parametrize("k,n", GRID)
+def test_the_letter_view_is_the_sorted_one(k, n):
+    # A bimachine's letter view is now only implicit in its row groups. On
+    # every grid cell, raw and reduced, they are the sorted view's fitting
+    # edges in order.
+    _, _, prepared, generic, handcrafted = built(k, n)
+    machines = [handcrafted] + ([generic] if n <= 3 else [])
+    for machine in machines + [m.reduce() for m in machines]:
+        assert_rows_match_views(machine, prepared)
