@@ -1,7 +1,6 @@
-"""Automaton kernel: alphabets, NFAs, total DFAs, letter machines with
-outputs for the product searches, the breadth-first exploration every
-determinization runs on, subset construction, reversal, and Moore
-partition-refinement reduction.
+"""Automaton kernel: alphabets, NFAs, total DFAs, the breadth-first
+exploration every determinization runs on, subset construction, reversal,
+and Moore partition-refinement reduction.
 
 States are dense integer indices and every iteration order is fixed by
 (state index, alphabet order), so repeated builds are byte-identical.
@@ -10,7 +9,7 @@ States are dense integer indices and every iteration order is fixed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
 
@@ -149,37 +148,6 @@ class Dfa:
         for i in self.alphabet.indices(word):
             state = delta[state][i]
         return state
-
-
-class LetterMachine(NamedTuple):
-    """A letter-input machine with outputs, as the product searches of
-    ``bimlab.transducer`` read it; they only walk forward, so it keeps no
-    table of predecessors. States are integers below ``state_count``.
-    ``arcs[q][a]`` lists the (output, target) arcs that read letter ``a``
-    from ``q``; a state or letter without such arcs has no entry, so no scan
-    of a state costs more than its own arcs. ``empty_output`` is the output
-    at the empty word, or None where it is undefined."""
-
-    alphabet: Alphabet
-    state_count: int
-    initial: tuple[int, ...]
-    final: frozenset[int]
-    arcs: dict[int, dict[str, list[tuple[Word, int]]]]
-    empty_output: Word | None
-
-    @classmethod
-    def build(cls, alphabet: Alphabet, state_count: int, initial: Iterable[int],
-              final: Iterable[int], arcs: Iterable[tuple[int, str, Word, int]],
-              empty_output: Word | None) -> LetterMachine:
-        """The machine of the (source, letter, output, target) ``arcs``. The
-        table lists letters in alphabet order and arcs in (output, target)
-        order, so every search over it is deterministic."""
-        key = alphabet.index
-        out_arcs: dict[int, dict[str, list[tuple[Word, int]]]] = {}
-        for src, tok, out, dst in sorted(arcs, key=lambda a: (key(a[1]), a[0], a[2], a[3])):
-            out_arcs.setdefault(src, {}).setdefault(tok, []).append((out, dst))
-        return cls(alphabet, state_count, tuple(initial), frozenset(final), out_arcs,
-                   empty_output)
 
 
 def explore(

@@ -5,15 +5,17 @@ recognizes a relation between input and output words via accepting paths. The
 module provides relation/function evaluation, epsilon-input removal, trimming,
 and one delay search, a single forward pass over a product of two machines,
 which runs both the exact functionality test and the exact equivalence test.
-The equivalence test reads a bimachine straight from its psi rows, both for
-its domain and for the search, against a transducer or another bimachine.
+There are two products: one of two letter-input transducers
+(``_letter_product``), and one of a bimachine, read straight from its psi
+rows, with a transducer or a second bimachine (``_row_product``). The
+equivalence test also steps a bimachine's domain from its psi rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DivergingRelationError,
@@ -22,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .bimachine import Bimachine
-from .fsm import EDGE_CAP, STATE_CAP, Alphabet, LetterMachine, Nfa, Word, explore
+from .fsm import EDGE_CAP, STATE_CAP, Alphabet, Nfa, Word, explore
 
 
 # successors(pair, spend) of a product: see ``_delay_search``.
@@ -128,17 +130,6 @@ class Transducer:
             raise NonFunctionalError(word, outputs[0], outputs[1])
         return outputs[0]
 
-    def letter_machine(self) -> LetterMachine:
-        """This machine as the product searches read it. Raises
-        PreconditionError when the machine has epsilon inputs."""
-        if self.has_input_epsilons:
-            raise PreconditionError("the product searches need a letter-input machine")
-        return LetterMachine.build(
-            self.input_alphabet, self.state_count, sorted(self.initial), self.final,
-            ((arc.src, arc.inp, arc.out, arc.dst) for arc in self.arcs),
-            () if self.initial & self.final else None,
-        )
-
     @cached_property
     def _letter_arcs(self) -> dict[tuple[int, str], tuple[tuple[Word, int], ...]]:
         """Letter arcs grouped by (source, token), in canonical order."""
@@ -151,8 +142,9 @@ class Transducer:
     @cached_property
     def _functionality(self) -> FunctionalityReport:
         """What ``check_functional`` reports."""
-        m = self.letter_machine()
-        starts, successors, outputs = _letter_product(m, m)
+        if self.has_input_epsilons:
+            raise PreconditionError("the product searches need a letter-input machine")
+        starts, successors, outputs = _letter_product(self, self)
         words, _ = _delay_search(starts, successors, "functionality check", outputs)
         if not words:
             return FunctionalityReport(True)
@@ -359,13 +351,13 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     delay before it is stored. More raise ResourceLimitError. So on an
     untrusted file the search takes at most EDGE_CAP steps over arc pairs,
     besides one look at each letter of each reached pair (at most
-    STATE_CAP of them) and, in ``_row_product``, one pass over a psi row's
-    cells per letter it is read on. The largest product of the experiment
-    grid, reduced (3,4) handcrafted against its transducer, holds 7,277
-    pairs and 13,122 delay tokens and examines 46,122 arc pairs: 4,530 to
-    build 1,377 groups and 41,592 edges walked (20,509 pairs with every
-    pair fitting). Raw (3,4) handcrafted against the same transducer
-    examines 63,132 in 7,493 pairs.
+    STATE_CAP of them) and, in ``_row_product``, one pass over each psi
+    row's cells per letter it is read on. The largest product of the
+    experiment grid, reduced (3,4) handcrafted against its transducer,
+    holds 7,277 pairs and 13,122 delay tokens and examines 46,122 arc
+    pairs: 4,530 to build 1,377 groups and 41,592 edges walked (20,509
+    pairs with every pair fitting). Raw (3,4) handcrafted against the same
+    transducer examines 63,132 in 7,493 pairs.
     """
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
     budget = EDGE_CAP
@@ -474,17 +466,21 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     return [], len(order)
 
 
-def _letter_product(x: LetterMachine, y: LetterMachine) -> Product:
-    """The product of two letter machines as ``_delay_search`` reads it:
-    pair ``p * y.state_count + q``, and every two arcs with one letter from
-    ``p`` and ``q`` an edge, in ``x``'s letter order and then each machine's
-    arc order. The start pairs are the pairs of initial states."""
+def _letter_product(x: Transducer, y: Transducer) -> Product:
+    """The product of two letter-input transducers as ``_delay_search``
+    reads it: pair ``p * |y| + q``, and every two arcs with one letter from
+    ``p`` and ``q`` an edge, in alphabet order and then each machine's arc
+    order, (output, target), with ``x``'s arcs outside. The start pairs are
+    the pairs of initial states."""
     index: dict[Word, int] = {(): 0}
+    position = {tok: pos for pos, tok in enumerate(x.input_alphabet.symbols)}
 
-    def interned(m: LetterMachine):
-        return {p: {tok: [(index.setdefault(out, len(index)), t) for out, t in arcs]
-                    for tok, arcs in letters.items()}
-                for p, letters in m.arcs.items()}
+    def interned(m: Transducer):
+        table: dict[int, dict[str, list[tuple[int, int]]]] = {}
+        for (p, tok), arcs in sorted(m._letter_arcs.items(),
+                                     key=lambda item: position[item[0][1]]):
+            table.setdefault(p, {})[tok] = [(index.setdefault(w, len(index)), t) for w, t in arcs]
+        return table
 
     xarcs = interned(x)
     yarcs = xarcs if y is x else interned(y)
@@ -503,7 +499,7 @@ def _letter_product(x: LetterMachine, y: LetterMachine) -> Product:
                 yield tok, 0, [(w1 * span + w2, t1 * width + t2, t1 in xfinal and t2 in yfinal)
                                for w1, t1 in left for w2, t2 in right]
 
-    starts = (p * width + q for p in sorted(set(x.initial)) for q in sorted(set(y.initial)))
+    starts = (p * width + q for p in sorted(x.initial) for q in sorted(y.initial))
     return starts, successors, tuple(index)
 
 
@@ -544,7 +540,7 @@ def _subsets(m) -> tuple[Hashable, Callable[[Hashable, str], Hashable],
     letters, position = len(symbols), {tok: pos for pos, tok in enumerate(symbols)}
     row_of, left_delta = m.psi.row_of, m.left.delta
     defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
-    into = [[row[c] for row in right.delta] for c in map(right.alphabet.index, symbols)]
+    into = _right_steps(m)
     nowhere = (-1, frozenset())
 
     def row_step(subset: tuple[int, frozenset[int]], tok: str) -> tuple[int, frozenset[int]]:
@@ -603,52 +599,157 @@ def _letter_input(machine):
     return machine
 
 
-def _suffix_filter(x, y) -> tuple[int, int, list[set[int]]] | None:
-    """The pairs of a right state and a transducer state that fit, where one
-    of ``x`` and ``y`` is a bimachine and the other a letter-input
-    transducer: ``(xmod, ymod, fits)``, where the states of ``x``'s kind
-    (right states or transducer states) number ``xmod``, those of ``y``'s
-    kind ``ymod``, and ``fits[s]`` holds the ``y``-kind states that fit
-    ``x``-kind state ``s``. ``_row_product`` enters only pairs that fit.
-    None when the fitting pairs number more than STATE_CAP: the search then
-    runs unpruned, with every pair fitting.
+def _right_steps(m: Bimachine) -> list[list[int]]:
+    """``steps[pos][r]``: where ``m``'s right automaton steps from ``r`` on
+    the ``pos``-th letter of ``m``'s input alphabet."""
+    right = m.right
+    return [[row[c] for row in right.delta]
+            for c in map(right.alphabet.index, m.input_alphabet.symbols)]
+
+
+def _row_arcs(m: Bimachine, index: dict[Word, int],
+              fitting: Container[int]) -> Callable[[int, int], list[tuple[int, int]]]:
+    """``arcs(key, pos)``, the arcs of bimachine ``m`` on its ``pos``-th
+    letter a from psi row ``i`` and right state ``r``, where ``key = i * |R|
+    + r``: ``(output id, r')`` for each ``r'`` in ``fitting`` with ``δR(r',
+    a) = r`` where the row's cell at ``r'`` is defined, in (output, r')
+    order. ``index`` gives the output ids, and ``m``'s words are added to it
+    first. Each list is built once."""
+    psi, width, letters = m.psi, m.right.state_count, len(m.input_alphabet)
+    rows, words = psi.rows, psi.words
+    ids = [index.setdefault(w, len(index)) for w in words]
+    # An arc sorts by (output, target), which is rank * |R| + r'.
+    keyed = [0] * len(words)
+    for k, v in enumerate(sorted(range(len(words)), key=words.__getitem__)):
+        keyed[v] = k * width
+    # sources[pos][r]: the r' with δR(r', a) = r that fit, ascending.
+    sources: list[list[list[int]]] = []
+    for to in _right_steps(m):
+        by_target: list[list[int]] = [[] for _ in range(width)]
+        for r2, r in enumerate(to):
+            if r2 in fitting:
+                by_target[r].append(r2)
+        sources.append(by_target)
+    built: dict[int, list[tuple[int, int]]] = {}
+
+    def arcs(key: int, pos: int) -> list[tuple[int, int]]:
+        slot = key * letters + pos
+        found = built.get(slot)
+        if found is None:
+            i, r = divmod(key, width)
+            base = i * width
+            ranked = sorted([(keyed[v] + r2, v) for r2 in sources[pos][r]
+                             for v in (rows[base + r2],) if v >= 0])
+            found = built[slot] = [(ids[v], k % width) for k, v in ranked]
+        return found
+
+    return arcs
+
+
+# What ``_row_product`` finds in a unit's moves: letter position, letter,
+# head and base.
+Units = list[list[tuple[int, str, int, int]]]
+
+
+class _View(NamedTuple):
+    """The machine a bimachine meets in ``_row_product``, a letter-input
+    transducer or a second bimachine, read by the states' classes.
+
+    State ``q`` is in unit ``q // width``. Its class is its guess of the
+    unread suffix: a transducer state is its own unit and its own class, and
+    bimachine state ``(l, r)``, id ``l * |R| + r``, is in unit ``l`` with
+    class ``r``. ``initial`` holds the (state, class) of each start state,
+    ``final`` the classes of final states, and ``before[c]`` the ``(pos,
+    c')`` such that a state of class ``c'`` steps on the ``pos``-th letter
+    to one of class ``c``.
+
+    ``moves(index, fitting)`` gives ``(units, arcs)``, with output ids from
+    ``index`` and only targets whose class is in ``fitting``. ``units[u]``
+    lists the letters unit ``u`` reads, in alphabet order, as ``(pos,
+    letter, head, base)``. The arcs of state ``q`` on that letter are
+    ``arcs(base + q, pos)``, as ``(output id, class)`` in (output, class)
+    order, and the arc to class ``c`` leads to state ``head + c``.
+    """
+
+    width: int
+    count: int
+    initial: list[tuple[int, int]]
+    final: Container[int]
+    before: list[list[tuple[int, int]]]
+    moves: Callable[[dict[Word, int], Container[int]],
+                    tuple[Units, Callable[[int, int], list[tuple[int, int]]]]]
+
+
+def _view(m) -> _View:
+    """The view of ``m``, a letter-input transducer or a bimachine."""
+    symbols = m.input_alphabet.symbols
+    letters, position = len(symbols), {tok: pos for pos, tok in enumerate(symbols)}
+    if isinstance(m, Bimachine):
+        width, row_of = m.right.state_count, m.psi.row_of
+        units = [[(pos, tok, to[pos] * width, (i - l) * width)
+                  for pos, tok in enumerate(symbols) for i in (row_of[l * letters + pos],)
+                  if i >= 0] for l, to in enumerate(m.left.delta)]
+        steps = _right_steps(m)
+        return _View(width, m.left.state_count * width,
+                     [(m.left.start * width + r, r) for r in range(width)], (m.right.start,),
+                     [[(pos, to[c]) for pos, to in enumerate(steps)] for c in range(width)],
+                     lambda index, fitting: (units, _row_arcs(m, index, fitting)))
+    before: list[set[tuple[int, int]]] = [set() for _ in range(m.state_count)]
+    for arc in m.arcs:
+        before[arc.dst].add((position[arc.inp], arc.src))
+
+    def moves(index: dict[Word, int], fitting: Container[int]):
+        units: Units = [[] for _ in range(m.state_count)]
+        table: dict[int, list[tuple[int, int]]] = {}
+        for (q, tok), arcs in m._letter_arcs.items():
+            own = [(index.setdefault(out, len(index)), d) for out, d in arcs if d in fitting]
+            if own:
+                pos = position[tok]
+                units[q].append((pos, tok, 0, 0))
+                table[q * letters + pos] = own
+        for by_letter in units:
+            by_letter.sort()
+        return units, lambda q, pos: table[q * letters + pos]
+
+    return _View(1, m.state_count, [(q, q) for q in sorted(m.initial)], m.final,
+                 [list(pairs) for pairs in before], moves)
+
+
+def _suffix_filter(b: Bimachine, view: _View) -> list[set[int]] | None:
+    """The classes of ``view``'s states that fit each right state of ``b``:
+    ``fits[r]``. ``_row_product`` enters only pairs that fit. None when the
+    fitting pairs number more than STATE_CAP: the search then runs
+    unpruned, with every pair fitting.
 
     A bimachine state ``(l, r)``, a left state with a guessed right state,
     accepts only suffixes whose reversal takes its right automaton R to
-    ``r``, and a transducer state ``q`` only suffixes it can read to
-    acceptance. They fit when one suffix does both, which is when ``(r, q)``
-    is reached from ``(R.start, f)``, ``f`` final, by reading the suffix
-    backwards: R steps forward on each letter while the transducer steps
-    back along an arc that reads it. The ``q`` that fit an ``r`` are the
-    union of the co-accessible subsets (``construct.build_right_automaton``)
-    that R meets in ``r``, but they are found without that subset
-    construction, in at most ``|R| * |Q|`` pairs.
+    ``r``. A state of ``view`` of class ``c`` accepts only suffixes that a
+    state of that class can read to acceptance. They fit when one suffix
+    does both, which is when ``(r, c)`` is reached from ``(R.start, f)``,
+    ``f`` a final class, by reading the suffix backwards: R steps forward on
+    each letter while the class steps back (``before``). Against a
+    transducer, the ``q`` that fit an ``r`` are the union of the
+    co-accessible subsets (``construct.build_right_automaton``) that R meets
+    in ``r``, found without that subset construction, in at most ``|R| *
+    |Q|`` pairs. Against a second bimachine, the ``r2`` that fit an ``r``
+    are those that R and R2 reach together with it from ``(R.start,
+    R2.start)``.
     """
-    b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
-    right, count = b.right, t.state_count
-    column = {tok: right.alphabet.index(tok) for tok in t.input_alphabet.symbols}
-    into: dict[int, set[tuple[int, int]]] = {}  # q -> (column, p) of each arc p -a-> q
-    for arc in t.arcs:
-        into.setdefault(arc.dst, set()).add((column[arc.inp], arc.src))
-    delta = right.delta
+    steps, before, count = _right_steps(b), view.before, len(view.before)
 
     def back(node: int) -> list[int]:
-        r, q = divmod(node, count)
-        return [delta[r][col] * count + p for col, p in into.get(q, ())]
+        r, c = divmod(node, count)
+        return [steps[pos][r] * count + p for pos, p in before[c]]
 
     try:
-        pairs = _reachable([right.start * count + f for f in t.final], back)
+        pairs = _reachable([b.right.start * count + f for f in view.final], back)
     except ResourceLimitError:
         return None
-    width = right.state_count
-    fits: list[set[int]] = [set() for _ in range(width if b is x else count)]
+    fits: list[set[int]] = [set() for _ in range(b.right.state_count)]
     for node in pairs:
-        r, q = divmod(node, count)
-        if b is x:
-            fits[r].add(q)
-        else:
-            fits[q].add(r)
-    return (width, count, fits) if b is x else (count, width, fits)
+        r, c = divmod(node, count)
+        fits[r].add(c)
+    return fits
 
 
 class _Everything:
@@ -662,200 +763,79 @@ class _Everything:
         return self
 
 
-def _row_product(x, y, fit: tuple[int, int, list[set[int]]] | None) -> Product:
-    """The product of a bimachine and a letter-input transducer, one of them
-    ``x`` and the other ``y``, as ``_delay_search`` reads it, straight from
-    the bimachine's psi rows; ``fit`` is ``_suffix_filter(x, y)``, and None
-    lets every pair fit.
+def _row_product(b: Bimachine, other) -> Product:
+    """The product of bimachine ``b`` and ``other``, a letter-input
+    transducer or a second bimachine, as ``_delay_search`` reads it, straight
+    from the psi rows; ``other`` is read through its ``_view``.
 
     A bimachine state is ``(l, r)``: left state ``l``, and right state
-    ``r`` guessed for the unread suffix. Its id is ``l * |R| + r``, and a
-    pair's id is ``s * |y| + q`` with the bimachine first, ``q * |x| + s``
-    with the transducer first. On letter ``a`` the bimachine steps to
-    ``(δL(l, a), r')`` for each ``r'`` with ``δR(r', a) = r`` where ``psi(l,
-    a, r')`` is defined, and emits that output. Every ``(L.start, r)``
-    starts and every ``(l, R.start)`` is final. Only pairs whose right
-    state and transducer state fit are started or entered. Once the domains
-    are equal, a reached pair that fits is live (it can reach a final
-    pair), so no wrong guess of the suffix needs to be trimmed first.
+    ``r`` guessed for the unread suffix. Its id is ``s = l * |R| + r``, and
+    a pair's id is ``s * |other| + q``. On letter ``a`` the bimachine steps
+    to ``(δL(l, a), r')`` for each ``r'`` with ``δR(r', a) = r`` where
+    ``psi(l, a, r')`` is defined, and emits that output. Every ``(L.start,
+    r)`` starts and every ``(l, R.start)`` is final. Only pairs whose right
+    state and class fit (``_suffix_filter``) are started or entered. Once
+    the domains are equal, a reached pair that fits is live (it can reach a
+    final pair), so no wrong guess of the suffix needs to be trimmed first.
 
-    A pair's edges on a letter depend only on its psi row, the letter,
-    ``r`` and the transducer state, up to the base that ``δL(l, a)`` adds to
-    their targets, so each such group is built once. It pairs the
-    bimachine's arcs, in (output, target) order, with the transducer's, in
-    its own order, the arcs of ``x`` outside, and keeps the pairs whose
-    targets fit. Arcs into a right state or a transducer state that fits
-    nothing are dropped before the pairing. Building a group spends the arc
-    pairs it scans, at least 1; walking it spends its edges.
+    A pair's edges on a letter depend only on ``b``'s psi row, the letter,
+    ``r`` and ``other``'s key ``base + q``, up to the base that ``δL(l, a)``
+    and ``other``'s head add to their targets, so each such group is built
+    once. It pairs ``b``'s arcs, in (output, target) order, with
+    ``other``'s, in (output, class) order, ``b``'s arcs outside, and keeps
+    the pairs whose targets fit. Arcs into a right state or a class that
+    fits nothing are dropped before the pairing. Building a group spends
+    the arc pairs it scans, at least 1; walking it spends its edges.
     """
-    b, t = (x, y) if isinstance(x, Bimachine) else (y, x)
-    bimachine_first = b is x
-    if fit is None:
-        fits = fitting_r = fitting_q = _Everything()
+    view = _view(other)
+    fits = _suffix_filter(b, view)
+    if fits is None:
+        fits = held = fitting = _Everything()
     else:
-        fits = fit[2]
-        held, union = {s for s, fitting in enumerate(fits) if fitting}, set().union(*fits)
-        fitting_r, fitting_q = (held, union) if bimachine_first else (union, held)
-    psi, right, left_delta = b.psi, b.right, b.left.delta
-    symbols = b.input_alphabet.symbols
-    letters, width, count = len(symbols), right.state_count, t.state_count
-    states = b.left.state_count * width
-    row_of, rows, rstart, tfinal = psi.row_of, psi.rows, right.start, t.final
-
+        held, fitting = {r for r, fit in enumerate(fits) if fit}, set().union(*fits)
+    letters, width = len(b.input_alphabet), b.right.state_count
+    count, owidth, ofinal = view.count, view.width, view.final
+    row_of, left_delta, rstart = b.psi.row_of, b.left.delta, b.right.start
     index: dict[Word, int] = {(): 0}
-    ids = [index.setdefault(w, len(index)) for w in psi.words]
-    # A bimachine arc sorts by (output, target), which is rank * |R| + r'.
-    keyed = [0] * len(psi.words)
-    for k, v in enumerate(sorted(range(len(psi.words)), key=psi.words.__getitem__)):
-        keyed[v] = k * width
-    # tarcs[q]: (letter position, letter, arcs) for each letter q reads,
-    # in alphabet order; an arc is (output id, target).
-    position = {tok: pos for pos, tok in enumerate(symbols)}
-    tarcs: list[list[tuple[int, str, list[tuple[int, int]]]]] = [[] for _ in range(count)]
-    for (q, tok), arcs in t._letter_arcs.items():
-        own = [(index.setdefault(out, len(index)), d) for out, d in arcs if d in fitting_q]
-        if own:
-            tarcs[q].append((position[tok], tok, own))
-    for by_letter in tarcs:
-        by_letter.sort()
-    span = len(index)
-
-    # sources[pos][r]: the r' with δR(r', a) = r that fit, ascending.
-    sources: list[list[list[int]]] = []
-    for c in map(right.alphabet.index, symbols):
-        by_target: list[list[int]] = [[] for _ in range(width)]
-        for r2, row in enumerate(right.delta):
-            if r2 in fitting_r:
-                by_target[row[c]].append(r2)
-        sources.append(by_target)
-    barcs: dict[int, list[tuple[int, int]]] = {}
+    arcs = _row_arcs(b, index, held)
+    units, oarcs = view.moves(index, fitting)
+    span, scale, keys = len(index), width * count, b.psi.distinct * width * letters
+    # A group's key is (base + q) * keys + (i * |R| + r) * letters + pos.
+    stride = width * letters
+    units = [[(pos, tok, head, base, base * keys + pos) for pos, tok, head, base in unit]
+             for unit in units]
     groups: dict[int, list[tuple[int, int, bool]]] = {}
 
-    def bimachine_arcs(i: int, pos: int, r: int) -> list[tuple[int, int]]:
-        """The (output id, r') arcs of row ``i`` on letter ``pos`` from right
-        state ``r``, in (output, target) order."""
-        key = (i * letters + pos) * width + r
-        arcs = barcs.get(key)
-        if arcs is None:
-            base = i * width
-            found = sorted((keyed[v] + r2, v) for r2 in sources[pos][r]
-                           for v in (rows[base + r2],) if v >= 0)
-            arcs = barcs[key] = [(ids[v], k % width) for k, v in found]
-        return arcs
-
-    def build(i: int, pos: int, r: int, own: list[tuple[int, int]],
+    def build(key: int, pos: int, okey: int,
               spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
-        arcs = bimachine_arcs(i, pos, r)
-        spend(max(1, len(arcs) * len(own)))
-        if bimachine_first:
-            return [(w1 * span + w2, r2 * count + t2, r2 == rstart and t2 in tfinal)
-                    for w1, r2 in arcs for fitting in (fits[r2],)
-                    for w2, t2 in own if t2 in fitting]
-        return [(w1 * span + w2, t1 * states + r2, r2 == rstart and t1 in tfinal)
-                for w1, t1 in own for fitting in (fits[t1],)
-                for w2, r2 in arcs if r2 in fitting]
-
-    scale = width * count if bimachine_first else width
+        own, theirs = arcs(key, pos), oarcs(okey, pos)
+        spend(max(1, len(own) * len(theirs)))
+        return [(w1 * span + w2, r2 * count + c2, r2 == rstart and c2 in ofinal)
+                for w1, r2 in own for fit in (fits[r2],) for w2, c2 in theirs if c2 in fit]
 
     def successors(pair: int, spend: Callable[[int], None]):
-        if bimachine_first:
-            s, q = divmod(pair, count)
-        else:
-            q, s = divmod(pair, states)
-        l, r = divmod(s, width)
-        slot, to = l * letters, left_delta[l]
-        for pos, tok, own in tarcs[q]:
+        # Operators, not divmod: this runs once per pair visit.
+        s, q = pair // count, pair % count
+        l, r = s // width, s % width
+        slot, to, at = l * letters, left_delta[l], q * keys + r * letters
+        for pos, tok, head, base, shift in units[q // owidth]:
             i = row_of[slot + pos]
             if i < 0:
                 continue
-            key = ((i * letters + pos) * width + r) * count + q
-            group = groups.get(key)
+            group_key = at + shift + i * stride
+            group = groups.get(group_key)
             if group is None:
-                group = groups[key] = build(i, pos, r, own, spend)
+                group = groups[group_key] = build(i * width + r, pos, base + q, spend)
             if group:
                 spend(len(group))
-                yield tok, to[pos] * scale, group
+                yield tok, to[pos] * scale + head, group
 
     lstart = b.left.start * width
-    initial = sorted(t.initial)
     # Lazy: with every pair fitting there may be far more than the search
     # takes before it refuses.
-    if bimachine_first:
-        starts = ((lstart + r) * count + q for r in range(width) for q in initial
-                  if q in fits[r])
-    else:
-        starts = (q * states + lstart + r for q in initial for r in range(width)
-                  if r in fits[q])
+    starts = ((lstart + r) * count + q for r in range(width) for q, c in view.initial
+              if c in fits[r])
     return starts, successors, tuple(index)
-
-
-def _paired_row_product(x: Bimachine, y: Bimachine) -> Product:
-    """The product of two bimachines as ``_delay_search`` reads it,
-    straight from their psi rows.
-
-    Both machines guess the right state of the unread suffix, and they guess
-    it together: the right pairs ``J`` are the pairs ``(r1, r2)`` that R1 and
-    R2 reach together from ``(R1.start, R2.start)``, read as one automaton.
-    Every right pair is reachable, so no guess is filtered. A pair is ``(l1,
-    l2, j)``, with id ``(l1 * |L2| + l2) * |J| + j``. The start pairs are
-    ``(L1.start, L2.start, j)`` for every ``j``, and a pair is final when
-    ``j`` is J's start. On letter ``a`` the pair steps to ``(δL1(l1, a),
-    δL2(l2, a), j')`` for each ``j'`` with ``δJ(j', a) = j`` where both psi
-    cells at ``j'`` are defined, in ascending ``j'``, and emits them. So each
-    path of one machine meets only the other's path on the same word.
-
-    A pair's edges on a letter depend only on its two psi rows, the letter
-    and ``j``, up to the base that its left states add to their targets, so
-    each such group is built once. Building a group spends the right pairs
-    it scans, at least 1; walking it spends its edges. Raises
-    ResourceLimitError when R1 and R2 reach more than STATE_CAP right pairs.
-    """
-    alphabet, (right1, right2) = x.input_alphabet, (x.right, y.right)
-    rights, right_pairs = explore(alphabet, (right1.start, right2.start),
-                                  lambda j, tok: (right1.step(j[0], tok), right2.step(j[1], tok)))
-    size, symbols = rights.state_count, alphabet.symbols
-    letters, count = len(symbols), y.left.state_count
-    # sources[pos][j]: the j' with δJ(j', a) = j, ascending.
-    sources: list[list[list[int]]] = [[[] for _ in range(size)] for _ in symbols]
-    for j2, row in enumerate(rights.delta):
-        for by_target, j in zip(sources, row):
-            by_target[j].append(j2)
-    index: dict[Word, int] = {(): 0}
-    ids1, ids2 = ([index.setdefault(w, len(index)) for w in m.psi.words] for m in (x, y))
-    span = len(index)
-    rows1, rows2, width1, width2 = x.psi.rows, y.psi.rows, right1.state_count, right2.state_count
-    row_of1, row_of2, distinct = x.psi.row_of, y.psi.row_of, y.psi.distinct
-    left1, left2 = x.left.delta, y.left.delta
-    groups: dict[int, list[tuple[int, int, bool]]] = {}
-
-    def build(i1: int, i2: int, pos: int, j: int,
-              spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
-        found = sources[pos][j]
-        spend(max(1, len(found)))
-        base1, base2 = i1 * width1, i2 * width2
-        return [(ids1[v1] * span + ids2[v2], j2, j2 == 0) for j2 in found
-                for r1, r2 in (right_pairs[j2],)
-                for v1, v2 in ((rows1[base1 + r1], rows2[base2 + r2]),)
-                if v1 >= 0 and v2 >= 0]
-
-    def successors(pair: int, spend: Callable[[int], None]):
-        lefts, j = divmod(pair, size)
-        l1, l2 = divmod(lefts, count)
-        slot1, slot2, to1, to2 = l1 * letters, l2 * letters, left1[l1], left2[l2]
-        for pos, tok in enumerate(symbols):
-            i1, i2 = row_of1[slot1 + pos], row_of2[slot2 + pos]
-            if i1 < 0 or i2 < 0:
-                continue
-            key = ((i1 * distinct + i2) * letters + pos) * size + j
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = build(i1, i2, pos, j, spend)
-            if group:
-                spend(len(group))
-                yield tok, (to1[pos] * count + to2[pos]) * size, group
-
-    start = (x.left.start * count + y.left.start) * size
-    return range(start, start + size), successors, tuple(index)
 
 
 def _compare(x, y) -> tuple[Word | None, int]:
@@ -869,13 +849,10 @@ def _compare(x, y) -> tuple[Word | None, int]:
     if word is not None:
         words, pairs = [word], 0
     else:
-        if isinstance(x, Bimachine) and isinstance(y, Bimachine):
-            product = _paired_row_product(x, y)
-        elif isinstance(x, Bimachine) or isinstance(y, Bimachine):
-            product = _row_product(lx, ly, _suffix_filter(lx, ly))
-        else:
-            product = _letter_product(lx.letter_machine(), ly.letter_machine())
-        starts, successors, outputs = product
+        if isinstance(ly, Bimachine) and not isinstance(lx, Bimachine):
+            lx, ly = ly, lx  # a bimachine goes first
+        product = _row_product if isinstance(lx, Bimachine) else _letter_product
+        starts, successors, outputs = product(lx, ly)
         words, pairs = _delay_search(starts, successors, "equivalence check", outputs)
     for word in words:
         if x.evaluate(word) != y.evaluate(word):
@@ -897,13 +874,15 @@ def equivalent(x, y) -> Word | None:
     machine is defined. On the common domain the delay search then pairs
     each accepting path of ``x`` with each of ``y`` on the same word; a word
     it yields comes from its breadth-first search trees and need not be the
-    least. A bimachine enters that search straight from its psi rows. Two
-    bimachines guess the right states of the suffix together
-    (``_paired_row_product``). A bimachine meets a transducer only in pairs
-    of states that can accept a common suffix (``_row_product`` and
-    ``_suffix_filter``); when more than STATE_CAP pairs fit, the search runs
-    with every pair fitting. Every returned word is checked with both
-    machines' ``evaluate``.
+    least. A bimachine enters that search straight from its psi rows, and
+    always as the first machine, so ``equivalent(x, y)`` and
+    ``equivalent(y, x)`` search alike. It meets a transducer or a second
+    bimachine only in pairs of states that can accept a common suffix
+    (``_row_product`` and ``_suffix_filter``); two bimachines so guess the
+    right states of the suffix together. When more than STATE_CAP pairs
+    fit, the search runs with every pair fitting. Two transducers meet in
+    ``_letter_product``. Every returned word is checked with both machines'
+    ``evaluate``.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when

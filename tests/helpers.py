@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from bimlab import (
     Alphabet,
@@ -236,3 +237,73 @@ def reference_reduce(machine):
         machine = Bimachine(left, right, table, machine.empty_word_output,
                             machine.output_alphabet)
     return machine
+
+
+class View(NamedTuple):
+    """A letter machine with outputs, sorted: ``arcs[q][a]`` lists the
+    (output, target) arcs that read letter ``a`` from ``q`` in (output,
+    target) order, letters in alphabet order. ``live`` holds the states
+    that can accept; only they keep arcs and initial marks."""
+
+    count: int
+    initial: list[int]
+    final: frozenset[int]
+    arcs: dict[int, dict[str, list[tuple[tuple[str, ...], int]]]]
+    live: set[int]
+
+
+def sorted_view(alphabet, count, initial, final, arcs, live):
+    """The View of (source, letter, output, target) ``arcs``."""
+    table = {}
+    for src, tok, out, dst in sorted(arcs, key=lambda a: (alphabet.index(a[1]), a[0], a[2], a[3])):
+        if dst in live:
+            table.setdefault(src, {}).setdefault(tok, []).append((out, dst))
+    return View(count, [q for q in initial if q in live], frozenset(final), table, live)
+
+
+def reference_view(machine):
+    """The letter view of a bimachine, built arc by arc: state ``(l, r)`` is
+    ``l * |R| + r``, it reads letter ``a`` to ``(δL(l, a), r')`` when ``δR(r',
+    a) = r`` and ``psi(l, a, r')`` is defined, every ``(L.start, r)`` is
+    initial and every ``(l, R.start)`` final."""
+    width = machine.right.state_count
+    arcs, sources = [], {}
+    for (l, a, r), out in machine.psi.items():
+        src = l * width + machine.right.step(r, a)
+        dst = machine.left.step(l, a) * width + r
+        arcs.append((src, a, out, dst))
+        sources.setdefault(dst, []).append(src)
+    finals = [l * width + machine.right.start for l in range(machine.left.state_count)]
+    live, stack = set(finals), list(finals)
+    while stack:
+        for src in sources.get(stack.pop(), ()):
+            if src not in live:
+                live.add(src)
+                stack.append(src)
+    starts = [machine.left.start * width + r for r in range(width)]
+    return sorted_view(machine.input_alphabet, machine.left.state_count * width, starts, finals,
+                       arcs, live)
+
+
+def transducer_view(t):
+    """The letter view of a letter-input transducer; every state counts as
+    live."""
+    return sorted_view(t.input_alphabet, t.state_count, sorted(t.initial), t.final,
+                       [(a.src, a.inp, a.out, a.dst) for a in t.arcs], set(range(t.state_count)))
+
+
+def view_product(x, y):
+    """The product of two Views, pair ``p * y.count + q``: its start pairs,
+    and a function giving a pair's edges as (letter, output of x, output of
+    y, target, final), in ``x``'s letter order, then ``x``'s arc order, then
+    ``y``'s."""
+    width = y.count
+    starts = [p * width + q for p in x.initial for q in y.initial]
+
+    def edges(pair):
+        p, q = divmod(pair, width)
+        return [(tok, o1, o2, t1 * width + t2, t1 in x.final and t2 in y.final)
+                for tok, left in x.arcs.get(p, {}).items() for o1, t1 in left
+                for o2, t2 in y.arcs.get(q, {}).get(tok, ())]
+
+    return starts, edges

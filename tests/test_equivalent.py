@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -25,12 +26,15 @@ from bimlab import (
     oracle,
 )
 from bimlab import transducer
-from bimlab.fsm import STATE_CAP, LetterMachine, explore
-from bimlab.transducer import _compare, _suffix_filter
+from bimlab.fsm import STATE_CAP, explore
+from bimlab.transducer import _compare, _suffix_filter, _view
 from helpers import (
     built,
     corrupt_handcrafted,
     random_letter_transducer,
+    reference_view,
+    transducer_view,
+    view_product,
     with_psi,
     words_upto,
 )
@@ -152,8 +156,8 @@ def test_two_bimachines_guess_their_right_states_together():
     # together, one start pair each, and each path meets only its twin.
     _, _, _, _, handcrafted = built(3, 4)
     reduced = handcrafted.reduce()
-    starts, _, _ = transducer._paired_row_product(reduced, reduced)
-    assert len(starts) == reduced.right.state_count
+    starts, _, _ = transducer._row_product(reduced, reduced)
+    assert len(list(starts)) == reduced.right.state_count
     assert _compare(reduced, reduced) == (None, 3496)
 
 
@@ -355,10 +359,11 @@ def test_too_many_right_pairs_are_refused():
     assert _compare(narrow, narrow) == (None, 201)
     # Right counters of 301 and 400 states, coprime, reach all 120,400
     # right pairs together, more than STATE_CAP. Both machines map "a", and
-    # only "a", to "x", so the domain check passes and the search runs.
+    # only "a", to "x", so the domain check passes and the search runs. The
+    # suffix filter gives up, and the unpruned search has too many starts.
     coprime = counter(400, 301), counter(200, 400)
     for pair in (coprime, coprime[::-1]):
-        with pytest.raises(ResourceLimitError, match="state space exceeded"):
+        with pytest.raises(ResourceLimitError, match="equivalence check exceeds"):
             equivalent(*pair)
 
 
@@ -376,19 +381,38 @@ def unpruned(monkeypatch):
     monkeypatch.setattr(transducer, "_suffix_filter", lambda x, y: None)
 
 
+def outcome(x, y):
+    """``_compare(x, y)``, or the message of the NonFunctionalError that a
+    transducer that is not functional raises when a word is checked."""
+    try:
+        return _compare(x, y)
+    except NonFunctionalError as error:
+        return str(error)
+
+
 @pytest.mark.parametrize("k,n", GRID)
 def test_both_orientations_reach_the_same_pairs(k, n, monkeypatch):
-    # A bimachine against a transducer reaches the same pairs whichever side
-    # is x, pruned and unpruned; pruning only drops pairs.
+    # A bimachine against a transducer is searched with the bimachine
+    # first, whichever side is x: both orientations give the same word and
+    # the same pair count, pruned and unpruned; pruning only drops pairs.
+    # So on the grid machines, on this cell's seeded corruptions and on a
+    # tenth of the random machines.
     _, _, prepared, generic, handcrafted = built(k, n)
     machines = [handcrafted.reduce()] + ([generic.reduce()] if n <= 3 else [])
-    pruned = [(_compare(m, prepared), _compare(prepared, m)) for m in machines]
+    cases = [(m, prepared) for m in machines]
+    cases += [(bad, t) for cell, bad, t in corruption_cases() if cell == (k, n)]
+    tenth = len(random_row_cases()) // len(GRID)
+    at = GRID.index((k, n)) * tenth
+    cases += random_row_cases()[at:at + tenth]
+    pruned = [outcome(b, t) for b, t in cases]
+    assert [outcome(t, b) for b, t in cases] == pruned
     unpruned(monkeypatch)
-    for m, ((w1, p1), (w2, p2)) in zip(machines, pruned):
-        assert w1 is w2 is None
-        assert p1 == p2
-        (_, q1), (_, q2) = _compare(m, prepared), _compare(prepared, m)
-        assert q1 == q2 >= p1
+    for (b, t), found in zip(cases, pruned):
+        plain = outcome(b, t)
+        assert outcome(t, b) == plain
+        if isinstance(found, tuple):
+            assert plain[1] >= found[1]
+    assert pruned[:len(machines)] == [(None, pairs) for pairs in GRID_PAIRS[k, n] if pairs]
 
 
 def test_reduced_3_4_handcrafted_reaches_few_pairs(monkeypatch):
@@ -400,25 +424,31 @@ def test_reduced_3_4_handcrafted_reaches_few_pairs(monkeypatch):
 
 
 def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
-    # The transducer states that fit a right state r are the union of the
-    # co-accessible subsets S that the two right automata reach together
-    # with r.
+    # Against a transducer, the states that fit a right state r are the
+    # union of the co-accessible subsets S that the two right automata reach
+    # together with r. Against a second bimachine, the right states r2 that
+    # fit r are those the two right automata reach together with r from
+    # their starts: the right pairs of that product.
     for k, n in ((2, 2), (3, 2), (2, 3)):
         _, _, prepared, generic, handcrafted = built(k, n)
         dfa, subsets = build_right_automaton(prepared)
-        for machine in (generic, handcrafted.reduce()):
+        machines = [generic, handcrafted, generic.reduce(), handcrafted.reduce()]
+        for machine in machines:
             right = machine.right
             _, joint = explore(machine.input_alphabet, (right.start, dfa.start),
                                lambda j, tok: (right.step(j[0], tok), dfa.step(j[1], tok)))
             union = [set() for _ in range(right.state_count)]
             for r, s in joint:
                 union[r] |= subsets[s]
-            width, count, fits = _suffix_filter(machine, prepared)
-            assert (width, count) == (right.state_count, prepared.state_count)
-            assert fits == union
-            count, width, holders = _suffix_filter(prepared, machine)
-            assert holders == [{r for r in range(width) if q in union[r]}
-                               for q in range(count)]
+            assert _suffix_filter(machine, _view(prepared)) == union
+            for other in machines:
+                _, joint = explore(machine.input_alphabet, (right.start, other.right.start),
+                                   lambda j, tok: (right.step(j[0], tok),
+                                                   other.right.step(j[1], tok)))
+                pairs = [set() for _ in range(right.state_count)]
+                for r, r2 in joint:
+                    pairs[r].add(r2)
+                assert _suffix_filter(machine, _view(other)) == pairs
 
 
 def corruptions(machine, rng, count):
@@ -443,20 +473,25 @@ def corruptions(machine, rng, count):
         yield with_psi(machine, psi)
 
 
-def test_pruning_keeps_every_witness(monkeypatch):
-    # Seeded psi corruptions of reduced generic and handcrafted machines: the
-    # pruned search reports the very word the unpruned one does, in both
-    # orientations, and reaches no more pairs.
+@lru_cache(maxsize=None)
+def corruption_cases():
+    """Seeded psi corruptions of reduced generic and handcrafted machines,
+    as (cell, corrupted machine, the cell's transducer)."""
     rng = random.Random(11)
     cases = []
     for k, n in ((2, 3), (3, 2), (3, 3)):
         _, _, prepared, generic, handcrafted = built(k, n)
         for machine in (generic.reduce(), handcrafted.reduce()):
-            for bad in corruptions(machine, rng, 12):
-                cases += [(bad, prepared), (prepared, bad)]
+            cases += [((k, n), bad, prepared) for bad in corruptions(machine, rng, 12)]
     _, _, prepared, _, handcrafted = built(2, 4)
-    for bad in corruptions(handcrafted.reduce(), rng, 12):
-        cases += [(bad, prepared), (prepared, bad)]
+    cases += [((2, 4), bad, prepared) for bad in corruptions(handcrafted.reduce(), rng, 12)]
+    return tuple(cases)
+
+
+def test_pruning_keeps_every_witness(monkeypatch):
+    # On the corruptions, the pruned search reports the very word the
+    # unpruned one does, in both orientations, and reaches no more pairs.
+    cases = [pair for _, bad, t in corruption_cases() for pair in ((bad, t), (t, bad))]
     pruned = [_compare(x, y) for x, y in cases]
     unpruned(monkeypatch)
     searched = 0
@@ -466,31 +501,6 @@ def test_pruning_keeps_every_witness(monkeypatch):
         assert pairs <= want_pairs
         searched += pairs > 0 and word is not None
     assert searched >= 80
-
-
-def reference_view(machine):
-    """The letter view of ``machine`` built arc by arc and sorted by
-    ``LetterMachine.build``: the states that reach a final state keep their
-    arcs and initial marks."""
-    width = machine.right.state_count
-    arcs, sources = [], {}
-    for (l, a, r), out in machine.psi.items():
-        src = l * width + machine.right.step(r, a)
-        dst = machine.left.step(l, a) * width + r
-        arcs.append((src, a, out, dst))
-        sources.setdefault(dst, []).append(src)
-    finals = [l * width + machine.right.start for l in range(machine.left.state_count)]
-    live, stack = set(finals), list(finals)
-    while stack:
-        for src in sources.get(stack.pop(), ()):
-            if src not in live:
-                live.add(src)
-                stack.append(src)
-    starts = [machine.left.start * width + r for r in range(width)]
-    return LetterMachine.build(machine.input_alphabet, machine.left.state_count * width,
-                               [q for q in starts if q in live], finals,
-                               [arc for arc in arcs if arc[3] in live],
-                               machine.empty_word_output)
 
 
 def nth_letter_is_a(m):
@@ -551,7 +561,7 @@ def test_too_many_fitting_pairs_run_the_search_unpruned():
     good = Bimachine(Dfa(a, 1, 0, [(0,)]), counter,
                      {(0, "a", r): ("x",) for r in range(300)}, (), x)
     bad = with_psi(good, {**good.psi, (0, "a", 5): ("x", "x")}, ())
-    assert _suffix_filter(good, t) is None and _suffix_filter(t, good) is None
+    assert _suffix_filter(good, _view(t)) is None
     assert _compare(good, t) == _compare(t, good) == (None, 300)
     word, _ = _compare(bad, t)
     assert word is not None and bad.evaluate(word) != t.evaluate(word)
@@ -647,7 +657,7 @@ def test_a_group_over_the_edge_cap_is_refused():
     machine = Bimachine(Dfa(ab, 1, 0, [(0, 0)]), right, psi, (), x)
     t = Transducer(ab, x, 1, {0}, {0},
                    [Arc(0, "a", ("x",) * i, 0) for i in range(400)] + [Arc(0, "b", ("x",), 0)])
-    assert _suffix_filter(machine, t) is not None
+    assert _suffix_filter(machine, _view(t)) is not None
     for pair in ((machine, t), (t, machine)):
         with pytest.raises(ResourceLimitError, match="state pairs or edges"):
             _compare(*pair)
@@ -683,22 +693,20 @@ def test_reduced_3_4_examines_few_arc_pairs():
     # group), and the search walks 41,592 edges; counted before the fit
     # test, the letter views' product examined 103,800.
     _, _, prepared, _, handcrafted = built(3, 4)
-    reduced = handcrafted.reduce()
-    for x, y in ((reduced, prepared), (prepared, reduced)):
-        starts, successors, words = transducer._row_product(x, y, _suffix_filter(x, y))
-        spent, walked = [], []
+    starts, successors, words = transducer._row_product(handcrafted.reduce(), prepared)
+    spent, walked = [], []
 
-        def counting(pair, spend):
-            def record(n):
-                spent.append(n)
-                spend(n)
+    def counting(pair, spend):
+        def record(n):
+            spent.append(n)
+            spend(n)
 
-            for tok, base, edges in successors(pair, record):
-                walked.append(len(edges))
-                yield tok, base, edges
+        for tok, base, edges in successors(pair, record):
+            walked.append(len(edges))
+            yield tok, base, edges
 
-        assert transducer._delay_search(starts, counting, "check", words) == ([], 7277)
-        assert (sum(spent), sum(walked)) == (46122, 41592)
+    assert transducer._delay_search(starts, counting, "check", words) == ([], 7277)
+    assert (sum(spent), sum(walked)) == (46122, 41592)
 
 
 def decoded(product, pairs):
@@ -712,54 +720,63 @@ def decoded(product, pairs):
             for pair in pairs}
 
 
-def assert_rows_match_views(x, y):
-    """At every pair the row product reaches, its edges into bimachine
-    states that can accept are the edges of the two letter views' product
-    whose target fits, in the same order; so are its start pairs."""
-    fit = _suffix_filter(x, y)
-    if fit is None:
+def reached(product):
+    """The start pairs of ``product`` and every pair it reaches from them,
+    breadth-first."""
+    starts = list(product[0])
+    seen, order = set(starts), list(starts)
+    for pair in order:
+        for edge in decoded(product, [pair])[pair]:
+            if edge[3] not in seen:
+                seen.add(edge[3])
+                order.append(edge[3])
+    return starts, order
+
+
+def assert_rows_match_views(b, other):
+    """At every pair the row product of bimachine ``b`` and ``other`` reaches,
+    its edges into pairs of states that can accept are the edges of the
+    sorted views' product whose target fits, in the same order; so are its
+    start pairs."""
+    fits = _suffix_filter(b, _view(other))
+    if fits is None:
         return
-    xmod, ymod, fits = fit
-    b = x if isinstance(x, Bimachine) else y
-    states = b.left.state_count * b.right.state_count
-    width = ymod if b is x else states
-    view = reference_view(b)
-    live = {d for labels in view.arcs.values() for arcs in labels.values() for _, d in arcs}
-    live |= view.final | set(view.initial)
+    x = reference_view(b)
+    y = reference_view(other) if isinstance(other, Bimachine) else transducer_view(other)
+    width = b.right.state_count
+    classes = other.right.state_count if isinstance(other, Bimachine) else y.count
 
     def fitting(pair):
-        return pair % width % ymod in fits[pair // width % xmod]
+        s, q = divmod(pair, y.count)
+        return q % classes in fits[s % width]
 
     def accepting(pair):
-        return (pair // width if b is x else pair % width) in live
+        s, q = divmod(pair, y.count)
+        return s in x.live and q in y.live
 
-    rows = transducer._row_product(x, y, fit)
-    views = transducer._letter_product(*(view if m is b else m.letter_machine() for m in (x, y)))
-    starts = list(rows[0])
-    assert [s for s in starts if accepting(s)] == [s for s in views[0] if fitting(s)]
-    reached, order = set(starts), list(starts)
+    rows = transducer._row_product(b, other)
+    want_starts, edges = view_product(x, y)
+    starts, order = reached(rows)
+    assert [s for s in starts if accepting(s)] == [s for s in want_starts if fitting(s)]
+    got = decoded(rows, order)
     for pair in order:
-        for edge in decoded(rows, [pair])[pair]:
-            if edge[3] not in reached:
-                reached.add(edge[3])
-                order.append(edge[3])
-    got, want = decoded(rows, order), decoded(views, order)
-    for pair in order:
-        assert [e for e in got[pair] if accepting(e[3])] == [e for e in want[pair]
+        assert [e for e in got[pair] if accepting(e[3])] == [e for e in edges(pair)
                                                              if fitting(e[3])]
 
 
-def test_row_groups_are_the_letter_views_fitting_edges_in_order():
-    # Grid machines (equal domains, so every fitting target can accept),
-    # and random machines whose right states of one letter go anywhere and
-    # whose outputs repeat across arcs, against random transducers.
-    for k, n in ((2, 3), (3, 2), (3, 3)):
-        _, _, prepared, generic, handcrafted = built(k, n)
-        for machine in (generic.reduce(), handcrafted.reduce()):
-            assert_rows_match_views(machine, prepared)
-            assert_rows_match_views(prepared, machine)
+def in_alphabet(t, alphabet):
+    """``t`` with the same arcs over ``alphabet``, the same letters in
+    another order."""
+    return Transducer(alphabet, t.output_alphabet, t.state_count, t.initial, t.final, t.arcs)
+
+
+@lru_cache(maxsize=None)
+def random_row_cases():
+    """Random bimachines whose right states of one letter go anywhere and
+    whose outputs repeat across arcs, each with a random transducer. Every
+    other case orders its alphabet b, a, unlike the letters' spelling."""
     rng = random.Random(41)
-    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    xy = Alphabet(("x", "y"))
     words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
 
     def dfa():
@@ -767,22 +784,63 @@ def test_row_groups_are_the_letter_views_fitting_edges_in_order():
         return Dfa(ab, count, rng.randrange(count),
                    [[rng.randrange(count) for _ in ab] for _ in range(count)])
 
-    for _ in range(80):
+    cases = []
+    for i in range(80):
+        ab = Alphabet(("a", "b") if i % 2 == 0 else ("b", "a"))
         left, right = dfa(), dfa()
         psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
                for r in range(right.state_count) if rng.random() < 0.6}
-        machine = Bimachine(left, right, psi, None, xy)
-        t = random_letter_transducer(rng)
+        t = in_alphabet(random_letter_transducer(rng), ab)
+        cases.append((Bimachine(left, right, psi, None, xy), t))
+    return tuple(cases)
+
+
+def test_row_groups_are_the_letter_views_fitting_edges_in_order():
+    # Grid machines (equal domains, so every fitting target can accept) and
+    # random machines, against transducers and against each other.
+    for k, n in ((2, 3), (3, 2), (3, 3)):
+        _, _, prepared, generic, handcrafted = built(k, n)
+        machines = (generic.reduce(), handcrafted.reduce())
+        for machine in machines:
+            assert_rows_match_views(machine, prepared)
+            for other in machines:
+                assert_rows_match_views(machine, other)
+    cases = random_row_cases()
+    # Two cases apart, so that both machines order their letters alike.
+    for (machine, t), (other, _) in zip(cases, cases[2:] + cases[:2]):
         assert_rows_match_views(machine, t)
-        assert_rows_match_views(t, machine)
+        assert_rows_match_views(machine, other)
+        assert_rows_match_views(machine, machine)
+
+
+def test_the_letter_product_is_the_sorted_views_product():
+    # Every pair two random transducers reach lists the edges of their
+    # sorted views' product, in the same order, and the start pairs agree;
+    # also with the letters ordered b, a, unlike their spelling.
+    rng = random.Random(53)
+    ba = Alphabet(("b", "a"))
+    for _ in range(150):
+        x, y = random_letter_transducer(rng), random_letter_transducer(rng)
+        bx, by = in_alphabet(x, ba), in_alphabet(y, ba)
+        for first, second in ((x, y), (x, x), (bx, by)):
+            product = transducer._letter_product(first, second)
+            want_starts, edges = view_product(transducer_view(first), transducer_view(second))
+            starts, order = reached(product)
+            assert starts == want_starts
+            got = decoded(product, order)
+            assert all(got[pair] == edges(pair) for pair in order)
 
 
 @pytest.mark.parametrize("k,n", GRID)
 def test_the_letter_view_is_the_sorted_one(k, n):
     # A bimachine's letter view is now only implicit in its row groups. On
     # every grid cell, raw and reduced, they are the sorted view's fitting
-    # edges in order.
+    # edges in order, against the transducer and, up to n = 3, against the
+    # cell's reduced handcrafted machine.
     _, _, prepared, generic, handcrafted = built(k, n)
     machines = [handcrafted] + ([generic] if n <= 3 else [])
+    reduced = handcrafted.reduce()
     for machine in machines + [m.reduce() for m in machines]:
         assert_rows_match_views(machine, prepared)
+        if n <= 3:
+            assert_rows_match_views(machine, reduced)
