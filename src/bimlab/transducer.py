@@ -5,17 +5,18 @@ recognizes a relation between input and output words via accepting paths. The
 module provides relation/function evaluation, epsilon-input removal, trimming,
 and one delay search, a single forward pass over a product of two machines,
 which runs both the exact functionality test and the exact equivalence test.
-There are two products: one of two letter-input transducers
-(``_letter_product``), and one of a bimachine, read straight from its psi
-rows, with a transducer or a second bimachine (``_row_product``). The
-equivalence test also steps a bimachine's domain from its psi rows.
+One function builds every product (``_product``): it reads each machine,
+a letter-input transducer or a bimachine straight from its psi rows,
+through one view (``_view``), and enters only pairs of states that can
+accept a common suffix (``_suffix_filter``). The equivalence test also
+steps a bimachine's domain from its psi rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Container, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DivergingRelationError,
@@ -144,7 +145,7 @@ class Transducer:
         """What ``check_functional`` reports."""
         if self.has_input_epsilons:
             raise PreconditionError("the product searches need a letter-input machine")
-        starts, successors, outputs = _letter_product(self, self)
+        starts, successors, outputs = _product(self, self)
         words, _ = _delay_search(starts, successors, "functionality check", outputs)
         if not words:
             return FunctionalityReport(True)
@@ -351,13 +352,16 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     delay before it is stored. More raise ResourceLimitError. So on an
     untrusted file the search takes at most EDGE_CAP steps over arc pairs,
     besides one look at each letter of each reached pair (at most
-    STATE_CAP of them) and, in ``_row_product``, one pass over each psi
-    row's cells per letter it is read on. The largest product of the
+    STATE_CAP of them) and, for a bimachine, one pass over each psi row's
+    cells per letter it is read on. Every product of ``_product`` spends
+    by this rule, two transducers too. The largest product of the
     experiment grid, reduced (3,4) handcrafted against its transducer,
     holds 7,277 pairs and 13,122 delay tokens and examines 46,122 arc
     pairs: 4,530 to build 1,377 groups and 41,592 edges walked (20,509
     pairs with every pair fitting). Raw (3,4) handcrafted against the same
-    transducer examines 63,132 in 7,493 pairs.
+    transducer examines 63,132 in 7,493 pairs. The functionality check of
+    the (3,4) transducer holds 23 pairs and examines 228 arc pairs: 144 to
+    build its groups and 84 edges walked.
     """
     too_large = f"{what} exceeds {STATE_CAP} state pairs or edges (the edge cap is {EDGE_CAP})"
     budget = EDGE_CAP
@@ -464,43 +468,6 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
                                        _word_to(parents, nxt) + z]
                         return words_found, len(order)
     return [], len(order)
-
-
-def _letter_product(x: Transducer, y: Transducer) -> Product:
-    """The product of two letter-input transducers as ``_delay_search``
-    reads it: pair ``p * |y| + q``, and every two arcs with one letter from
-    ``p`` and ``q`` an edge, in alphabet order and then each machine's arc
-    order, (output, target), with ``x``'s arcs outside. The start pairs are
-    the pairs of initial states."""
-    index: dict[Word, int] = {(): 0}
-    position = {tok: pos for pos, tok in enumerate(x.input_alphabet.symbols)}
-
-    def interned(m: Transducer):
-        table: dict[int, dict[str, list[tuple[int, int]]]] = {}
-        for (p, tok), arcs in sorted(m._letter_arcs.items(),
-                                     key=lambda item: position[item[0][1]]):
-            table.setdefault(p, {})[tok] = [(index.setdefault(w, len(index)), t) for w, t in arcs]
-        return table
-
-    xarcs = interned(x)
-    yarcs = xarcs if y is x else interned(y)
-    width, span, xfinal, yfinal = y.state_count, len(index), x.final, y.final
-
-    def successors(pair: int, spend: Callable[[int], None]):
-        p, q = divmod(pair, width)
-        xout = xarcs.get(p)
-        yout = xout and yarcs.get(q)
-        if not yout:
-            return
-        for tok, left in xout.items():
-            right = yout.get(tok)
-            if right:
-                spend(len(left) * len(right))
-                yield tok, 0, [(w1 * span + w2, t1 * width + t2, t1 in xfinal and t2 in yfinal)
-                               for w1, t1 in left for w2, t2 in right]
-
-    starts = (p * width + q for p in sorted(x.initial) for q in sorted(y.initial))
-    return starts, successors, tuple(index)
 
 
 def check_functional(t: Transducer) -> FunctionalityReport:
@@ -646,36 +613,39 @@ def _row_arcs(m: Bimachine, index: dict[Word, int],
     return arcs
 
 
-# What ``_row_product`` finds in a unit's moves: letter position, letter,
-# head and base.
+# What ``_product`` finds in a unit's moves: letter position, letter, head
+# and base.
 Units = list[list[tuple[int, str, int, int]]]
 
 
 class _View(NamedTuple):
-    """The machine a bimachine meets in ``_row_product``, a letter-input
-    transducer or a second bimachine, read by the states' classes.
+    """A machine as ``_product`` reads it, a letter-input transducer or a
+    bimachine, by the states' classes.
 
     State ``q`` is in unit ``q // width``. Its class is its guess of the
     unread suffix: a transducer state is its own unit and its own class, and
     bimachine state ``(l, r)``, id ``l * |R| + r``, is in unit ``l`` with
     class ``r``. ``initial`` holds the (state, class) of each start state,
-    ``final`` the classes of final states, and ``before[c]`` the ``(pos,
-    c')`` such that a state of class ``c'`` steps on the ``pos``-th letter
-    to one of class ``c``.
+    each of a class of its own, ``final`` the classes of final states, and
+    ``before[c]`` maps the position of each letter on which a state of
+    class ``c`` is entered to the classes ``c'`` such that a state of class
+    ``c'`` steps on that letter to one of class ``c``.
 
     ``moves(index, fitting)`` gives ``(units, arcs)``, with output ids from
     ``index`` and only targets whose class is in ``fitting``. ``units[u]``
     lists the letters unit ``u`` reads, in alphabet order, as ``(pos,
     letter, head, base)``. The arcs of state ``q`` on that letter are
     ``arcs(base + q, pos)``, as ``(output id, class)`` in (output, class)
-    order, and the arc to class ``c`` leads to state ``head + c``.
+    order, and the arc to class ``c`` leads to state ``head + c``. Every
+    key ``base + q`` is below ``keys``.
     """
 
     width: int
     count: int
+    keys: int
     initial: list[tuple[int, int]]
-    final: Container[int]
-    before: list[list[tuple[int, int]]]
+    final: Collection[int]
+    before: list[dict[int, Collection[int]]]
     moves: Callable[[dict[Word, int], Container[int]],
                     tuple[Units, Callable[[int, int], list[tuple[int, int]]]]]
 
@@ -690,13 +660,13 @@ def _view(m) -> _View:
                   for pos, tok in enumerate(symbols) for i in (row_of[l * letters + pos],)
                   if i >= 0] for l, to in enumerate(m.left.delta)]
         steps = _right_steps(m)
-        return _View(width, m.left.state_count * width,
+        return _View(width, m.left.state_count * width, m.psi.distinct * width,
                      [(m.left.start * width + r, r) for r in range(width)], (m.right.start,),
-                     [[(pos, to[c]) for pos, to in enumerate(steps)] for c in range(width)],
+                     [{pos: (to[c],) for pos, to in enumerate(steps)} for c in range(width)],
                      lambda index, fitting: (units, _row_arcs(m, index, fitting)))
-    before: list[set[tuple[int, int]]] = [set() for _ in range(m.state_count)]
+    before: list[dict[int, set[int]]] = [{} for _ in range(m.state_count)]
     for arc in m.arcs:
-        before[arc.dst].add((position[arc.inp], arc.src))
+        before[arc.dst].setdefault(position[arc.inp], set()).add(arc.src)
 
     def moves(index: dict[Word, int], fitting: Container[int]):
         units: Units = [[] for _ in range(m.state_count)]
@@ -711,44 +681,62 @@ def _view(m) -> _View:
             by_letter.sort()
         return units, lambda q, pos: table[q * letters + pos]
 
-    return _View(1, m.state_count, [(q, q) for q in sorted(m.initial)], m.final,
-                 [list(pairs) for pairs in before], moves)
+    return _View(1, m.state_count, m.state_count, [(q, q) for q in sorted(m.initial)], m.final,
+                 before, moves)
 
 
-def _suffix_filter(b: Bimachine, view: _View) -> list[set[int]] | None:
-    """The classes of ``view``'s states that fit each right state of ``b``:
-    ``fits[r]``. ``_row_product`` enters only pairs that fit. None when the
-    fitting pairs number more than STATE_CAP: the search then runs
-    unpruned, with every pair fitting.
+def _suffix_filter(vx: _View, vy: _View) -> dict[int, set[int]] | None:
+    """The pairs of classes that fit, as ``fits[c]``: the classes of
+    ``vy``'s states that fit class ``c`` of ``vx``'s, for each ``c`` that
+    some class fits. ``_product`` enters only pairs that fit. None when the
+    search for them would hold too much: the search then runs unpruned,
+    with every pair fitting. That is when the pairs of final classes number
+    more than STATE_CAP (checked before any is built), when the pairs
+    reached do, or when their predecessors may number more than EDGE_CAP
+    in all. A pair counts its ``vy`` class's predecessors times the most
+    that its ``vx`` class has on one letter: exactly the pairs it steps
+    back to when ``vx`` is a bimachine's, at least as many otherwise.
 
-    A bimachine state ``(l, r)``, a left state with a guessed right state,
-    accepts only suffixes whose reversal takes its right automaton R to
-    ``r``. A state of ``view`` of class ``c`` accepts only suffixes that a
-    state of that class can read to acceptance. They fit when one suffix
-    does both, which is when ``(r, c)`` is reached from ``(R.start, f)``,
-    ``f`` a final class, by reading the suffix backwards: R steps forward on
-    each letter while the class steps back (``before``). Against a
-    transducer, the ``q`` that fit an ``r`` are the union of the
-    co-accessible subsets (``construct.build_right_automaton``) that R meets
-    in ``r``, found without that subset construction, in at most ``|R| *
-    |Q|`` pairs. Against a second bimachine, the ``r2`` that fit an ``r``
-    are those that R and R2 reach together with it from ``(R.start,
-    R2.start)``.
+    A state of class ``c`` accepts only suffixes that a state of that class
+    can read to acceptance; a bimachine state ``(l, r)`` only suffixes whose
+    reversal takes its right automaton R to ``r``. Two classes fit when one
+    suffix does both, which is when their pair is reached from a pair of
+    final classes by reading the suffix backwards: each side steps back
+    (``before``) on the same letter. Two transducer states fit exactly when
+    their pair can reach a final pair. Against a transducer, the ``q`` that
+    fit a right state ``r`` are the union of the co-accessible subsets
+    (``construct.build_right_automaton``) that R meets in ``r``, found
+    without that subset construction, in at most ``|R| * |Q|`` pairs.
+    Against a second bimachine, the ``r2`` that fit an ``r`` are those that
+    R and R2 reach together with it from ``(R.start, R2.start)``.
     """
-    steps, before, count = _right_steps(b), view.before, len(view.before)
+    if len(vx.final) * len(vy.final) > STATE_CAP:
+        return None
+    xbefore, count = vx.before, len(vy.before)
+    # Per class of y, its (letter, predecessor) pairs; per class of x, the
+    # most predecessors it has on one letter.
+    yback = [[(pos, p) for pos, ps in into.items() for p in ps] for into in vy.before]
+    xwide = [max(map(len, into.values()), default=0) for into in xbefore]
+    budget = EDGE_CAP
 
     def back(node: int) -> list[int]:
-        r, c = divmod(node, count)
-        return [steps[pos][r] * count + p for pos, p in before[c]]
+        nonlocal budget
+        c1, c2 = divmod(node, count)
+        steps = yback[c2]
+        budget -= xwide[c1] * len(steps)
+        if budget < 0:
+            raise ResourceLimitError(f"more than {EDGE_CAP} pairs of predecessors")
+        into = xbefore[c1]
+        return [p1 * count + p2 for pos, p2 in steps for p1 in into.get(pos, ())]
 
     try:
-        pairs = _reachable([b.right.start * count + f for f in view.final], back)
+        pairs = _reachable([f1 * count + f2 for f1 in vx.final for f2 in vy.final], back)
     except ResourceLimitError:
         return None
-    fits: list[set[int]] = [set() for _ in range(b.right.state_count)]
+    fits: dict[int, set[int]] = {}
     for node in pairs:
-        r, c = divmod(node, count)
-        fits[r].add(c)
+        c1, c2 = divmod(node, count)
+        fits.setdefault(c1, set()).add(c2)
     return fits
 
 
@@ -763,78 +751,80 @@ class _Everything:
         return self
 
 
-def _row_product(b: Bimachine, other) -> Product:
-    """The product of bimachine ``b`` and ``other``, a letter-input
-    transducer or a second bimachine, as ``_delay_search`` reads it, straight
-    from the psi rows; ``other`` is read through its ``_view``.
+def _product(x, y) -> Product:
+    """The product of ``x`` and ``y``, each a letter-input transducer or a
+    bimachine, as ``_delay_search`` reads it. Both are read through their
+    ``_view``; when ``y is x`` its view and arcs are built once.
 
-    A bimachine state is ``(l, r)``: left state ``l``, and right state
-    ``r`` guessed for the unread suffix. Its id is ``s = l * |R| + r``, and
-    a pair's id is ``s * |other| + q``. On letter ``a`` the bimachine steps
-    to ``(δL(l, a), r')`` for each ``r'`` with ``δR(r', a) = r`` where
-    ``psi(l, a, r')`` is defined, and emits that output. Every ``(L.start,
-    r)`` starts and every ``(l, R.start)`` is final. Only pairs whose right
-    state and class fit (``_suffix_filter``) are started or entered. Once
-    the domains are equal, a reached pair that fits is live (it can reach a
+    A pair's id is ``s * |y| + q``. A transducer's states are its own. A
+    bimachine state is ``(l, r)``: left state ``l``, and right state ``r``
+    guessed for the unread suffix. Its id is ``l * |R| + r``. On letter
+    ``a`` it steps to ``(δL(l, a), r')`` for each ``r'`` with ``δR(r', a) =
+    r`` where ``psi(l, a, r')`` is defined, and emits that output. Every
+    ``(L.start, r)`` starts and every ``(l, R.start)`` is final. Only pairs
+    whose classes fit (``_suffix_filter``) are started or entered. Once the
+    domains are equal, a reached pair that fits is live (it can reach a
     final pair), so no wrong guess of the suffix needs to be trimmed first.
 
-    A pair's edges on a letter depend only on ``b``'s psi row, the letter,
-    ``r`` and ``other``'s key ``base + q``, up to the base that ``δL(l, a)``
-    and ``other``'s head add to their targets, so each such group is built
-    once. It pairs ``b``'s arcs, in (output, target) order, with
-    ``other``'s, in (output, class) order, ``b``'s arcs outside, and keeps
-    the pairs whose targets fit. Arcs into a right state or a class that
-    fits nothing are dropped before the pairing. Building a group spends
-    the arc pairs it scans, at least 1; walking it spends its edges.
+    A pair's edges on a letter depend only on ``x``'s key, ``y``'s key and
+    the letter, up to the base that the two heads add to their targets, so
+    each such group is built once. It pairs ``x``'s arcs with ``y``'s, each
+    in (output, class) order, ``x``'s arcs outside, and keeps the pairs
+    whose classes fit. Arcs into a class that fits nothing are dropped
+    before the pairing. Building a group spends the arc pairs it scans, at
+    least 1; walking it spends its edges.
     """
-    view = _view(other)
-    fits = _suffix_filter(b, view)
+    vx = _view(x)
+    vy = vx if y is x else _view(y)
+    fits = _suffix_filter(vx, vy)
+    count, letters = vy.count, len(x.input_alphabet)
     if fits is None:
         fits = held = fitting = _Everything()
+        # Lazy: there may be far more than the search takes before it refuses.
+        starts = (s * count + q for s, _ in vx.initial for q, _ in vy.initial)
     else:
-        held, fitting = {r for r, fit in enumerate(fits) if fit}, set().union(*fits)
-    letters, width = len(b.input_alphabet), b.right.state_count
-    count, owidth, ofinal = view.count, view.width, view.final
-    row_of, left_delta, rstart = b.psi.row_of, b.left.delta, b.right.start
+        held, fitting = fits.keys(), set().union(*fits.values())
+        # Sorted from the fitting pairs, which are few, not from every pair.
+        first = {c: q for q, c in vy.initial}
+        starts = sorted(s * count + first[c] for s, c1 in vx.initial
+                        for c in fits.get(c1, ()) if c in first)
     index: dict[Word, int] = {(): 0}
-    arcs = _row_arcs(b, index, held)
-    units, oarcs = view.moves(index, fitting)
-    span, scale, keys = len(index), width * count, b.psi.distinct * width * letters
-    # A group's key is (base + q) * keys + (i * |R| + r) * letters + pos.
-    stride = width * letters
-    units = [[(pos, tok, head, base, base * keys + pos) for pos, tok, head, base in unit]
-             for unit in units]
+    xunits, xarcs = vx.moves(index, held)
+    # When y is x, the fit is symmetric, so its classes are the ones held.
+    yunits, yarcs = (xunits, xarcs) if y is x else vy.moves(index, fitting)
+    span, xfinal, yfinal, xwidth, ywidth = len(index), vx.final, vy.final, vx.width, vy.width
+    # A group's key is (y key * x keys + x key) * letters + pos.
+    stride = vx.keys * letters
+    xsteps = [{pos: (head * count, base, base * letters) for pos, _, head, base in unit}
+              for unit in xunits]
+    ysteps = [[(pos, tok, head, base, base * stride + pos) for pos, tok, head, base in unit]
+              for unit in yunits]
     groups: dict[int, list[tuple[int, int, bool]]] = {}
 
-    def build(key: int, pos: int, okey: int,
+    def build(xkey: int, ykey: int, pos: int,
               spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
-        own, theirs = arcs(key, pos), oarcs(okey, pos)
+        own, theirs = xarcs(xkey, pos), yarcs(ykey, pos)
         spend(max(1, len(own) * len(theirs)))
-        return [(w1 * span + w2, r2 * count + c2, r2 == rstart and c2 in ofinal)
-                for w1, r2 in own for fit in (fits[r2],) for w2, c2 in theirs if c2 in fit]
+        return [(w1 * span + w2, c1 * count + c2, c1 in xfinal and c2 in yfinal)
+                for w1, c1 in own for fit in (fits[c1],) for w2, c2 in theirs if c2 in fit]
 
     def successors(pair: int, spend: Callable[[int], None]):
         # Operators, not divmod: this runs once per pair visit.
         s, q = pair // count, pair % count
-        l, r = s // width, s % width
-        slot, to, at = l * letters, left_delta[l], q * keys + r * letters
-        for pos, tok, head, base, shift in units[q // owidth]:
-            i = row_of[slot + pos]
-            if i < 0:
+        xunit, at = xsteps[s // xwidth], q * stride + s * letters
+        for pos, tok, yhead, ybase, yshift in ysteps[q // ywidth]:
+            step = xunit.get(pos)
+            if step is None:
                 continue
-            group_key = at + shift + i * stride
+            xhead, xbase, xshift = step
+            group_key = at + xshift + yshift
             group = groups.get(group_key)
             if group is None:
-                group = groups[group_key] = build(i * width + r, pos, base + q, spend)
+                group = groups[group_key] = build(xbase + s, ybase + q, pos, spend)
             if group:
                 spend(len(group))
-                yield tok, to[pos] * scale + head, group
+                yield tok, xhead + yhead, group
 
-    lstart = b.left.start * width
-    # Lazy: with every pair fitting there may be far more than the search
-    # takes before it refuses.
-    starts = ((lstart + r) * count + q for r in range(width) for q, c in view.initial
-              if c in fits[r])
     return starts, successors, tuple(index)
 
 
@@ -851,8 +841,7 @@ def _compare(x, y) -> tuple[Word | None, int]:
     else:
         if isinstance(ly, Bimachine) and not isinstance(lx, Bimachine):
             lx, ly = ly, lx  # a bimachine goes first
-        product = _row_product if isinstance(lx, Bimachine) else _letter_product
-        starts, successors, outputs = product(lx, ly)
+        starts, successors, outputs = _product(lx, ly)
         words, pairs = _delay_search(starts, successors, "equivalence check", outputs)
     for word in words:
         if x.evaluate(word) != y.evaluate(word):
@@ -876,13 +865,13 @@ def equivalent(x, y) -> Word | None:
     it yields comes from its breadth-first search trees and need not be the
     least. A bimachine enters that search straight from its psi rows, and
     always as the first machine, so ``equivalent(x, y)`` and
-    ``equivalent(y, x)`` search alike. It meets a transducer or a second
-    bimachine only in pairs of states that can accept a common suffix
-    (``_row_product`` and ``_suffix_filter``); two bimachines so guess the
-    right states of the suffix together. When more than STATE_CAP pairs
-    fit, the search runs with every pair fitting. Two transducers meet in
-    ``_letter_product``. Every returned word is checked with both machines'
-    ``evaluate``.
+    ``equivalent(y, x)`` search alike. The two machines meet only in pairs
+    of states that can accept a common suffix (``_product`` and
+    ``_suffix_filter``); two bimachines so guess the right states of the
+    suffix together, and two transducers' pairs must be able to reach a
+    final pair. When the pairs that fit are too many to find, the search
+    runs with every pair fitting. Every returned word is checked with both
+    machines' ``evaluate``.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when

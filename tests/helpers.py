@@ -25,8 +25,14 @@ from bimlab import (
     instance_transducer,
     remove_input_epsilons,
     to_bimachine,
+    transducer,
     trim,
 )
+
+
+def unpruned(monkeypatch):
+    """Run the comparisons under ``monkeypatch`` without the suffix filter."""
+    monkeypatch.setattr(transducer, "_suffix_filter", lambda x, y: None)
 
 
 def with_psi(machine, psi, empty_word_output=None):

@@ -34,6 +34,7 @@ from helpers import (
     random_letter_transducer,
     reference_view,
     transducer_view,
+    unpruned,
     view_product,
     with_psi,
     words_upto,
@@ -156,7 +157,7 @@ def test_two_bimachines_guess_their_right_states_together():
     # together, one start pair each, and each path meets only its twin.
     _, _, _, _, handcrafted = built(3, 4)
     reduced = handcrafted.reduce()
-    starts, _, _ = transducer._row_product(reduced, reduced)
+    starts, _, _ = transducer._product(reduced, reduced)
     assert len(list(starts)) == reduced.right.state_count
     assert _compare(reduced, reduced) == (None, 3496)
 
@@ -312,21 +313,32 @@ def test_different_alphabets_are_refused():
         equivalent(t, u)
 
 
-def test_product_over_the_cap_is_refused():
+def test_product_over_the_cap_is_refused(monkeypatch):
     ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
-    # 317 x 317 start pairs, refused before any is built.
+    # 317 x 317 start pairs, refused before any is built when every pair
+    # fits. Only state 0 with itself can accept, so pruned there is one.
     starts = Transducer(ab, xy, 317, set(range(317)), {0}, ())
-    with pytest.raises(ResourceLimitError, match="equivalence check exceeds"):
-        equivalent(starts, starts)
+    assert _compare(starts, starts) == (None, 1)
+    with monkeypatch.context() as patch:
+        unpruned(patch)
+        with pytest.raises(ResourceLimitError, match="equivalence check exceeds"):
+            equivalent(starts, starts)
+    # The start pairs that fit are found from the fitting pairs, not by
+    # testing all 10^10 pairs of start states.
+    many = Transducer(ab, xy, STATE_CAP, set(range(STATE_CAP)), {0}, ())
+    assert _compare(many, many) == (None, 1)
     # One start pair whose arcs fan out to 400 x 400 reached pairs.
     fan = Transducer(ab, xy, 401, {0}, set(range(1, 401)),
                      [Arc(0, "a", ("x",), q) for q in range(1, 401)])
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
         equivalent(fan, fan)
     # Few pairs with many edges each: 200 states with an arc from each to
-    # each; the fourth pair scanned passes EDGE_CAP edges.
+    # each; the fourth pair scanned passes EDGE_CAP edges. The suffix
+    # filter, whose every pair has 40,000 pairs of predecessors, gives up
+    # on its fifth pair, so the search runs unpruned.
     dense = Transducer(ab, xy, 200, {0}, {0},
                        [Arc(p, "a", (), q) for p in range(200) for q in range(200)])
+    assert _suffix_filter(_view(dense), _view(dense)) is None
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
         equivalent(dense, dense)
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
@@ -376,11 +388,6 @@ def test_psi_keys_outside_the_machine_are_refused():
         assert str(info.value) == f"psi key {key} is outside the machine"
 
 
-def unpruned(monkeypatch):
-    """Run the comparisons under ``monkeypatch`` without the suffix filter."""
-    monkeypatch.setattr(transducer, "_suffix_filter", lambda x, y: None)
-
-
 def outcome(x, y):
     """``_compare(x, y)``, or the message of the NonFunctionalError that a
     transducer that is not functional raises when a word is checked."""
@@ -395,16 +402,18 @@ def test_both_orientations_reach_the_same_pairs(k, n, monkeypatch):
     # A bimachine against a transducer is searched with the bimachine
     # first, whichever side is x: both orientations give the same word and
     # the same pair count, pruned and unpruned; pruning only drops pairs.
-    # So on the grid machines, on this cell's seeded corruptions and on a
-    # tenth of the random machines.
+    # So on the grid machines, on this cell's seeded corruptions and on an
+    # eighth of each set of random machines. The total ones reach the search.
     _, _, prepared, generic, handcrafted = built(k, n)
     machines = [handcrafted.reduce()] + ([generic.reduce()] if n <= 3 else [])
     cases = [(m, prepared) for m in machines]
     cases += [(bad, t) for cell, bad, t in corruption_cases() if cell == (k, n)]
-    tenth = len(random_row_cases()) // len(GRID)
-    at = GRID.index((k, n)) * tenth
-    cases += random_row_cases()[at:at + tenth]
+    for random_cases in (random_row_cases(), random_total_cases()):
+        share = len(random_cases) // len(GRID)
+        at = GRID.index((k, n)) * share
+        cases += random_cases[at:at + share]
     pruned = [outcome(b, t) for b, t in cases]
+    assert all(pairs for _, pairs in pruned[-share:])
     assert [outcome(t, b) for b, t in cases] == pruned
     unpruned(monkeypatch)
     for (b, t), found in zip(cases, pruned):
@@ -421,6 +430,28 @@ def test_reduced_3_4_handcrafted_reaches_few_pairs(monkeypatch):
     assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 7277)
     unpruned(monkeypatch)
     assert _compare(reduced, prepared) == _compare(prepared, reduced) == (None, 20509)
+
+
+def test_the_suffix_filter_builds_no_pair_of_final_states_past_the_cap():
+    # The fan above has 400 final states: 160,000 pairs of final classes,
+    # more than STATE_CAP. The filter gives up before it builds one, where
+    # the start pairs alone would take megabytes, and the search refuses.
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    fan = Transducer(ab, xy, 401, {0}, set(range(1, 401)),
+                     [Arc(0, "a", ("x",), q) for q in range(1, 401)])
+    view = _view(fan)
+    tracemalloc.start()
+    try:
+        fits = _suffix_filter(view, view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fits is None
+    assert peak < 2**16
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        equivalent(fan, fan)
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(fan)
 
 
 def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
@@ -440,7 +471,8 @@ def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
             union = [set() for _ in range(right.state_count)]
             for r, s in joint:
                 union[r] |= subsets[s]
-            assert _suffix_filter(machine, _view(prepared)) == union
+            assert _suffix_filter(_view(machine), _view(prepared)) == {
+                r: fit for r, fit in enumerate(union) if fit}
             for other in machines:
                 _, joint = explore(machine.input_alphabet, (right.start, other.right.start),
                                    lambda j, tok: (right.step(j[0], tok),
@@ -448,7 +480,8 @@ def test_suffix_filter_fits_exactly_the_pairs_the_right_automata_meet():
                 pairs = [set() for _ in range(right.state_count)]
                 for r, r2 in joint:
                     pairs[r].add(r2)
-                assert _suffix_filter(machine, _view(other)) == pairs
+                assert _suffix_filter(_view(machine), _view(other)) == {
+                    r: fit for r, fit in enumerate(pairs) if fit}
 
 
 def corruptions(machine, rng, count):
@@ -561,7 +594,7 @@ def test_too_many_fitting_pairs_run_the_search_unpruned():
     good = Bimachine(Dfa(a, 1, 0, [(0,)]), counter,
                      {(0, "a", r): ("x",) for r in range(300)}, (), x)
     bad = with_psi(good, {**good.psi, (0, "a", 5): ("x", "x")}, ())
-    assert _suffix_filter(good, _view(t)) is None
+    assert _suffix_filter(_view(good), _view(t)) is None
     assert _compare(good, t) == _compare(t, good) == (None, 300)
     word, _ = _compare(bad, t)
     assert word is not None and bad.evaluate(word) != t.evaluate(word)
@@ -657,7 +690,7 @@ def test_a_group_over_the_edge_cap_is_refused():
     machine = Bimachine(Dfa(ab, 1, 0, [(0, 0)]), right, psi, (), x)
     t = Transducer(ab, x, 1, {0}, {0},
                    [Arc(0, "a", ("x",) * i, 0) for i in range(400)] + [Arc(0, "b", ("x",), 0)])
-    assert _suffix_filter(machine, _view(t)) is not None
+    assert _suffix_filter(_view(machine), _view(t)) is not None
     for pair in ((machine, t), (t, machine)):
         with pytest.raises(ResourceLimitError, match="state pairs or edges"):
             _compare(*pair)
@@ -693,7 +726,7 @@ def test_reduced_3_4_examines_few_arc_pairs():
     # group), and the search walks 41,592 edges; counted before the fit
     # test, the letter views' product examined 103,800.
     _, _, prepared, _, handcrafted = built(3, 4)
-    starts, successors, words = transducer._row_product(handcrafted.reduce(), prepared)
+    starts, successors, words = transducer._product(handcrafted.reduce(), prepared)
     spent, walked = [], []
 
     def counting(pair, spend):
@@ -733,28 +766,32 @@ def reached(product):
     return starts, order
 
 
-def assert_rows_match_views(b, other):
-    """At every pair the row product of bimachine ``b`` and ``other`` reaches,
-    its edges into pairs of states that can accept are the edges of the
-    sorted views' product whose target fits, in the same order; so are its
-    start pairs."""
-    fits = _suffix_filter(b, _view(other))
+def class_of(machine, state):
+    """The class of ``state``: a bimachine state's right state, or a
+    transducer state itself."""
+    return state % machine.right.state_count if isinstance(machine, Bimachine) else state
+
+
+def assert_rows_match_views(first, second):
+    """At every pair the product of ``first`` and ``second`` reaches, each a
+    bimachine or a letter-input transducer, its edges into pairs of states
+    that can accept are the edges of the sorted views' product whose target
+    fits, in the same order; so are its start pairs."""
+    fits = _suffix_filter(_view(first), _view(second))
     if fits is None:
         return
-    x = reference_view(b)
-    y = reference_view(other) if isinstance(other, Bimachine) else transducer_view(other)
-    width = b.right.state_count
-    classes = other.right.state_count if isinstance(other, Bimachine) else y.count
+    x, y = (reference_view(m) if isinstance(m, Bimachine) else transducer_view(m)
+            for m in (first, second))
 
     def fitting(pair):
         s, q = divmod(pair, y.count)
-        return q % classes in fits[s % width]
+        return class_of(second, q) in fits.get(class_of(first, s), ())
 
     def accepting(pair):
         s, q = divmod(pair, y.count)
         return s in x.live and q in y.live
 
-    rows = transducer._row_product(b, other)
+    rows = transducer._product(first, second)
     want_starts, edges = view_product(x, y)
     starts, order = reached(rows)
     assert [s for s in starts if accepting(s)] == [s for s in want_starts if fitting(s)]
@@ -795,6 +832,36 @@ def random_row_cases():
     return tuple(cases)
 
 
+@lru_cache(maxsize=None)
+def random_total_cases():
+    """Random bimachines whose every psi cell is defined, each with a random
+    complete deterministic transducer whose every state accepts. Both are
+    defined on every word and give the empty word the empty output, so the
+    domain check passes and every case reaches the delay search. Every
+    other case orders its alphabet b, a."""
+    rng = random.Random(19)
+    xy = Alphabet(("x", "y"))
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x")]
+
+    def dfa():
+        count = rng.randint(1, 6)
+        return Dfa(ab, count, rng.randrange(count),
+                   [[rng.randrange(count) for _ in ab] for _ in range(count)])
+
+    cases = []
+    for i in range(80):
+        ab = Alphabet(("a", "b") if i % 2 == 0 else ("b", "a"))
+        left, right = dfa(), dfa()
+        psi = {(l, a, r): rng.choice(words) for l in range(left.state_count) for a in ab
+               for r in range(right.state_count)}
+        count = rng.randint(1, 5)
+        t = Transducer(ab, xy, count, {0}, set(range(count)),
+                       [Arc(q, a, rng.choice(words), rng.randrange(count))
+                        for q in range(count) for a in ab])
+        cases.append((Bimachine(left, right, psi, (), xy), t))
+    return tuple(cases)
+
+
 def test_row_groups_are_the_letter_views_fitting_edges_in_order():
     # Grid machines (equal domains, so every fitting target can accept) and
     # random machines, against transducers and against each other.
@@ -815,20 +882,21 @@ def test_row_groups_are_the_letter_views_fitting_edges_in_order():
 
 def test_the_letter_product_is_the_sorted_views_product():
     # Every pair two random transducers reach lists the edges of their
-    # sorted views' product, in the same order, and the start pairs agree;
-    # also with the letters ordered b, a, unlike their spelling.
+    # sorted views' product into pairs that can reach a final pair, in the
+    # same order, and the start pairs are those that can; also with the
+    # letters ordered b, a, unlike their spelling.
     rng = random.Random(53)
     ba = Alphabet(("b", "a"))
     for _ in range(150):
         x, y = random_letter_transducer(rng), random_letter_transducer(rng)
         bx, by = in_alphabet(x, ba), in_alphabet(y, ba)
         for first, second in ((x, y), (x, x), (bx, by)):
-            product = transducer._letter_product(first, second)
-            want_starts, edges = view_product(transducer_view(first), transducer_view(second))
-            starts, order = reached(product)
-            assert starts == want_starts
-            got = decoded(product, order)
-            assert all(got[pair] == edges(pair) for pair in order)
+            assert _suffix_filter(_view(first), _view(second)) is not None
+            assert_rows_match_views(first, second)
+    # Start states whose fitting set iterates out of order: {1, 64}.
+    wide = Transducer(x.input_alphabet, x.output_alphabet, 65, {1, 64}, {1, 64}, ())
+    assert list({1, 64}) != [1, 64]
+    assert_rows_match_views(wide, wide)
 
 
 @pytest.mark.parametrize("k,n", GRID)

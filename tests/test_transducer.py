@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from bimlab import (
 )
 from bimlab import ResourceLimitError, parse_transducer, transducer
 from bimlab.fsm import STATE_CAP
-from helpers import built, random_letter_transducer, relation_by_paths, words_upto
+from helpers import built, random_letter_transducer, relation_by_paths, unpruned, words_upto
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -425,12 +426,16 @@ def test_relation_step_is_capped():
         t.relation(("a",) * 17)
 
 
-def test_functionality_check_is_capped():
-    # 317 initial states: 100489 start pairs, refused before any is built.
+def test_functionality_check_is_capped(monkeypatch):
+    # 317 initial states: 100489 start pairs, refused before any is built
+    # when every pair fits. Pruned, only state 0 with itself can accept.
     many_starts = Transducer(AB, XY, 317, set(range(317)), {0}, ())
-    with pytest.raises(ResourceLimitError, match="state pairs"):
-        check_functional(many_starts)
-    assert check_functional(Transducer(AB, XY, 316, set(range(316)), {0}, ())).functional
+    with monkeypatch.context() as patch:
+        unpruned(patch)
+        with pytest.raises(ResourceLimitError, match="state pairs"):
+            check_functional(many_starts)
+        assert check_functional(Transducer(AB, XY, 316, set(range(316)), {0}, ())).functional
+    assert check_functional(many_starts).functional
     # One state fanning out to 400 states: 160000 reached pairs.
     fan = Transducer(AB, XY, 401, {0}, set(range(1, 401)),
                      [Arc(0, "a", ("x",), q) for q in range(1, 401)])
@@ -441,9 +446,16 @@ def test_functionality_check_is_capped():
     loops = Transducer(AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs])
     with pytest.raises(ResourceLimitError, match="state pairs or edges"):
         check_functional(loops)
+    # n loops cost n * n arc pairs to build the one group and n * n edges
+    # to walk it: 2 * 273^2 = 149,058 fit in EDGE_CAP, 2 * 274^2 = 150,152
+    # and 2 * 300^2 = 180,000 do not.
     assert not check_functional(Transducer(
-        AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs[:300]]
+        AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs[:273]]
     )).functional
+    for count in (274, 300):
+        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+            check_functional(Transducer(
+                AB, XY, 1, {0}, {0}, [Arc(0, "a", out, 0) for out in outputs[:count]]))
 
 
 def test_edge_cap_does_not_grow_with_the_alphabet():
@@ -471,15 +483,19 @@ def two_chains(n, live):
     return Transducer(AB, XY, 2 * n + 3, {0}, {2 * n + 1, 2 * n + 2}, arcs)
 
 
-def test_delays_count_against_the_pair_cap():
+def test_delays_count_against_the_pair_cap(monkeypatch):
     # The cross pair of A_i and B_i owes x^i: about n^2 delay tokens over
     # 4n pairs, which must not be held whether or not the pairs can accept.
     # n = 200 holds about 41,000 pairs and tokens; n = 2,000 would hold four
-    # million.
+    # million. Dead cross pairs fit nothing, so pruned they are not entered.
     for live in (False, True):
         assert check_functional(two_chains(200, live)).functional
-        with pytest.raises(ResourceLimitError, match="state pairs or edges"):
-            check_functional(two_chains(2_000, live))
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(two_chains(2_000, True))
+    assert check_functional(two_chains(2_000, False)).functional
+    unpruned(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="state pairs or edges"):
+        check_functional(two_chains(2_000, False))
 
 
 def test_edges_into_dead_pairs_build_no_delay(monkeypatch):
@@ -487,7 +503,7 @@ def test_edges_into_dead_pairs_build_no_delay(monkeypatch):
     # on "b" into state 3, which never accepts. Delays are cancelled on the
     # way to (1, 1) and on the first two of its edges into (3, 3); the second
     # is a conflict that makes (3, 3) dead, so the other 67,598 edges into it
-    # extend no delay.
+    # extend no delay. Pruned, no pair of 3 is entered and none is built.
     outputs = [("y", *("xy"[int(b)] for b in format(i, "b"))) for i in range(1, 131)]
     arcs = [Arc(0, "a", ("x",) * 1000, 1), Arc(0, "a", (), 2)]
     arcs += [Arc(q, "b", out, 3) for q in (1, 2) for out in outputs]
@@ -495,5 +511,8 @@ def test_edges_into_dead_pairs_build_no_delay(monkeypatch):
     calls = []
     strip = transducer._strip_common_prefix
     monkeypatch.setattr(transducer, "_strip_common_prefix", lambda u, v: calls.append(1) or strip(u, v))
+    assert check_functional(replace(t)).functional
+    assert calls == []
+    unpruned(monkeypatch)
     assert check_functional(t).functional
     assert len(calls) == 3
