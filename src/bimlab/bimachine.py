@@ -83,20 +83,14 @@ class PsiTable(Mapping):
         PreconditionError on a key that names a state or letter the shape
         lacks."""
         shape = alphabet, left_count, right_count
-        interner, blank = RowInterner(*shape), array("i", [-1]) * right_count
-        begun: dict[int, array] = {}
-        ids: dict[Word, int] = {}
+        interner = RowInterner(*shape)
+        row, word = interner.row, interner.word
         for (l, a, r), out in items:
             slot = _slot(shape, l, a, r)
             if slot is None:
                 raise PreconditionError(f"psi key {(l, a, r)} is outside the machine")
-            row = begun.get(slot)
-            if row is None:
-                row = begun[slot] = blank[:]
-            row[r] = ids.setdefault(tuple(out), len(ids))
-        for slot, row in begun.items():
-            interner.row_of[slot] = interner.intern(row)
-        return interner.table(tuple(ids))
+            row(slot)[r] = word(tuple(out))
+        return interner.table()
 
     @property
     def shape(self) -> tuple[Alphabet, int, int]:
@@ -165,14 +159,18 @@ class RowInterner:
     """Builds a PsiTable: each row is interned once, and ``row_of`` maps a
     slot (``l * |Σ| + a``) to its row's index.
 
-    ``intern`` gives a row's index, appending the row to ``rows`` the first
-    time it is seen, or -1 for a row that is all undefined. A builder writes
-    the indices into ``row_of`` itself. ``table`` drops the rows that no
-    slot uses, so a builder may intern a row it ends up not using. The cap
-    is checked before anything is allocated.
+    ``word`` gives an output word's id, numbering the words in order of
+    first use; the cells hold these ids. ``intern`` gives a row's index,
+    appending the row to ``rows`` the first time it is seen, or -1 for a row
+    that is all undefined. A builder writes the indices into ``row_of``
+    itself, or writes a slot's row cell by cell into ``row(slot)``. ``table``
+    interns the rows still being written and drops the rows that no slot
+    uses, so a builder may intern a row it ends up not using. The cap is
+    checked before anything is allocated.
     """
 
-    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "index")
+    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "index",
+                 "words", "begun")
 
     def __init__(self, alphabet: Alphabet, left_count: int, right_count: int):
         check_psi_shape(left_count, len(alphabet), right_count)
@@ -180,6 +178,11 @@ class RowInterner:
         self.row_of = array("i", [-1]) * (left_count * len(alphabet))
         self.rows = array("i")
         self.index: dict[bytes, int] = {}  # by the row's bytes
+        self.words: dict[Word, int] = {}
+        self.begun: dict[int, array] = {}  # the rows being written, by slot
+
+    def word(self, out: Word) -> int:
+        return self.words.setdefault(out, len(self.words))
 
     def intern(self, row: array) -> int:
         key = row.tobytes()
@@ -193,9 +196,21 @@ class RowInterner:
             self.index[key] = i
         return i
 
-    def table(self, words: tuple[Word, ...]) -> PsiTable:
+    def row(self, slot: int) -> array:
+        """The row of slot being written: when its writing begins, blank or
+        a copy of the slot's interned row."""
+        cells = self.begun.get(slot)
+        if cells is None:
+            i, width = self.row_of[slot], self.right_count
+            cells = self.begun[slot] = (array("i", [-1]) * width if i < 0
+                                        else self.rows[i * width : (i + 1) * width])
+        return cells
+
+    def table(self) -> PsiTable:
         """The table of ``row_of`` and the rows it uses, whose cells index
-        ``words``."""
+        the words in order of their ids."""
+        for slot, cells in self.begun.items():
+            self.row_of[slot] = self.intern(cells)
         row_of, rows, width = self.row_of, self.rows, self.right_count
         used = set(row_of)
         used.discard(-1)
@@ -207,7 +222,7 @@ class RowInterner:
             rows = array("i")
             for old in kept:
                 rows.extend(self.rows[old * width : (old + 1) * width])
-        return PsiTable(self.alphabet, self.left_count, width, row_of, rows, words)
+        return PsiTable(self.alphabet, self.left_count, width, row_of, rows, tuple(self.words))
 
 
 @dataclass(frozen=True)

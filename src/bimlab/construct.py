@@ -47,19 +47,19 @@ def build_left_automaton(
 def build_psi(
     t: Transducer,
     left_lists: tuple[tuple[int, ...], ...],
-    right_subsets: tuple[frozenset[int], ...],
+    coaccessible: tuple[frozenset[int], ...],
 ) -> PsiTable:
     """First match wins: scan the priority list, each state's arcs in
     canonical order, and emit the first transition landing in the
     co-accessible subset. No matching transition means undefined."""
     arcs = t._letter_arcs
-    alphabet, right_count = t.input_alphabet, len(right_subsets)
+    alphabet, right_count = t.input_alphabet, len(coaccessible)
     interner = RowInterner(alphabet, len(left_lists), right_count)
+    word = interner.word
     holders: dict[int, list[int]] = {}  # transducer state -> right states holding it
-    for r_id, subset in enumerate(right_subsets):
+    for r_id, subset in enumerate(coaccessible):
         for d in subset:
             holders.setdefault(d, []).append(r_id)
-    ids: dict[Word, int] = {}
     slot = 0
     for lst in left_lists:
         for tok in alphabet.symbols:
@@ -70,11 +70,11 @@ def build_psi(
                     for r_id in holders.get(d, ()):
                         if row[r_id] < 0:
                             if word_id is None:
-                                word_id = ids.setdefault(w, len(ids))
+                                word_id = word(w)
                             row[r_id] = word_id
             interner.row_of[slot] = interner.intern(array("i", row))
             slot += 1
-    return interner.table(tuple(ids))
+    return interner.table()
 
 
 def to_bimachine(t: Transducer, state_cap: int = STATE_CAP) -> Bimachine:

@@ -170,11 +170,11 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     # from one of these rows: a first-half letter inside the first block, a
     # second-half letter inside the second block, or the boundary, where the
     # row depends on the oldest first-block symbol i and the letter.
-    ids: dict[Word, int] = {}
+    interner = RowInterner(sigma, left.state_count, right.state_count)
+    word = interner.word
 
-    def row(outputs) -> array:
-        return array("i", [-1 if out is None else ids.setdefault(out, len(ids))
-                           for out in outputs])
+    def row(outputs) -> int:
+        return interner.intern(array("i", [-1 if out is None else word(out) for out in outputs]))
 
     inside_first = row(() if rs == ("crossed", True) or (rs[0] == "tail" and len(rs[1]) == n)
                        else None for rs in right_states)
@@ -185,10 +185,7 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
                       for rs in right_states)
         for i in params.first_half for tok in params.second_half
     }
-    interner = RowInterner(sigma, left.state_count, right.state_count)
     row_of = interner.row_of
-    inside_first, inside_second = interner.intern(inside_first), interner.intern(inside_second)
-    boundary = {key: interner.intern(row) for key, row in boundary.items()}
     slot = 0
     for ls in left_states:
         for tok in sigma.symbols:
@@ -200,4 +197,4 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
             elif ls[0] == "second" and tok not in first:
                 row_of[slot] = inside_second
             slot += 1
-    return Bimachine(left, right, interner.table(tuple(ids)), None, sigma)
+    return Bimachine(left, right, interner.table(), None, sigma)

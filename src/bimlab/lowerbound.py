@@ -20,6 +20,9 @@ from .fsm import STATE_CAP, Word
 from .instances import InstanceParams, handcrafted_bimachine, instance_transducer, oracle
 from .transducer import check_functional, equivalent, remove_input_epsilons, trim
 
+# The most probe words ``find_collisions`` scans on one side.
+PROBE_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class FoolingPair:
@@ -69,14 +72,15 @@ def _first_collision(b: Bimachine, params: InstanceParams, side: str) -> Fooling
 
 
 def find_collisions(
-    b: Bimachine, params: InstanceParams, cap: int = 10**6
+    b: Bimachine, params: InstanceParams
 ) -> tuple[FoolingPair | None, FoolingPair | None]:
     """Scan all k^n probe words per side in lexicographic order and report the
     first collision on each, or None for a side whose images are pairwise
-    distinct (which certifies that side has at least k^n states)."""
-    if params.k**params.n > cap:
+    distinct (which certifies that side has at least k^n states). More than
+    PROBE_CAP probe words per side raise ResourceLimitError."""
+    if params.k**params.n > PROBE_CAP:
         raise ResourceLimitError(
-            f"{params.k}^{params.n} probe words exceed the cap of {cap}"
+            f"{params.k}^{params.n} probe words exceed the cap of {PROBE_CAP}"
         )
     return _first_collision(b, params, "left"), _first_collision(b, params, "right")
 
@@ -161,9 +165,9 @@ class SoundnessAlarm:
 Verdict = BoundRespected | Mismatch | SoundnessAlarm
 
 
-def refute(b: Bimachine, params: InstanceParams, cap: int = 10**6) -> Verdict:
+def refute(b: Bimachine, params: InstanceParams) -> Verdict:
     """Collision search plus the three-candidate evaluation."""
-    left_pair, right_pair = find_collisions(b, params, cap=cap)
+    left_pair, right_pair = find_collisions(b, params)
     if left_pair is None or right_pair is None:
         return BoundRespected(left_pair, right_pair)
     candidates = build_candidates(left_pair, right_pair, params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from array import array
 
-from .bimachine import Bimachine, PsiTable, RowInterner
+from .bimachine import Bimachine, RowInterner
 from .errors import FormatError
 from .fsm import Alphabet, Dfa, Word
 from .transducer import Arc, Transducer
@@ -389,10 +389,10 @@ class _PsiRows:
 
     ``check`` is the checked per-line loop: the only code that reads a psi
     line's right state and output, and the source of every psi error. It
-    writes into begun rows, one array per row, which are interned when the
-    read ends. ``read`` passes it every line but two kinds, both written as
-    ``emit_bimachine`` writes them. A row is blank when its index is -1 and
-    it is not begun.
+    writes into the rows being written (``RowInterner.row``), which the
+    interner's ``table`` interns when the read ends. ``read`` passes it
+    every line but two kinds, both written as ``emit_bimachine`` writes
+    them. A row is blank when its index is -1 and it is not being written.
 
     A block is the canonical runs of one left state that follow each other.
     A block that repeats the text of a block read before, with only its
@@ -413,10 +413,10 @@ class _PsiRows:
     comparison, as a block is; any other run is found by a scan with
     ``_ROW``, and the runs read are remembered by the hash of their body.
 
-    The earlier lines interned their words, so the output ids are those a
+    The earlier lines numbered their words, so the output ids are those a
     line-by-line read gives. Runs and blocks are remembered by their place
-    in the text, not by a copy of it; they, the begun rows and the checked
-    left states and tokens live for one parse call.
+    in the text, not by a copy of it; they and the checked left states and
+    tokens live for one parse call.
     """
 
     def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
@@ -424,11 +424,9 @@ class _PsiRows:
         self.left_count, self.width = left.state_count, right.state_count
         self.letters = len(left.alphabet)
         self.column = {tok: pos for pos, tok in enumerate(left.alphabet.symbols)}
-        self.begun: dict[int, array] = {}  # by slot
-        self.ids: dict[Word, int] = {}
         self.rights = _Memo(_parse_state, self.width, "right state")
-        self.outputs = _Memo(lambda line_no, text: self.ids.setdefault(
-            _parse_word(line_no, text, oalphabet, "output"), len(self.ids)))
+        self.outputs = _Memo(lambda line_no, text: self.interner.word(
+            _parse_word(line_no, text, oalphabet, "output")))
         # What ``row`` gave for each (left state text, token) checked.
         self.checked: dict[tuple[str, str], tuple[int, int]] = {}
 
@@ -440,24 +438,11 @@ class _PsiRows:
             raise FormatError(line_no, f"unknown token {tok!r}")
         return l, l * self.letters + pos
 
-    def begin(self, slot: int) -> array:
-        """Begin the row of slot, blank or a copy of its interned row, for
-        ``check`` to write into."""
-        i, width = self.interner.row_of[slot], self.width
-        if i < 0:
-            cells = self.begun[slot] = array("i", [-1]) * width
-        else:
-            cells = self.begun[slot] = self.interner.rows[i * width : (i + 1) * width]
-        return cells
-
-    def table(self) -> PsiTable:
-        """The table read."""
-        return self.interner.table(tuple(self.ids))
-
     def check(self, lines: list[str], first: int) -> int | None:
         """Read lines, the first of them line ``first``, up to the first
         nonblank one that is not a psi line: its index, or None."""
-        begun, rights, outputs, checked = self.begun, self.rights, self.outputs, self.checked
+        rights, outputs, checked = self.rights, self.outputs, self.checked
+        row_cells = self.interner.row
         l_text = tok = cells = None
         # This loop runs once per psi line read. The left state and token are
         # looked up only when their text changes, and checked once each.
@@ -481,9 +466,7 @@ class _PsiRows:
                 if found is None:
                     found = checked[l_text, tok] = self.row(line_no, l_text, tok)
                 l, slot = found
-                cells = begun.get(slot)
-                if cells is None:
-                    cells = self.begin(slot)
+                cells = row_cells(slot)
             r = rights.get(r_text)
             if r is None:
                 r = rights.read(line_no, r_text)
@@ -496,10 +479,11 @@ class _PsiRows:
         return stop
 
     def read(self, parser: _Parser) -> None:
-        """Read the psi lines from the parser's lookahead on, intern the rows
-        begun, then hand the text after the psi lines back to the parser."""
+        """Read the psi lines from the parser's lookahead on, then hand the
+        text after them back to the parser."""
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
-        interner, begun, letters = self.interner, self.begun, self.letters
+        interner, letters = self.interner, self.letters
+        begun = interner.begun
         row_of = interner.row_of
         blank = array("i", [-1]) * letters
         # A remembered run or block: where its text after its first prefix
@@ -571,9 +555,6 @@ class _PsiRows:
                 line_no += stop
                 break
             pos, line_no = end, line_no + len(lines)
-        while begun:
-            slot, cells = begun.popitem()
-            row_of[slot] = interner.intern(cells)
         parser.seek(pos, line_no)
 
 
@@ -596,7 +577,7 @@ def parse_bimachine(text: str) -> Bimachine:
     if item and item[1][0] == "psi":
         rows.read(parser)
     parser.finish("psi")
-    return Bimachine(left, right, rows.table(), empty_out, oalphabet)
+    return Bimachine(left, right, rows.interner.table(), empty_out, oalphabet)
 
 
 def load_machine(text: str) -> Transducer | Bimachine:

@@ -8,8 +8,9 @@ which runs both the exact functionality test and the exact equivalence test.
 One function builds every product (``_product``): it reads each machine,
 a letter-input transducer or a bimachine straight from its psi rows,
 through one view (``_view``), and enters only pairs of states that can
-accept a common suffix (``_suffix_filter``). The equivalence test also
-steps a bimachine's domain from its psi rows.
+accept a common suffix (``_suffix_filter``). The equivalence test's
+domain check reads the same view: its subset automaton, a bimachine's
+stepped straight from its psi rows.
 """
 
 from __future__ import annotations
@@ -145,7 +146,9 @@ class Transducer:
         """What ``check_functional`` reports."""
         if self.has_input_epsilons:
             raise PreconditionError("the product searches need a letter-input machine")
-        starts, successors, outputs = _product(self, self)
+        view = _view(self)
+        starts, successors, outputs = _product(view, view)
+        del view  # the search does not read it: free it before the search grows
         words, _ = _delay_search(starts, successors, "functionality check", outputs)
         if not words:
             return FunctionalityReport(True)
@@ -343,20 +346,20 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     continuation searches ask ``successors`` again.
 
     The cap is one rule, the same for every alphabet. The search holds at
-    most STATE_CAP pairs and delay tokens together, and its distinct delays
-    hold at most STATE_CAP tokens. The pass and the continuation searches
-    together examine at most EDGE_CAP arc pairs: an arc pair counts when
-    ``successors`` scans it to build a group of edges (a group counts at
-    least 1), and an edge counts each time it is walked. The start pairs
-    are counted as they are taken, each group before it is scanned and each
-    delay before it is stored. More raise ResourceLimitError. So on an
-    untrusted file the search takes at most EDGE_CAP steps over arc pairs,
-    besides one look at each letter of each reached pair (at most
-    STATE_CAP of them) and, for a bimachine, one pass over each psi row's
-    cells per letter it is read on. Every product of ``_product`` spends
-    by this rule, two transducers too. The largest product of the
-    experiment grid, reduced (3,4) handcrafted against its transducer,
-    holds 7,277 pairs and 13,122 delay tokens and examines 46,122 arc
+    most STATE_CAP pairs, each with only the id of its delay, and its
+    distinct delays hold at most STATE_CAP tokens. The pass and the
+    continuation searches together examine at most EDGE_CAP arc pairs: an
+    arc pair counts when ``successors`` scans it to build a group of edges
+    (a group counts at least 1), and an edge counts each time it is walked.
+    The start pairs are counted as they are taken, each pair and each
+    distinct delay before it is stored, and each group before it is
+    scanned. More raise ResourceLimitError. So on an untrusted file the
+    search takes at most EDGE_CAP steps over arc pairs, besides one look at
+    each letter of each reached pair (at most STATE_CAP of them) and, for a
+    bimachine, one pass over each psi row's cells per letter it is read on.
+    Every product of ``_product`` spends by this rule, two transducers too.
+    The largest product of the experiment grid, reduced (3,4) handcrafted
+    against its transducer, holds 7,277 pairs and examines 46,122 arc
     pairs: 4,530 to build 1,377 groups and 41,592 edges walked (20,509
     pairs with every pair fitting). Raw (3,4) handcrafted against the same
     transducer examines 63,132 in 7,493 pairs. The functionality check of
@@ -402,13 +405,12 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
         order.append(pair)
     delays: dict[int, int] = dict.fromkeys(order, 0)
     parents: dict[int, tuple[int, str] | None] = dict.fromkeys(order)
-    held = len(order)  # pairs, and the tokens of their delays
 
-    # Delay d is table[d]; 0 is the empty delay. tokens[d] counts its
-    # tokens, and split[d] tells a conflict: both sides outstanding.
+    # Delay d is table[d]; 0 is the empty delay. split[d] tells a conflict:
+    # both sides outstanding.
     table: list[tuple[Word, Word]] = [((), ())]
     ids = {table[0]: 0}
-    tokens, split = [0], [False]
+    split = [False]
     interned = 0
     span = len(words)
     area = span * span
@@ -428,7 +430,6 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
                 raise ResourceLimitError(too_large)
             nxt = ids[u, v] = len(table)
             table.append((u, v))
-            tokens.append(len(u) + len(v))
             split.append(bool(u and v))
         steps[d * area + w] = nxt
         return nxt
@@ -455,8 +456,7 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
                     return [_word_to(parents, pair) + (tok,)], len(order)
                 seen = delays.get(nxt)
                 if seen is None:
-                    held += 1 + tokens[delay]
-                    if held > STATE_CAP:
+                    if len(order) >= STATE_CAP:
                         raise ResourceLimitError(too_large)
                     delays[nxt] = delay
                     parents[nxt] = (pair, tok)
@@ -481,57 +481,12 @@ def check_functional(t: Transducer) -> FunctionalityReport:
     return t._functionality
 
 
-def _subsets(m) -> tuple[Hashable, Callable[[Hashable, str], Hashable],
-                        Callable[[Hashable], bool], Word | None]:
-    """The subset automaton of ``m``, a letter-input transducer or a
-    bimachine: its start subset, its step on a letter, whether a subset
-    accepts, and the output at the empty word.
-
-    A transducer's subset is the set of states a prefix reaches. A
-    bimachine's is ``(l, rs)``: the left state the prefix reaches, and the
-    right states ``r`` (guesses of the suffix behind it) at which the
-    prefix's outputs are all defined. It is stepped straight from the psi
-    rows: on letter ``a`` from left state ``l``, ``r'`` stays when ``psi(l,
-    a, r')`` is defined and ``δR(r', a)`` is in ``rs``. A prefix is in the
-    domain when ``R.start`` is in ``rs``. Every empty subset is one state.
-    """
-    if isinstance(m, Transducer):
-        arcs, final = m._letter_arcs, m.final
-
-        def step(subset: frozenset[int], tok: str) -> frozenset[int]:
-            return frozenset(d for q in subset for _, d in arcs.get((q, tok), ()))
-
-        empty = () if m.initial & final else None
-        return frozenset(m.initial), step, lambda subset: not subset.isdisjoint(final), empty
-    symbols, right = m.input_alphabet.symbols, m.right
-    letters, position = len(symbols), {tok: pos for pos, tok in enumerate(symbols)}
-    row_of, left_delta = m.psi.row_of, m.left.delta
-    defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
-    into = _right_steps(m)
-    nowhere = (-1, frozenset())
-
-    def row_step(subset: tuple[int, frozenset[int]], tok: str) -> tuple[int, frozenset[int]]:
-        l, rs = subset
-        if rs:
-            pos = position[tok]
-            i = row_of[l * letters + pos]
-            if i >= 0:
-                to = into[pos]
-                rs = frozenset(r for r in defined[i] if to[r] in rs)
-                if rs:
-                    return left_delta[l][pos], rs
-        return nowhere
-
-    start = (m.left.start, frozenset(range(right.state_count)))
-    return start, row_step, lambda subset: right.start in subset[1], m.empty_word_output
-
-
-def _domain_difference(x, y) -> Word | None:
-    """The length-lex least word on which exactly one machine is defined, or
-    the empty word when the two disagree there. Runs the subset automata of
-    both machines (``_subsets``) side by side, breadth-first in alphabet
-    order."""
-    (xstart, xstep, xaccepts, xempty), (ystart, ystep, yaccepts, yempty) = _subsets(x), _subsets(y)
+def _domain_difference(vx: _View, vy: _View) -> Word | None:
+    """The length-lex least word on which exactly one of two machines is
+    defined, or the empty word when the two disagree there. Runs the subset
+    automata of both (``_View.subsets``) side by side, breadth-first in
+    alphabet order."""
+    (xstart, xstep, xaccepts, xempty), (ystart, ystep, yaccepts, yempty) = vx.subsets, vy.subsets
     if xempty != yempty:
         return ()
 
@@ -541,21 +496,17 @@ def _domain_difference(x, y) -> Word | None:
 
     # A start of its own keeps the empty word, which the subset automata do
     # not read, apart from every word that returns to the start subsets.
-    dfa, states = explore(x.input_alphabet, None, step)
+    dfa, states = explore(vx.alphabet, None, step)
     for target in range(1, dfa.state_count):
         sx, sy = states[target]
         if xaccepts(sx) != yaccepts(sy):
             # Breadth-first: the first (state, letter) leading to a state
             # is its parent.
-            parent: dict[int, tuple[int, str]] = {}
+            parent: dict[int, tuple[int, str] | None] = {0: None}
             for src, row in enumerate(dfa.delta):
                 for tok, dst in zip(dfa.alphabet.symbols, row):
                     parent.setdefault(dst, (src, tok))
-            word = []
-            while target:
-                target, tok = parent[target]
-                word.append(tok)
-            return tuple(reversed(word))
+            return _word_to(parent, target)
     return None
 
 
@@ -566,22 +517,14 @@ def _letter_input(machine):
     return machine
 
 
-def _right_steps(m: Bimachine) -> list[list[int]]:
-    """``steps[pos][r]``: where ``m``'s right automaton steps from ``r`` on
-    the ``pos``-th letter of ``m``'s input alphabet."""
-    right = m.right
-    return [[row[c] for row in right.delta]
-            for c in map(right.alphabet.index, m.input_alphabet.symbols)]
-
-
-def _row_arcs(m: Bimachine, index: dict[Word, int],
+def _row_arcs(m: Bimachine, steps: list[list[int]], index: dict[Word, int],
               fitting: Container[int]) -> Callable[[int, int], list[tuple[int, int]]]:
     """``arcs(key, pos)``, the arcs of bimachine ``m`` on its ``pos``-th
     letter a from psi row ``i`` and right state ``r``, where ``key = i * |R|
     + r``: ``(output id, r')`` for each ``r'`` in ``fitting`` with ``δR(r',
     a) = r`` where the row's cell at ``r'`` is defined, in (output, r')
-    order. ``index`` gives the output ids, and ``m``'s words are added to it
-    first. Each list is built once."""
+    order. ``steps[pos][r']`` is ``δR(r', a)``. ``index`` gives the output
+    ids, and ``m``'s words are added to it first. Each list is built once."""
     psi, width, letters = m.psi, m.right.state_count, len(m.input_alphabet)
     rows, words = psi.rows, psi.words
     ids = [index.setdefault(w, len(index)) for w in words]
@@ -591,7 +534,7 @@ def _row_arcs(m: Bimachine, index: dict[Word, int],
         keyed[v] = k * width
     # sources[pos][r]: the r' with δR(r', a) = r that fit, ascending.
     sources: list[list[list[int]]] = []
-    for to in _right_steps(m):
+    for to in steps:
         by_target: list[list[int]] = [[] for _ in range(width)]
         for r2, r in enumerate(to):
             if r2 in fitting:
@@ -629,7 +572,8 @@ class _View(NamedTuple):
     each of a class of its own, ``final`` the classes of final states, and
     ``before[c]`` maps the position of each letter on which a state of
     class ``c`` is entered to the classes ``c'`` such that a state of class
-    ``c'`` steps on that letter to one of class ``c``.
+    ``c'`` steps on that letter to one of class ``c``. ``alphabet`` is the
+    machine's input alphabet.
 
     ``moves(index, fitting)`` gives ``(units, arcs)``, with output ids from
     ``index`` and only targets whose class is in ``fitting``. ``units[u]``
@@ -638,8 +582,19 @@ class _View(NamedTuple):
     ``arcs(base + q, pos)``, as ``(output id, class)`` in (output, class)
     order, and the arc to class ``c`` leads to state ``head + c``. Every
     key ``base + q`` is below ``keys``.
+
+    ``subsets`` is the machine's subset automaton: its start subset, its
+    step on a letter, whether a subset accepts, and the output at the empty
+    word. A transducer's subset is the set of states a prefix reaches. A
+    bimachine's is ``(l, rs)``: the left state the prefix reaches, and the
+    right states ``r`` (guesses of the suffix behind it) at which the
+    prefix's outputs are all defined. It is stepped straight from the psi
+    rows: on letter ``a`` from left state ``l``, ``r'`` stays when ``psi(l,
+    a, r')`` is defined and ``δR(r', a)`` is in ``rs``. A prefix is in the
+    domain when ``R.start`` is in ``rs``. Every empty subset is one state.
     """
 
+    alphabet: Alphabet
     width: int
     count: int
     keys: int
@@ -648,22 +603,44 @@ class _View(NamedTuple):
     before: list[dict[int, Collection[int]]]
     moves: Callable[[dict[Word, int], Container[int]],
                     tuple[Units, Callable[[int, int], list[tuple[int, int]]]]]
+    subsets: tuple[Hashable, Callable[[Hashable, str], Hashable], Callable[[Hashable], bool],
+                   Word | None]
 
 
 def _view(m) -> _View:
     """The view of ``m``, a letter-input transducer or a bimachine."""
-    symbols = m.input_alphabet.symbols
+    alphabet = m.input_alphabet
+    symbols = alphabet.symbols
     letters, position = len(symbols), {tok: pos for pos, tok in enumerate(symbols)}
     if isinstance(m, Bimachine):
-        width, row_of = m.right.state_count, m.psi.row_of
+        right, width, row_of, left_delta = m.right, m.right.state_count, m.psi.row_of, m.left.delta
         units = [[(pos, tok, to[pos] * width, (i - l) * width)
                   for pos, tok in enumerate(symbols) for i in (row_of[l * letters + pos],)
-                  if i >= 0] for l, to in enumerate(m.left.delta)]
-        steps = _right_steps(m)
-        return _View(width, m.left.state_count * width, m.psi.distinct * width,
-                     [(m.left.start * width + r, r) for r in range(width)], (m.right.start,),
+                  if i >= 0] for l, to in enumerate(left_delta)]
+        # steps[pos][r]: where R steps from r on the pos-th letter.
+        steps = [[row[c] for row in right.delta] for c in map(right.alphabet.index, symbols)]
+        defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
+        nowhere = (-1, frozenset())
+
+        def row_step(subset: tuple[int, frozenset[int]], tok: str) -> tuple[int, frozenset[int]]:
+            l, rs = subset
+            if rs:
+                pos = position[tok]
+                i = row_of[l * letters + pos]
+                if i >= 0:
+                    to = steps[pos]
+                    rs = frozenset(r for r in defined[i] if to[r] in rs)
+                    if rs:
+                        return left_delta[l][pos], rs
+            return nowhere
+
+        return _View(alphabet, width, m.left.state_count * width, m.psi.distinct * width,
+                     [(m.left.start * width + r, r) for r in range(width)], (right.start,),
                      [{pos: (to[c],) for pos, to in enumerate(steps)} for c in range(width)],
-                     lambda index, fitting: (units, _row_arcs(m, index, fitting)))
+                     lambda index, fitting: (units, _row_arcs(m, steps, index, fitting)),
+                     ((m.left.start, frozenset(range(width))), row_step,
+                      lambda subset: right.start in subset[1], m.empty_word_output))
+    arcs, final = m._letter_arcs, m.final
     before: list[dict[int, set[int]]] = [{} for _ in range(m.state_count)]
     for arc in m.arcs:
         before[arc.dst].setdefault(position[arc.inp], set()).add(arc.src)
@@ -671,8 +648,8 @@ def _view(m) -> _View:
     def moves(index: dict[Word, int], fitting: Container[int]):
         units: Units = [[] for _ in range(m.state_count)]
         table: dict[int, list[tuple[int, int]]] = {}
-        for (q, tok), arcs in m._letter_arcs.items():
-            own = [(index.setdefault(out, len(index)), d) for out, d in arcs if d in fitting]
+        for (q, tok), pairs in arcs.items():
+            own = [(index.setdefault(out, len(index)), d) for out, d in pairs if d in fitting]
             if own:
                 pos = position[tok]
                 units[q].append((pos, tok, 0, 0))
@@ -681,8 +658,13 @@ def _view(m) -> _View:
             by_letter.sort()
         return units, lambda q, pos: table[q * letters + pos]
 
-    return _View(1, m.state_count, m.state_count, [(q, q) for q in sorted(m.initial)], m.final,
-                 before, moves)
+    def step(subset: frozenset[int], tok: str) -> frozenset[int]:
+        return frozenset(d for q in subset for _, d in arcs.get((q, tok), ()))
+
+    return _View(alphabet, 1, m.state_count, m.state_count, [(q, q) for q in sorted(m.initial)],
+                 final, before, moves,
+                 (frozenset(m.initial), step, lambda subset: not subset.isdisjoint(final),
+                  () if m.initial & final else None))
 
 
 def _suffix_filter(vx: _View, vy: _View) -> dict[int, set[int]] | None:
@@ -751,10 +733,10 @@ class _Everything:
         return self
 
 
-def _product(x, y) -> Product:
+def _product(vx: _View, vy: _View) -> Product:
     """The product of ``x`` and ``y``, each a letter-input transducer or a
-    bimachine, as ``_delay_search`` reads it. Both are read through their
-    ``_view``; when ``y is x`` its view and arcs are built once.
+    bimachine, as ``_delay_search`` reads it, from their views ``vx`` and
+    ``vy``. When the two are one view, its arcs are built once.
 
     A pair's id is ``s * |y| + q``. A transducer's states are its own. A
     bimachine state is ``(l, r)``: left state ``l``, and right state ``r``
@@ -774,10 +756,8 @@ def _product(x, y) -> Product:
     before the pairing. Building a group spends the arc pairs it scans, at
     least 1; walking it spends its edges.
     """
-    vx = _view(x)
-    vy = vx if y is x else _view(y)
     fits = _suffix_filter(vx, vy)
-    count, letters = vy.count, len(x.input_alphabet)
+    count, letters = vy.count, len(vx.alphabet)
     if fits is None:
         fits = held = fitting = _Everything()
         # Lazy: there may be far more than the search takes before it refuses.
@@ -791,7 +771,7 @@ def _product(x, y) -> Product:
     index: dict[Word, int] = {(): 0}
     xunits, xarcs = vx.moves(index, held)
     # When y is x, the fit is symmetric, so its classes are the ones held.
-    yunits, yarcs = (xunits, xarcs) if y is x else vy.moves(index, fitting)
+    yunits, yarcs = (xunits, xarcs) if vy is vx else vy.moves(index, fitting)
     span, xfinal, yfinal, xwidth, ywidth = len(index), vx.final, vy.final, vx.width, vy.width
     # A group's key is (y key * x keys + x key) * letters + pos.
     stride = vx.keys * letters
@@ -835,13 +815,16 @@ def _compare(x, y) -> tuple[Word | None, int]:
     lx, ly = _letter_input(x), _letter_input(y)
     if lx.input_alphabet.symbols != ly.input_alphabet.symbols:
         raise ValueError("machines have different input alphabets")
-    word = _domain_difference(lx, ly)
+    if isinstance(ly, Bimachine) and not isinstance(lx, Bimachine):
+        lx, ly = ly, lx  # a bimachine goes first
+    vx = _view(lx)
+    vy = vx if ly is lx else _view(ly)
+    word = _domain_difference(vx, vy)
     if word is not None:
         words, pairs = [word], 0
     else:
-        if isinstance(ly, Bimachine) and not isinstance(lx, Bimachine):
-            lx, ly = ly, lx  # a bimachine goes first
-        starts, successors, outputs = _product(lx, ly)
+        starts, successors, outputs = _product(vx, vy)
+        del vx, vy  # the search does not read them: free them before it grows
         words, pairs = _delay_search(starts, successors, "equivalence check", outputs)
     for word in words:
         if x.evaluate(word) != y.evaluate(word):
@@ -858,7 +841,7 @@ def equivalent(x, y) -> Word | None:
 
     Two checks run. The domains are compared first, by the two machines'
     subset automata side by side (a bimachine's is stepped straight from
-    its psi rows, ``_subsets``), and a difference there yields the
+    its psi rows, ``_View.subsets``), and a difference there yields the
     length-lex least word (in ``x``'s alphabet order) on which exactly one
     machine is defined. On the common domain the delay search then pairs
     each accepting path of ``x`` with each of ``y`` on the same word; a word

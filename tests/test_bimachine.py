@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import product
 
@@ -190,6 +191,29 @@ def test_psi_tables_are_capped_before_allocation(monkeypatch):
         Bimachine(wide, wide, {}, None, xy)
     with pytest.raises(ResourceLimitError):
         bimachine.psi_cells(3, 2, 3)
+
+
+def test_row_interner_writes_rows_cell_by_cell():
+    interner = bimachine.RowInterner(Alphabet(("a", "b")), 2, 3)
+    word = interner.word
+    assert [word(("y",)), word(("x",)), word(("y",)), word(())] == [0, 1, 0, 2]
+    # Slots (0, a) and (0, b) share an interned row; no slot keeps the other.
+    interner.row_of[0] = interner.row_of[1] = interner.intern(array("i", [0, -1, 1]))
+    interner.intern(array("i", [2, 2, 2]))
+    cells = interner.row(1)
+    assert cells.tolist() == [0, -1, 1] and interner.row(1) is cells
+    cells[1] = 2
+    assert interner.rows[:3].tolist() == [0, -1, 1]
+    interner.row(2)[0] = 1  # (1, a), blank until now
+    table = interner.table()
+    assert table.words == (("y",), ("x",), ())
+    assert dict(table) == {
+        (0, "a", 0): ("y",), (0, "a", 2): ("x",),
+        (0, "b", 0): ("y",), (0, "b", 1): (), (0, "b", 2): ("x",),
+        (1, "a", 0): ("x",),
+    }
+    assert table.distinct == 3
+    assert_psi_invariants(table)
 
 
 def test_evaluate_empty_word_flag():

@@ -157,7 +157,8 @@ def test_two_bimachines_guess_their_right_states_together():
     # together, one start pair each, and each path meets only its twin.
     _, _, _, _, handcrafted = built(3, 4)
     reduced = handcrafted.reduce()
-    starts, _, _ = transducer._product(reduced, reduced)
+    view = _view(reduced)
+    starts, _, _ = transducer._product(view, view)
     assert len(list(starts)) == reduced.right.state_count
     assert _compare(reduced, reduced) == (None, 3496)
 
@@ -649,7 +650,7 @@ def test_the_domain_check_steps_as_many_subsets_as_the_letter_views_did(monkeypa
                                 ((3, 4), 4, 126)):
         cell = built(k, n)
         sizes.clear()
-        assert transducer._domain_difference(cell[index].reduce(), cell[2]) is None
+        assert transducer._domain_difference(_view(cell[index].reduce()), _view(cell[2])) is None
         assert sizes == [want]
 
 
@@ -726,7 +727,7 @@ def test_reduced_3_4_examines_few_arc_pairs():
     # group), and the search walks 41,592 edges; counted before the fit
     # test, the letter views' product examined 103,800.
     _, _, prepared, _, handcrafted = built(3, 4)
-    starts, successors, words = transducer._product(handcrafted.reduce(), prepared)
+    starts, successors, words = transducer._product(_view(handcrafted.reduce()), _view(prepared))
     spent, walked = [], []
 
     def counting(pair, spend):
@@ -791,7 +792,7 @@ def assert_rows_match_views(first, second):
         s, q = divmod(pair, y.count)
         return s in x.live and q in y.live
 
-    rows = transducer._product(first, second)
+    rows = transducer._product(_view(first), _view(second))
     want_starts, edges = view_product(x, y)
     starts, order = reached(rows)
     assert [s for s in starts if accepting(s)] == [s for s in want_starts if fitting(s)]

@@ -61,10 +61,11 @@ def test_find_collisions_one_state_side():
     assert right_pair.word1 == ("3", "3") and right_pair.word2 == ("3", "4")
 
 
-def test_find_collisions_enumeration_cap():
+def test_find_collisions_enumeration_cap(monkeypatch):
     params, _, _, _, hc = built(2, 1)
+    monkeypatch.setattr(lowerbound, "PROBE_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        find_collisions(hc, params, cap=1)
+        find_collisions(hc, params)
 
 
 def test_build_candidates_n1():

@@ -498,6 +498,23 @@ def test_delays_count_against_the_pair_cap(monkeypatch):
         check_functional(two_chains(2_000, False))
 
 
+def test_a_pair_holds_only_its_delay_id():
+    # Two equal-output 12,000-state chains on "a", joined at start and end:
+    # one emits x.x.x on its first arc, the other on its last. The search
+    # reaches about 48,000 pairs, half of them owing x.x.x one way or the
+    # other. Counted with their delays' tokens they would hold 120,000, over
+    # the cap; a pair holds only its delay's id, and the distinct delays
+    # hold six tokens.
+    n, xxx = 12_000, ("x",) * 3
+    end = 2 * n + 1
+    arcs = []
+    for head, first, last in ((1, xxx, ()), (n + 1, (), xxx)):
+        arcs.append(Arc(0, "a", first, head))
+        arcs += [Arc(q, "a", (), q + 1) for q in range(head, head + n - 1)]
+        arcs.append(Arc(head + n - 1, "a", last, end))
+    assert check_functional(Transducer(AB, XY, end + 1, {0}, {end}, tuple(arcs))).functional
+
+
 def test_edges_into_dead_pairs_build_no_delay(monkeypatch):
     # States 1 and 2, one owing 1,000 x's to the other, each have 130 arcs
     # on "b" into state 3, which never accepts. Delays are cancelled on the
