@@ -232,7 +232,7 @@ def moore_reduce(dfa: Dfa, signature: Sequence[Hashable]) -> tuple[Dfa, tuple[in
     block = _renumber(list(signature))
     while True:
         refined = _renumber(
-            [(block[q], tuple(block[t] for t in dfa.delta[q])) for q in range(dfa.state_count)]
+            list(zip(block, [tuple(map(block.__getitem__, row)) for row in dfa.delta]))
         )
         if refined == block:
             break

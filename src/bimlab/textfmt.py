@@ -370,14 +370,24 @@ _ROW = re.compile(r"psi ([^\s#]+) ([^\s#]+) [^\s#]+ [^\s#]+\n(?:psi \1 \2 [^\s#]
 _HEAD = re.compile(r"((psi ([^\s#]+) )([^\s#]+) )([^\s#]+ [^\s#]+\n)")
 
 
+def _pieces(text: str, known: tuple) -> tuple:
+    """``known`` with the pieces of its remembered lines appended: their
+    text after the first prefix, split at "\n" and the prefix ``known[2]``."""
+    return known + (text[known[0] : known[1]].split("\n" + known[2]),)
+
+
 def _repeat(text: str, start: int, prefix: str, known: tuple) -> int:
     """The end of the text from start if it repeats the remembered lines
     ``known`` with their prefix ``known[2]`` changed to ``prefix`` on every
     line but the first, and the line after it does not start with
     ``prefix``; else -1. ``known[0]`` and ``known[1]`` bound the remembered
-    text after its first prefix. One slice, one ``replace`` and one
-    comparison."""
-    lines = text[known[0] : known[1]].replace("\n" + known[2], "\n" + prefix)
+    text after its first prefix. The lines are one join of the pieces when
+    ``known`` holds them (see ``_pieces``), else one slice and one
+    ``replace``; then one comparison."""
+    if len(known) > 5:
+        lines = ("\n" + prefix).join(known[5])
+    else:
+        lines = text[known[0] : known[1]].replace("\n" + known[2], "\n" + prefix)
     end = start + len(lines)
     if text.startswith(lines, start) and not text.startswith(prefix, end):
         return end
@@ -415,7 +425,10 @@ class _PsiRows:
 
     The earlier lines numbered their words, so the output ids are those a
     line-by-line read gives. Runs and blocks are remembered by their place
-    in the text, not by a copy of it; they and the checked left states and
+    in the text, not by a copy of it. Only the last block compared is also
+    held split at its prefixes (``_pieces``): each later block compared with
+    it costs one join and one comparison, and a compare with another block
+    splits that one in its place. They and the checked left states and
     tokens live for one parse call.
     """
 
@@ -492,6 +505,7 @@ class _PsiRows:
         runs: dict[int, tuple] = {}  # by the hash of the body
         last: dict[str, tuple] = {}  # runs by their first line
         blocks: dict[tuple[str, str], tuple] = {}  # by token and first line
+        split: tuple = (-1,)  # the last block compared, with its pieces
         # The block being read: its first line, where its text begins, its
         # prefix, its left state's first slot and its first line number;
         # None when it cannot be remembered. block_l is its left state's
@@ -513,7 +527,9 @@ class _PsiRows:
                     if row_of[base : base + letters] == blank and not (
                             begun and any(s in begun for s in range(base, base + letters))):
                         known = blocks.get((tok, first))
-                        end = -1 if known is None else _repeat(text, head.end(2), l_prefix, known)
+                        if known is not None and split[0] != known[0]:
+                            split = _pieces(text, known)
+                        end = -1 if known is None else _repeat(text, head.end(2), l_prefix, split)
                         if end >= 0:
                             row_of[base : base + letters] = known[3]
                             pos, line_no = end, line_no + known[4]

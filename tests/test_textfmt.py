@@ -569,6 +569,26 @@ def test_repeated_blocks_are_read_without_a_line_check(build, blocks, repeated, 
     assert not repeated_blocks & (scanned | checked)
 
 
+@pytest.mark.parametrize("k, n, repeated, splits", [(3, 4, 117, 4), (3, 5, 360, 4), (2, 8, 508, 3)])
+def test_a_block_compared_again_is_not_split_again(k, n, repeated, splits, monkeypatch):
+    text = reduced_handcrafted_text(k, n)
+    split = []
+    real = textfmt._pieces
+
+    def counting(text, known):
+        split.append(known[0])
+        return real(text, known)
+
+    monkeypatch.setattr(textfmt, "_pieces", counting)
+    repeats = count_repeats(monkeypatch)
+    assert emit_bimachine(load_machine(text)) == text
+    # Each block is compared with the last block remembered under its first
+    # line. Here the compares that follow each other use the same remembered
+    # block, so it is split once, and each repeat of it is one join.
+    assert sum(prefix.count(" ") == 2 for prefix in repeats) == repeated
+    assert len(split) <= splits
+
+
 def test_a_repeated_row_is_a_duplicate_on_its_first_line():
     text = emit_bimachine(built(2, 3)[4].reduce())
     lines, rows = psi_rows(text)
@@ -743,6 +763,45 @@ def test_reading_a_reduced_machine_takes_no_flat_table(k, n, distinct):
     assert peak < 1.5 * 2**20
     assert machine.psi.distinct == distinct
     assert_psi_invariants(machine.psi)
+
+
+def pairs_text(lefts, rights):
+    """A canonical bimachine text over a and b whose left states 2j and
+    2j + 1 have the same psi rows, and no two other left states do: every
+    block repeats once, and each time it repeats a block compared with none
+    before. Each left state defines the row of letter a only."""
+    lines = ["bimachine v1", "alphabet a b", "oalphabet x y", f"left states {lefts} start 0"]
+    for l in range(lefts):
+        lines += [f"larc {l} a {(l + 1) % lefts}", f"larc {l} b {l}"]
+    lines.append(f"right states {rights} start 0")
+    for r in range(rights):
+        lines += [f"rarc {r} a {(r + 1) % rights}", f"rarc {r} b {r}"]
+    for l in range(lefts):
+        # Bit r mod 11 of the pair number chooses the output of cell r.
+        lines += [f"psi {l} a {r} {'xy'[l // 2 >> r % 11 & 1]}" for r in range(rights)]
+    return "\n".join(lines) + "\n"
+
+
+def test_blocks_that_repeat_once_hold_one_block_split(monkeypatch):
+    text = pairs_text(4000, 64)
+    tracemalloc.start()
+    try:
+        machine = load_machine(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4.1 MB and 264,133 lines. The read peaked at 2.51 MiB before the last
+    # block compared was held split; holding every compared block split
+    # takes 10.9 MiB.
+    assert peak < 2.75 * 2**20
+    assert machine.psi.distinct == 2000
+    repeats = count_repeats(monkeypatch)
+    fast = read(text)
+    assert fast[0] == text
+    assert sum(prefix.count(" ") == 2 for prefix in repeats) == 2000
+    monkeypatch.setattr(textfmt, "_canonical_side", lambda *args: [])
+    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
+    assert read(text) == fast
 
 
 def shuffled_psi(text):
