@@ -51,28 +51,42 @@ def build_psi(
 ) -> PsiTable:
     """First match wins: scan the priority list, each state's arcs in
     canonical order, and emit the first transition landing in the
-    co-accessible subset. No matching transition means undefined."""
+    co-accessible subset. No matching transition means undefined.
+
+    A row depends only on the letter and on the list's states that have
+    arcs on it, in list order, so it is computed once per such key and
+    every later slot with the key reuses its index. Rows are still first
+    computed in slot order, so word ids keep their order of first use."""
     arcs = t._letter_arcs
     alphabet, right_count = t.input_alphabet, len(coaccessible)
     interner = RowInterner(alphabet, len(left_lists), right_count)
-    word = interner.word
+    word, row_of = interner.word, interner.row_of
     holders: dict[int, list[int]] = {}  # transducer state -> right states holding it
     for r_id, subset in enumerate(coaccessible):
         for d in subset:
             holders.setdefault(d, []).append(r_id)
+    # Per letter: the states with arcs on it, and the row index of each key.
+    sources = {tok: set() for tok in alphabet.symbols}
+    for p, tok in arcs:
+        sources[tok].add(p)
+    made: dict[str, dict[tuple[int, ...], int]] = {tok: {} for tok in alphabet.symbols}
     slot = 0
     for lst in left_lists:
         for tok in alphabet.symbols:
-            row = [-1] * right_count
-            for p in lst:
-                for w, d in arcs.get((p, tok), ()):
-                    word_id = None
-                    for r_id in holders.get(d, ()):
-                        if row[r_id] < 0:
-                            if word_id is None:
-                                word_id = word(w)
-                            row[r_id] = word_id
-            interner.row_of[slot] = interner.intern(array("i", row))
+            key = tuple(filter(sources[tok].__contains__, lst))
+            i = made[tok].get(key)
+            if i is None:
+                row = [-1] * right_count
+                for p in key:
+                    for w, d in arcs[(p, tok)]:
+                        word_id = None
+                        for r_id in holders.get(d, ()):
+                            if row[r_id] < 0:
+                                if word_id is None:
+                                    word_id = word(w)
+                                row[r_id] = word_id
+                i = made[tok][key] = interner.intern(array("i", row))
+            row_of[slot] = i
             slot += 1
     return interner.table()
 

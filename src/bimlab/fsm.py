@@ -225,15 +225,17 @@ def moore_reduce(dfa: Dfa, signature: Sequence[Hashable]) -> tuple[Dfa, tuple[in
     compatible with the transition function (Moore refinement).
 
     Blocks are numbered by first occurrence in state order, which makes the
-    quotient deterministic. Never grows the machine.
+    quotient deterministic. Never grows the machine. The table is read by
+    letter column: a round's key for state q is its block followed by the
+    blocks of its targets, one ``map`` per letter over the column, so no
+    Python code runs per state and letter.
     """
     if len(signature) != dfa.state_count:
         raise ValueError("signature must cover every state")
     block = _renumber(list(signature))
+    columns = list(zip(*dfa.delta))
     while True:
-        refined = _renumber(
-            list(zip(block, [tuple(map(block.__getitem__, row)) for row in dfa.delta]))
-        )
+        refined = _renumber(list(zip(block, *(map(block.__getitem__, col) for col in columns))))
         if refined == block:
             break
         block = refined

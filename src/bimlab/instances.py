@@ -169,7 +169,9 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     # Every cell of a row (left state, letter) over all right states comes
     # from one of these rows: a first-half letter inside the first block, a
     # second-half letter inside the second block, or the boundary, where the
-    # row depends on the oldest first-block symbol i and the letter.
+    # row depends on the oldest first-block symbol i and, for n = 1 only, on
+    # the letter. For n > 1 the output's first symbol comes from the right
+    # window, so one boundary row per i serves every second-half letter.
     interner = RowInterner(sigma, left.state_count, right.state_count)
     word = interner.word
 
@@ -179,11 +181,11 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     inside_first = row(() if rs == ("crossed", True) or (rs[0] == "tail" and len(rs[1]) == n)
                        else None for rs in right_states)
     inside_second = row(() if rs[0] == "tail" else None for rs in right_states)
-    boundary = {
+    boundary = {  # by (i, letter) for n = 1, by (i, None) for n > 1
         (i, tok): row((tok if n == 1 else rs[1][len(rs[1]) - (n - 1)], i)
                       if rs[0] == "tail" and len(rs[1]) >= n - 1 else None
                       for rs in right_states)
-        for i in params.first_half for tok in params.second_half
+        for i in params.first_half for tok in (params.second_half if n == 1 else (None,))
     }
     row_of = interner.row_of
     slot = 0
@@ -193,7 +195,7 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
                 if tok in first:
                     row_of[slot] = inside_first
                 elif len(ls[1]) == n:
-                    row_of[slot] = boundary[(ls[1][0], tok)]
+                    row_of[slot] = boundary[(ls[1][0], tok if n == 1 else None)]
             elif ls[0] == "second" and tok not in first:
                 row_of[slot] = inside_second
             slot += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from array import array
 from itertools import product
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ from bimlab import (
     transducer,
     trim,
 )
+from bimlab.bimachine import PsiTable, RowInterner
 
 
 def unpruned(monkeypatch):
@@ -313,3 +315,48 @@ def view_product(x, y):
                 for o2, t2 in y.arcs.get(q, {}).get(tok, ())]
 
     return starts, edges
+
+
+def reference_moore_reduce(dfa, signature):
+    """``moore_reduce`` as it ran row by row: a round's key for state q is
+    its block and the tuple of its targets' blocks."""
+    ids = {}
+    block = [ids.setdefault(k, len(ids)) for k in signature]
+    while True:
+        ids = {}
+        keys = zip(block, [tuple(map(block.__getitem__, row)) for row in dfa.delta])
+        refined = [ids.setdefault(k, len(ids)) for k in keys]
+        if refined == block:
+            break
+        block = refined
+    count = max(block) + 1
+    rep = [None] * count
+    for q, b in enumerate(block):
+        if rep[b] is None:
+            rep[b] = q
+    rows = tuple(tuple(block[t] for t in dfa.delta[rep[b]]) for b in range(count))
+    return Dfa(dfa.alphabet, count, block[dfa.start], rows), tuple(block)
+
+
+def reference_build_psi(t, left_lists, coaccessible) -> PsiTable:
+    """``build_psi`` as it ran slot by slot: every (list, letter) scans the
+    whole list, its states' arcs in canonical order, first match wins."""
+    arcs = t._letter_arcs
+    alphabet, right_count = t.input_alphabet, len(coaccessible)
+    interner = RowInterner(alphabet, len(left_lists), right_count)
+    holders = {}
+    for r_id, subset in enumerate(coaccessible):
+        for d in subset:
+            holders.setdefault(d, []).append(r_id)
+    slot = 0
+    for lst in left_lists:
+        for tok in alphabet.symbols:
+            row = [-1] * right_count
+            for p in lst:
+                for w, d in arcs.get((p, tok), ()):
+                    for r_id in holders.get(d, ()):
+                        if row[r_id] < 0:
+                            row[r_id] = interner.word(w)
+            interner.row_of[slot] = interner.intern(array("i", row))
+            slot += 1
+    return interner.table()

@@ -12,10 +12,12 @@ from bimlab import (
     build_left_automaton,
     build_psi,
     build_right_automaton,
+    check_functional,
     oracle,
     to_bimachine,
 )
-from helpers import built, random_word, words_upto
+from bimlab.bimachine import RowInterner
+from helpers import built, reference_build_psi, random_word, words_upto
 
 AB = Alphabet(("a", "b"))
 XY = Alphabet(("x", "y"))
@@ -151,6 +153,72 @@ def test_psi_first_match_earlier_parent_wins():
     l0 = lists.index((0, 1))
     r_mid = subsets.index(frozenset({2}))
     assert psi[(l0, "a", r_mid)] == ("x",)
+
+
+def generic_parts(t):
+    _, lists = build_left_automaton(t)
+    _, subsets = build_right_automaton(t)
+    return lists, subsets
+
+
+def test_psi_rows_of_one_arc_holding_set_in_two_orders_differ():
+    # Lists (0, 1) and (1, 0) hold the same states with arcs on "a", in other
+    # orders. State 0 emits x on "a" and 1 emits it on "b", so the first match
+    # differs at the right state holding both 2 and 3.
+    abcd = Alphabet(("a", "b", "c", "d"))
+    t = Transducer(
+        abcd, XY, 6, {4, 5}, {2},
+        (Arc(4, "d", (), 0), Arc(5, "d", (), 1), Arc(4, "c", (), 1), Arc(5, "c", (), 0),
+         Arc(0, "a", ("x",), 3), Arc(1, "a", (), 2), Arc(3, "b", (), 2),
+         Arc(2, "b", ("x",), 2)),
+    )
+    assert check_functional(t).functional
+    lists, subsets = generic_parts(t)
+    psi = build_psi(t, lists, subsets)
+    assert reference_build_psi(t, lists, subsets).row_of == psi.row_of
+    forward, backward = lists.index((0, 1)), lists.index((1, 0))
+    both = subsets.index(frozenset({2, 3}))
+    assert psi[(forward, "a", both)] == ("x",)
+    assert psi[(backward, "a", both)] == ()
+    assert psi.row_of[forward * 4] != psi.row_of[backward * 4]
+
+
+def test_psi_lists_that_differ_only_off_the_letter_share_a_row():
+    # (1,) and (1, 2) differ only in state 2, which has no arc on "c".
+    abc = Alphabet(("a", "b", "c"))
+    t = Transducer(
+        abc, XY, 4, {0}, {3},
+        (Arc(0, "a", (), 1), Arc(0, "b", (), 1), Arc(0, "b", (), 2),
+         Arc(1, "c", ("x",), 3), Arc(2, "a", (), 3)),
+    )
+    assert check_functional(t).functional
+    lists, subsets = generic_parts(t)
+    psi = build_psi(t, lists, subsets)
+    alone, with_two = lists.index((1,)), lists.index((1, 2))
+    assert psi.row_of[alone * 3 + 2] == psi.row_of[with_two * 3 + 2] >= 0
+    assert psi[(with_two, "c", subsets.index(frozenset({3})))] == ("x",)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3) for n in (1, 2, 3, 4)] + [(2, 6)])
+def test_psi_matches_the_slot_by_slot_loop(k, n, monkeypatch):
+    # One row is computed and interned per (arc-holding states, letter) key;
+    # the table equals the one the slot-by-slot loop builds, word ids and
+    # row order included. Generic (3,4) has 432 slots and 141 keys, (2,6)
+    # 408 and 144.
+    _, _, prepared, _, _ = built(k, n)
+    lists, subsets = generic_parts(prepared)
+    want = reference_build_psi(prepared, lists, subsets)
+    interned = []
+    intern = RowInterner.intern
+    monkeypatch.setattr(RowInterner, "intern",
+                        lambda self, row: interned.append(row) or intern(self, row))
+    psi = build_psi(prepared, lists, subsets)
+    assert (psi.row_of, psi.rows, psi.words) == (want.row_of, want.rows, want.words)
+    keys = {(tuple(p for p in lst if (p, tok) in prepared._letter_arcs), tok)
+            for lst in lists for tok in prepared.input_alphabet.symbols}
+    assert len(interned) == len(keys)
+    if (k, n) in ((3, 4), (2, 6)):
+        assert (len(psi.row_of), len(keys)) == {(3, 4): (432, 141), (2, 6): (408, 144)}[(k, n)]
 
 
 def test_psi_boundary_piece_is_the_whole_output():

@@ -14,7 +14,7 @@ from bimlab import (
     subset_construction,
 )
 from bimlab.fsm import explore
-from helpers import built, nfa_accepts, nfa_states_after, words_upto
+from helpers import built, nfa_accepts, nfa_states_after, reference_moore_reduce, words_upto
 
 AB = Alphabet(("a", "b"))
 
@@ -197,3 +197,22 @@ def test_moore_distinguishes_windows():
     _, _, _, _, handcrafted = built(2, 2)
     reduced = handcrafted.reduce()
     assert reduced.left.state_count >= 4
+
+
+def test_moore_reduce_matches_the_row_wise_rounds():
+    # The column-wise rounds give the row-wise rounds' quotient and blocks on
+    # random tables of every small shape, a letterless one and single states
+    # included, under all-equal, all-distinct and random signatures.
+    rng = random.Random(2101)
+    shapes = [(1, 0), (1, 1), (1, 3), (7, 0), (40, 0)]
+    shapes += [(rng.randint(1, 40), rng.randint(0, 4)) for _ in range(120)]
+    for states, letters in shapes:
+        alphabet = Alphabet(tuple("abcd"[:letters]))
+        rows = tuple(tuple(rng.randrange(states) for _ in range(letters))
+                     for _ in range(states))
+        d = Dfa(alphabet, states, rng.randrange(states), rows)
+        colors = rng.randint(1, 4)
+        for signature in ([0] * states, list(range(states)),
+                          [rng.randrange(colors) for _ in range(states)],
+                          [("s", rng.randrange(2)) for _ in range(states)]):
+            assert moore_reduce(d, signature) == reference_moore_reduce(d, signature)

@@ -15,6 +15,7 @@ from bimlab import (
     FormatError,
     ResourceLimitError,
     Transducer,
+    UnknownSymbolError,
     emit_bimachine,
     emit_transducer,
     instance_transducer,
@@ -28,7 +29,7 @@ from bimlab import (
 from bimlab import textfmt
 from helpers import (
     assert_psi_invariants, built, merge_bimachine_states, random_word,
-    reduced_handcrafted_text,
+    reduced_handcrafted_text, words_upto,
 )
 
 AB = Alphabet(("a", "b"))
@@ -169,6 +170,30 @@ def test_bimachine_epsout_roundtrip():
     assert "epsout -" in with_eps
     without = emit_bimachine(Bimachine(left, right, psi, None, XY))
     assert "epsout" not in without
+
+
+def test_a_right_alphabet_in_another_order_round_trips():
+    # The right automaton orders a and b the other way; its arc lines are
+    # written in the file alphabet's order, so the parsed machine reads its
+    # right side as the original did.
+    left = Dfa(AB, 1, 0, ((0, 0),))
+    right = Dfa(Alphabet(("b", "a")), 2, 0, ((1, 0), (1, 1)))
+    psi = {(0, "a", 0): ("a",), (0, "a", 1): ("b",), (0, "b", 0): (), (0, "b", 1): ()}
+    b = Bimachine(left, right, psi, None, AB)
+    text = emit_bimachine(b)
+    assert "rarc 0 a 0\nrarc 0 b 1\n" in text
+    again = parse_bimachine(text)
+    assert b.evaluate(("a", "b")) == again.evaluate(("a", "b")) == ("b",)
+    assert all(b.evaluate(w) == again.evaluate(w) for w in words_upto(AB.symbols, 5))
+    assert emit_bimachine(again) == text
+
+
+def test_emit_refuses_sides_with_other_symbols():
+    left = Dfa(AB, 1, 0, ((0, 0),))
+    for symbols, missing in ((("a", "c"), "'b'"), (("b", "a", "c"), "'c'")):
+        right = Dfa(Alphabet(symbols), 1, 0, ((0,) * len(symbols),))
+        with pytest.raises(UnknownSymbolError, match=missing):
+            emit_bimachine(Bimachine(left, right, {}, None, XY))
 
 
 def test_bimachine_psi_epsilon_vs_absent():
