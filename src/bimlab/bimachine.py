@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
 from .fsm import PSI_CAP, Alphabet, Dfa, Word, moore_reduce
 
 
@@ -227,9 +227,20 @@ class RowInterner:
 
 @dataclass(frozen=True)
 class Bimachine:
-    """``psi`` may be given as any mapping from ``(l, letter, r)`` to output
-    words; construction stores it as a PsiTable over the left automaton's
-    alphabet and raises PreconditionError on a key outside the machine."""
+    """A left and a right automaton over one input alphabet, with an output
+    table. Construction refuses a machine that breaks a rule of this shape:
+
+    - the input alphabet has at least one letter, else PreconditionError;
+    - the right automaton has the left's tokens. A right automaton that
+      orders them otherwise is rebuilt over the left's alphabet, its columns
+      permuted, so ``right.alphabet == left.alphabet`` always holds; another
+      set of tokens raises UnknownSymbolError naming a token only one has;
+    - ``psi`` may be given as any mapping from ``(l, letter, r)`` to output
+      words. It is stored as a PsiTable over the input alphabet, and a key
+      outside the machine raises PreconditionError;
+    - every output token, in the table and at the empty word, is in
+      ``output_alphabet``, else UnknownSymbolError.
+    """
 
     left: Dfa
     right: Dfa
@@ -238,11 +249,25 @@ class Bimachine:
     output_alphabet: Alphabet
 
     def __post_init__(self):
-        shape = (self.left.alphabet, self.left.state_count, self.right.state_count)
+        alphabet, right = self.left.alphabet, self.right
+        if not alphabet:
+            raise PreconditionError("a bimachine needs at least one input letter")
+        if right.alphabet != alphabet:
+            for tok in (*alphabet, *right.alphabet):
+                if tok not in alphabet or tok not in right.alphabet:
+                    raise UnknownSymbolError(
+                        f"symbol {tok!r} is in only one of the bimachine's alphabets")
+            order = right.alphabet.indices(alphabet)
+            delta = tuple(tuple(row[i] for i in order) for row in right.delta)
+            object.__setattr__(self, "right", Dfa(alphabet, right.state_count, right.start, delta))
+        shape = (alphabet, self.left.state_count, right.state_count)
         if not (isinstance(self.psi, PsiTable) and self.psi.shape == shape):
             object.__setattr__(self, "psi", PsiTable.from_items(*shape, self.psi.items()))
+        check = self.output_alphabet.check_word
+        for word in self.psi.words:
+            check(word)
         if self.empty_word_output is not None:
-            object.__setattr__(self, "empty_word_output", tuple(self.empty_word_output))
+            object.__setattr__(self, "empty_word_output", check(self.empty_word_output))
 
     @property
     def input_alphabet(self) -> Alphabet:
@@ -258,33 +283,27 @@ class Bimachine:
         Unfolds from the right: the last letter is looked up against
         ``right_state`` directly, earlier letters against the right state
         advanced over the reversed suffix behind them. Undefined as soon as
-        one lookup is undefined. A token outside either automaton's alphabet
-        raises UnknownSymbolError, wherever it sits in the word.
+        one lookup is undefined. A token outside the input alphabet raises
+        UnknownSymbolError, wherever it sits in the word.
         """
-        word = tuple(word)
-        left_index = self.left.alphabet.indices(word)
-        right_index = (
-            left_index
-            if self.right.alphabet is self.left.alphabet
-            else self.right.alphabet.indices(word)
-        )
+        index = self.left.alphabet.indices(word)
         left_delta, right_delta = self.left.delta, self.right.delta
         row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words
         letters, width = len(self.left.alphabet), self.right.state_count
         l = left_state
         prefix = [l]
-        for i in left_index:
+        for i in index:
             l = left_delta[l][i]
             prefix.append(l)
         parts: list[Word] = []
         r = right_state
-        for pos in range(len(word) - 1, -1, -1):
-            i = row_of[prefix[pos] * letters + left_index[pos]]
+        for pos in range(len(index) - 1, -1, -1):
+            i = row_of[prefix[pos] * letters + index[pos]]
             v = -1 if i < 0 else rows[i * width + r]
             if v < 0:
                 return None
             parts.append(words[v])
-            r = right_delta[r][right_index[pos]]
+            r = right_delta[r][index[pos]]
         return tuple(tok for piece in reversed(parts) for tok in piece)
 
     def evaluate(self, word: Iterable[str]) -> Word | None:
@@ -293,24 +312,6 @@ class Bimachine:
         if not word:
             return self.empty_word_output
         return self.psi_star(self.left.start, word, self.right.start)
-
-    def validate(self) -> list[str]:
-        """Diagnostics for structural problems; an empty list means valid.
-        Construction has already refused psi keys outside the machine."""
-        problems: list[str] = []
-        if self.left.alphabet.symbols != self.right.alphabet.symbols:
-            problems.append("alphabet-mismatch: left and right automata disagree")
-        for out in dict.fromkeys(self.psi.values()):
-            for tok in out:
-                if tok not in self.output_alphabet:
-                    problems.append(f"psi: output token {tok!r} not in output alphabet")
-        if self.empty_word_output is not None:
-            for tok in self.empty_word_output:
-                if tok not in self.output_alphabet:
-                    problems.append(
-                        f"empty-word output token {tok!r} not in output alphabet"
-                    )
-        return problems
 
     def reduce(self) -> "Bimachine":
         """Merge states indistinguishable by their output rows and transitions,

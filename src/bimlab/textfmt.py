@@ -13,7 +13,7 @@ import re
 from array import array
 
 from .bimachine import Bimachine, RowInterner
-from .errors import FormatError, UnknownSymbolError
+from .errors import FormatError
 from .fsm import Alphabet, Dfa, Word
 from .transducer import Arc, Transducer
 
@@ -240,32 +240,17 @@ def parse_transducer(text: str) -> Transducer:
     return Transducer(alphabet, oalphabet, count, initial, final, tuple(arcs))
 
 
-def _delta_in_order(dfa: Dfa, symbols: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """``dfa``'s table with its columns in the order of ``symbols``, which
-    must be the same set of tokens as ``dfa``'s alphabet; raises
-    UnknownSymbolError naming a token that only one of them has."""
-    if dfa.alphabet.symbols == symbols:
-        return dfa.delta
-    for tok in (*symbols, *dfa.alphabet.symbols):
-        if tok not in symbols or tok not in dfa.alphabet:
-            raise UnknownSymbolError(
-                f"symbol {tok!r} is in only one of the bimachine's alphabets")
-    order = [dfa.alphabet.index(tok) for tok in symbols]
-    return tuple(tuple(row[i] for i in order) for row in dfa.delta)
-
-
 def emit_bimachine(b: Bimachine) -> str:
     """The text of ``b``. Both sides' arc lines name the letters in the
-    order of the left alphabet, the file's ``alphabet``; a right automaton
-    whose alphabet orders the same tokens otherwise is written in that
-    order too."""
+    order of the input alphabet, the file's ``alphabet``: construction has
+    put the right automaton's columns in that order."""
     alphabet = b.left.alphabet
     lines = ["bimachine v1"]
     lines.append("alphabet " + " ".join(alphabet.symbols))
     lines.append("oalphabet " + " ".join(b.output_alphabet.symbols))
     for side, arc_word, dfa in (("left", "larc", b.left), ("right", "rarc", b.right)):
         lines.append(f"{side} states {dfa.state_count} start {dfa.start}")
-        for state, row in enumerate(_delta_in_order(dfa, alphabet.symbols)):
+        for state, row in enumerate(dfa.delta):
             for tok, target in zip(alphabet.symbols, row):
                 lines.append(f"{arc_word} {state} {tok} {target}")
     if b.empty_word_output is not None:
@@ -595,7 +580,12 @@ class _PsiRows:
 def parse_bimachine(text: str) -> Bimachine:
     parser = _Parser(text)
     parser.header("bimachine")
-    alphabet = _parse_alphabet(parser.next("alphabet"))
+    item = parser.next("alphabet")
+    alphabet = _parse_alphabet(item)
+    if not alphabet:
+        # A side with no letters has no arc lines, so nothing in the file
+        # would bound its declared state count.
+        raise FormatError(item[0], "a bimachine needs at least one input letter")
     oalphabet = _parse_alphabet(parser.next("oalphabet"))
     left = _parse_side(parser, "left", alphabet, "larc")
     right = _parse_side(parser, "right", alphabet, "rarc")

@@ -517,7 +517,7 @@ def _letter_input(machine):
     return machine
 
 
-def _row_arcs(m: Bimachine, steps: list[list[int]], index: dict[Word, int],
+def _row_arcs(m: Bimachine, steps: list[tuple[int, ...]], index: dict[Word, int],
               fitting: Container[int]) -> Callable[[int, int], list[tuple[int, int]]]:
     """``arcs(key, pos)``, the arcs of bimachine ``m`` on its ``pos``-th
     letter a from psi row ``i`` and right state ``r``, where ``key = i * |R|
@@ -617,8 +617,9 @@ def _view(m) -> _View:
         units = [[(pos, tok, to[pos] * width, (i - l) * width)
                   for pos, tok in enumerate(symbols) for i in (row_of[l * letters + pos],)
                   if i >= 0] for l, to in enumerate(left_delta)]
-        # steps[pos][r]: where R steps from r on the pos-th letter.
-        steps = [[row[c] for row in right.delta] for c in map(right.alphabet.index, symbols)]
+        # steps[pos][r]: where R steps from r on the pos-th letter, the
+        # pos-th column of R's table (both sides share the input alphabet).
+        steps = list(zip(*right.delta))
         defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
         nowhere = (-1, frozenset())
 

@@ -91,13 +91,15 @@ def test_unknown_symbol_raises_where_the_output_is_undefined():
 
 
 def test_each_automaton_reads_its_own_alphabet():
-    # The right automaton lists the letters in the other order; validate()
-    # reports that, but evaluation still steps each side by its own letters.
+    # The right automaton lists the letters in the other order; construction
+    # permutes its columns into the left's order, so evaluation still steps
+    # each side by the letter it reads.
     ab, ba = Alphabet(("a", "b")), Alphabet(("b", "a"))
     left = Dfa(ab, 1, 0, ((0, 0),))
     right = Dfa(ba, 2, 0, ((0, 1), (0, 1)))  # state 1: an "a" lies behind
     psi = {(0, tok, r): (tok,) * (r + 1) for tok in "ab" for r in (0, 1)}
     b = Bimachine(left, right, psi, (), ab)
+    assert b.right == Dfa(ab, 2, 0, ((1, 0), (1, 0)))
     for word in words_upto(ab.symbols, 4):
         assert b.evaluate(word) == psi_star_positionwise(b, 0, word, 0)
     assert b.evaluate(("b", "a")) == ("b", "b", "a")
@@ -232,35 +234,41 @@ def test_evaluate_instance_words():
 
 
 def test_validate_clean_machines():
+    # Every built machine reads both automata over one alphabet.
     _, _, _, generic, handcrafted = built(2, 1)
-    assert generic.validate() == []
-    assert handcrafted.validate() == []
-    assert tiny_bimachine().validate() == []
+    for b in (generic, handcrafted, tiny_bimachine(), generic.reduce(), handcrafted.reduce()):
+        assert b.right.alphabet == b.left.alphabet == b.input_alphabet
 
 
 def test_validate_reports_bad_output_token():
     b = tiny_bimachine()
-    b = with_psi(b, {**b.psi, (0, "a", 0): ("q",)})
-    assert b.validate() == ["psi: output token 'q' not in output alphabet"]
+    with pytest.raises(UnknownSymbolError, match="'q'"):
+        with_psi(b, {**b.psi, (0, "a", 0): ("q",)})
+    with pytest.raises(UnknownSymbolError, match="'q'"):
+        tiny_bimachine(empty_word_output=("x", "q"))
 
 
 def test_validate_reports_bad_psi_state():
     # A psi entry naming right state 7 of a one-state automaton is refused at
-    # construction, so validate only ever sees machines whose keys are in range.
+    # construction, so every machine's keys are in range.
     b = tiny_bimachine()
     with pytest.raises(PreconditionError) as info:
         with_psi(b, {**b.psi, (0, "a", 7): ("x",)})
     assert str(info.value) == "psi key (0, 'a', 7) is outside the machine"
-    assert b.validate() == []
 
 
 def test_validate_reports_alphabet_mismatch():
     ab = Alphabet(("a", "b"))
     cd = Alphabet(("c", "d"))
-    b = Bimachine(
-        Dfa(ab, 1, 0, ((0, 0),)), Dfa(cd, 1, 0, ((0, 0),)), {}, None, ab
-    )
-    assert any("alphabet-mismatch" in p for p in b.validate())
+    with pytest.raises(UnknownSymbolError, match="'a'") as info:
+        Bimachine(Dfa(ab, 1, 0, ((0, 0),)), Dfa(cd, 1, 0, ((0, 0),)), {}, None, ab)
+    assert str(info.value) == "symbol 'a' is in only one of the bimachine's alphabets"
+
+
+def test_construction_refuses_a_machine_over_no_letters():
+    none, x = Alphabet(()), Alphabet(("x",))
+    with pytest.raises(PreconditionError, match="at least one input letter"):
+        Bimachine(Dfa(none, 1, 0, ((),)), Dfa(none, 2, 1, ((), ())), {}, (), x)
 
 
 def test_reduce_rejects_psi_keys_outside_the_machine():
@@ -276,7 +284,7 @@ def test_reduce_rejects_psi_keys_outside_the_machine():
 
 def test_construction_rejects_psi_keys_outside_the_machine():
     # A letter outside the input alphabet and states that are not ints; no
-    # machine is built, so validate, reduce and the letter views never meet
+    # machine is built, so reduce and the letter views never meet
     # such a key. States out of range are checked by the two tests above.
     b = tiny_bimachine()
     for key in ((0, "z", 0), (0, "a", "0"), (None, "a", 0)):

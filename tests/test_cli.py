@@ -181,6 +181,15 @@ def test_bad_format_is_usage_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_bimachine_over_no_letters_is_usage_error(tmp_path, capsys):
+    machine = tmp_path / "none.txt"
+    machine.write_text("bimachine v1\nalphabet\noalphabet x\nleft states 1 start 0\n"
+                       "right states 2 start 1\nepsout -\n", encoding="utf-8")
+    assert run_cli("eval", "--machine", str(machine), "--word", "-") == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: a bimachine needs at least one input letter\n")
+
+
 def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch):
     with pytest.raises(SystemExit):
         main(["--help"])

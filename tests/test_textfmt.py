@@ -188,6 +188,17 @@ def test_a_right_alphabet_in_another_order_round_trips():
     assert emit_bimachine(again) == text
 
 
+def test_a_bimachine_over_no_letters_is_a_format_error():
+    # What emit_bimachine would write for such a machine, were it built. A
+    # side over no letters has no arc lines, so no line bounds its states.
+    for states in (1, 2**24):
+        text = ("bimachine v1\nalphabet\noalphabet x\n"
+                f"left states {states} start 0\nright states 2 start 1\nepsout -\n")
+        with pytest.raises(FormatError) as info:
+            load_machine(text)
+        assert str(info.value) == "line 2: a bimachine needs at least one input letter"
+
+
 def test_emit_refuses_sides_with_other_symbols():
     left = Dfa(AB, 1, 0, ((0, 0),))
     for symbols, missing in ((("a", "c"), "'b'"), (("b", "a", "c"), "'c'")):
@@ -953,17 +964,36 @@ def random_bimachine(rng):
     return Bimachine(left, right, psi, empty, out)
 
 
+def with_right_order(b, rng):
+    """``b`` built from a right automaton over a shuffled order of its
+    letters, each column moved with its letter: the same machine."""
+    right = b.right
+    order = rng.sample(range(len(right.alphabet)), len(right.alphabet))
+    alphabet = Alphabet(tuple(right.alphabet.symbols[i] for i in order))
+    delta = tuple(tuple(row[i] for i in order) for row in right.delta)
+    return Bimachine(b.left, Dfa(alphabet, right.state_count, right.start, delta), b.psi,
+                     b.empty_word_output, b.output_alphabet), alphabet != right.alphabet
+
+
 def test_random_machines_round_trip():
     rng = random.Random(5)
+    orders = random.Random(6)  # drawn apart, so that rng's draws stay as they were
+    shuffled = 0
     for _ in range(150):
+        transducer, bimachine = random_transducer(rng), random_bimachine(rng)
+        reordered, moved = with_right_order(bimachine, orders)
+        shuffled += moved
+        assert reordered == bimachine
         for machine, emit, parse in (
-            (random_transducer(rng), emit_transducer, parse_transducer),
-            (random_bimachine(rng), emit_bimachine, parse_bimachine),
+            (transducer, emit_transducer, parse_transducer),
+            (bimachine, emit_bimachine, parse_bimachine),
+            (reordered, emit_bimachine, parse_bimachine),
         ):
             text = emit(machine)
             again = parse(text)
             assert again == machine
             assert emit(again) == text
+    assert shuffled > 50
 
 
 # Field replacements for the mutation fuzz: spellings int() accepts or
@@ -1105,13 +1135,14 @@ def workload_texts():
     for k, n in ((2, 2), (2, 3)):
         _, generated, _, _, handcrafted = built(k, n)
         reduced = handcrafted.reduce()
-        psi = dict(reduced.psi)
-        key = next(key for key, out in psi.items() if out)
-        psi[key] = ("x",) + psi[key]
         good = emit_bimachine(reduced)
+        # The first psi line with an output gets an "x" token, which lies
+        # outside the output alphabet.
+        line = next(line for line in good.splitlines(True)
+                    if line.startswith("psi ") and not line.endswith(" -\n"))
+        head, out = line.rsplit(" ", 1)
         texts += [
-            emit_bimachine(Bimachine(reduced.left, reduced.right, psi,
-                                     reduced.empty_word_output, reduced.output_alphabet)),
+            good.replace(line, f"{head} x.{out}", 1),
             emit_bimachine(merge_bimachine_states(reduced, (0, 1), (0, 1))),
             good.replace(next(line for line in good.splitlines(True)
                               if line.startswith("larc ")), "", 1),
