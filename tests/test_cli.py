@@ -188,6 +188,15 @@ def test_bimachine_over_no_letters_is_usage_error(tmp_path, capsys):
     assert run_cli("eval", "--machine", str(machine), "--word", "-") == 2
     assert capsys.readouterr().err == (
         "error: line 2: a bimachine needs at least one input letter\n")
+    # Nor is such a machine built, so none is written.
+    transducer = tmp_path / "t.txt"
+    transducer.write_text("transducer v1\nalphabet\noalphabet x\nstates 1\ninitial 0\n"
+                          "final 0\n", encoding="utf-8")
+    out = tmp_path / "b.txt"
+    assert run_cli("construct", "--method", "generic", "--in", str(transducer),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: a bimachine needs at least one input letter\n"
+    assert not out.exists()
 
 
 def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch):
