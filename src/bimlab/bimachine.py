@@ -61,7 +61,9 @@ class PsiTable(Mapping):
 
     The rows are pairwise distinct, none is all undefined, and ``row_of``
     uses every one, so two rows are equal exactly when their indices are.
-    ``RowInterner`` builds every table so. As a Mapping, the keys are the
+    ``RowInterner`` builds every table so. Construction raises ValueError
+    unless the arrays fit the shape and each row index and each cell is -1
+    or names a row or a word the table has. As a Mapping, the keys are the
     defined ``(l, letter, r)`` triples in cell order and the values their
     output words, so ``len`` counts the defined cells.
     """
@@ -72,6 +74,10 @@ class PsiTable(Mapping):
                  row_of: array, rows: array, words: tuple[Word, ...]):
         if len(row_of) != left_count * len(alphabet) or len(rows) % right_count:
             raise ValueError("psi rows do not match the table's shape")
+        # Through sets: one pass over each array, in C.
+        if not (set(row_of) <= set(range(-1, len(rows) // right_count))
+                and set(rows) <= set(range(-1, len(words)))):
+            raise ValueError("psi rows name a row or an output word the table lacks")
         self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
         self.row_of, self.rows, self.words = row_of, rows, words
         self._len: int | None = None

@@ -36,7 +36,14 @@ from .textfmt import (
     word_from_text,
     word_to_text,
 )
-from .transducer import Transducer, _compare, check_functional, remove_input_epsilons, trim
+from .transducer import (
+    Transducer,
+    _compare,
+    _letter_input,
+    check_functional,
+    remove_input_epsilons,
+    trim,
+)
 
 
 def _params(args) -> InstanceParams:
@@ -108,11 +115,12 @@ def cmd_equiv(args) -> int:
         prepared = trim(remove_input_epsilons(instance_transducer(params)))
         sides.append(("oracle", prepared, partial(oracle, params)))
     pivot = next((m for _, m, _ in sides if isinstance(m, Transducer)), a)
+    prepared_pivot = _letter_input(pivot)  # once, however many sides meet it
     pairs = 0
     for _, machine, _ in sides:
         if machine is pivot:
             continue
-        word, reached = _compare(machine, pivot)
+        word, reached = _compare(machine, prepared_pivot)
         pairs += reached
         if word is not None:
             shown = [(name, fn(word)) for name, _, fn in sides]

@@ -440,7 +440,7 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
         for tok, base, edges in successors(pair, spend):
             for w, offset, final in edges:
                 nxt = base + offset
-                if nxt in dead:  # no delay there can matter
+                if dead and nxt in dead:  # no delay there can matter
                     delay = 0
                 elif w:
                     delay = steps.get(key + w)
@@ -485,7 +485,9 @@ def _domain_difference(vx: _View, vy: _View) -> Word | None:
     """The length-lex least word on which exactly one of two machines is
     defined, or the empty word when the two disagree there. Runs the subset
     automata of both (``_View.subsets``) side by side, breadth-first in
-    alphabet order."""
+    alphabet order. Each view remembers its subset steps, so a step that
+    several subset pairs share is computed once; the order of the search,
+    and so the word, are those of the plain steps."""
     (xstart, xstep, xaccepts, xempty), (ystart, ystep, yaccepts, yempty) = vx.subsets, vy.subsets
     if xempty != yempty:
         return ()
@@ -592,6 +594,14 @@ class _View(NamedTuple):
     rows: on letter ``a`` from left state ``l``, ``r'`` stays when ``psi(l,
     a, r')`` is defined and ``δR(r', a)`` is in ``rs``. A prefix is in the
     domain when ``R.start`` is in ``rs``. Every empty subset is one state.
+    The view remembers each step for its life: a transducer's under
+    (subset, letter), a bimachine's right states under (row index, letter,
+    ``rs``), since the row and the letter's column of R are all the step
+    reads besides ``rs``.
+
+    ``reads[u]``, for a bimachine, numbers unit ``u``'s psi row index per
+    letter: units with one number read every letter through the same rows.
+    None for a transducer.
     """
 
     alphabet: Alphabet
@@ -605,6 +615,7 @@ class _View(NamedTuple):
                     tuple[Units, Callable[[int, int], list[tuple[int, int]]]]]
     subsets: tuple[Hashable, Callable[[Hashable, str], Hashable], Callable[[Hashable], bool],
                    Word | None]
+    reads: list[int] | None
 
 
 def _view(m) -> _View:
@@ -617,11 +628,16 @@ def _view(m) -> _View:
         units = [[(pos, tok, to[pos] * width, (i - l) * width)
                   for pos, tok in enumerate(symbols) for i in (row_of[l * letters + pos],)
                   if i >= 0] for l, to in enumerate(left_delta)]
+        read: dict[bytes, int] = {}
+        reads = [read.setdefault(row_of[l * letters:(l + 1) * letters].tobytes(), len(read))
+                 for l in range(m.left.state_count)]
         # steps[pos][r]: where R steps from r on the pos-th letter, the
         # pos-th column of R's table (both sides share the input alphabet).
         steps = list(zip(*right.delta))
         defined = [[r for r, _ in row] for row in m.psi.defined_cells()]
         nowhere = (-1, frozenset())
+        # (row * letters + pos, rs) -> rs': the step reads no left state.
+        stepped: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
 
         def row_step(subset: tuple[int, frozenset[int]], tok: str) -> tuple[int, frozenset[int]]:
             l, rs = subset
@@ -629,10 +645,13 @@ def _view(m) -> _View:
                 pos = position[tok]
                 i = row_of[l * letters + pos]
                 if i >= 0:
-                    to = steps[pos]
-                    rs = frozenset(r for r in defined[i] if to[r] in rs)
-                    if rs:
-                        return left_delta[l][pos], rs
+                    key = (i * letters + pos, rs)
+                    found = stepped.get(key)
+                    if found is None:
+                        to = steps[pos]
+                        found = stepped[key] = frozenset(r for r in defined[i] if to[r] in rs)
+                    if found:
+                        return left_delta[l][pos], found
             return nowhere
 
         return _View(alphabet, width, m.left.state_count * width, m.psi.distinct * width,
@@ -640,7 +659,7 @@ def _view(m) -> _View:
                      [{pos: (to[c],) for pos, to in enumerate(steps)} for c in range(width)],
                      lambda index, fitting: (units, _row_arcs(m, steps, index, fitting)),
                      ((m.left.start, frozenset(range(width))), row_step,
-                      lambda subset: right.start in subset[1], m.empty_word_output))
+                      lambda subset: right.start in subset[1], m.empty_word_output), reads)
     arcs, final = m._letter_arcs, m.final
     before: list[dict[int, set[int]]] = [{} for _ in range(m.state_count)]
     for arc in m.arcs:
@@ -659,13 +678,19 @@ def _view(m) -> _View:
             by_letter.sort()
         return units, lambda q, pos: table[q * letters + pos]
 
+    stepped: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+
     def step(subset: frozenset[int], tok: str) -> frozenset[int]:
-        return frozenset(d for q in subset for _, d in arcs.get((q, tok), ()))
+        key = (subset, tok)
+        found = stepped.get(key)
+        if found is None:
+            found = stepped[key] = frozenset(d for q in subset for _, d in arcs.get((q, tok), ()))
+        return found
 
     return _View(alphabet, 1, m.state_count, m.state_count, [(q, q) for q in sorted(m.initial)],
                  final, before, moves,
                  (frozenset(m.initial), step, lambda subset: not subset.isdisjoint(final),
-                  () if m.initial & final else None))
+                  () if m.initial & final else None), None)
 
 
 def _suffix_filter(vx: _View, vy: _View) -> dict[int, set[int]] | None:
@@ -756,6 +781,16 @@ def _product(vx: _View, vy: _View) -> Product:
     whose classes fit. Arcs into a class that fits nothing are dropped
     before the pairing. Building a group spends the arc pairs it scans, at
     least 1; walking it spends its edges.
+
+    When ``x`` is a bimachine, a pair's nonempty groups, in order, depend
+    only on ``x``'s row index per letter (``_View.reads``), its right class
+    and ``y``'s state, so pairs of one such key share their list of groups;
+    each pair adds its own heads. A list is kept only once a walk of it has
+    ended, and by then every one of its groups is built. So a later pair of
+    that key spends ``len(group)`` for each nonempty group, in order, as it
+    would through the groups alone, and builds, ``spend`` calls and cap
+    refusals are those of the walk without lists. A transducer's units get
+    no list: each is its own state.
     """
     fits = _suffix_filter(vx, vy)
     count, letters = vy.count, len(vx.alphabet)
@@ -781,6 +816,11 @@ def _product(vx: _View, vy: _View) -> Product:
     ysteps = [[(pos, tok, head, base, base * stride + pos) for pos, tok, head, base in unit]
               for unit in yunits]
     groups: dict[int, list[tuple[int, int, bool]]] = {}
+    # Pair s * |y| + q, s = l * |R| + r, shares its list of groups with the
+    # pairs of its key, pair + shifts[l] = (reads[l] * |R| + r) * |y| + q.
+    shifts = None if vx.reads is None else [(k - l) * xwidth * count
+                                            for l, k in enumerate(vx.reads)]
+    lists: dict[int, list[tuple[int, str, int, list[tuple[int, int, bool]]]]] = {}
 
     def build(xkey: int, ykey: int, pos: int,
               spend: Callable[[int], None]) -> list[tuple[int, int, bool]]:
@@ -792,7 +832,18 @@ def _product(vx: _View, vy: _View) -> Product:
     def successors(pair: int, spend: Callable[[int], None]):
         # Operators, not divmod: this runs once per pair visit.
         s, q = pair // count, pair % count
-        xunit, at = xsteps[s // xwidth], q * stride + s * letters
+        unit = s // xwidth
+        xunit = xsteps[unit]
+        if shifts is not None:
+            key = pair + shifts[unit]
+            shared = lists.get(key)
+            if shared is not None:
+                for pos, tok, yhead, group in shared:
+                    spend(len(group))
+                    yield tok, xunit[pos][0] + yhead, group
+                return
+        walked = []
+        at = q * stride + s * letters
         for pos, tok, yhead, ybase, yshift in ysteps[q // ywidth]:
             step = xunit.get(pos)
             if step is None:
@@ -803,8 +854,11 @@ def _product(vx: _View, vy: _View) -> Product:
             if group is None:
                 group = groups[group_key] = build(xbase + s, ybase + q, pos, spend)
             if group:
+                walked.append((pos, tok, yhead, group))
                 spend(len(group))
                 yield tok, xhead + yhead, group
+        if shifts is not None:
+            lists[key] = walked  # only a walk that ended is shared
 
     return starts, successors, tuple(index)
 

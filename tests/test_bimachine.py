@@ -195,6 +195,18 @@ def test_psi_tables_are_capped_before_allocation(monkeypatch):
         bimachine.psi_cells(3, 2, 3)
 
 
+@pytest.mark.parametrize("row_of,cell", [(0, 3), (5, 0), (0, -2), (-2, 0)])
+def test_psi_tables_name_only_rows_and_words_they_have(row_of, cell):
+    # One row, one cell and one word: a row index or a cell outside them
+    # would make ``evaluate`` raise IndexError later.
+    a = Alphabet(("a",))
+    with pytest.raises(ValueError, match="a row or an output word the table lacks"):
+        bimachine.PsiTable(a, 1, 1, array("i", [row_of]), array("i", [cell]), (("x",),))
+    sound = bimachine.PsiTable(a, 1, 1, array("i", [0]), array("i", [0]), (("x",),))
+    machine = Bimachine(Dfa(a, 1, 0, [(0,)]), Dfa(a, 1, 0, [(0,)]), sound, None, Alphabet(("x",)))
+    assert machine.evaluate(("a",)) == ("x",)
+
+
 def test_row_interner_writes_rows_cell_by_cell():
     interner = bimachine.RowInterner(Alphabet(("a", "b")), 2, 3)
     word = interner.word

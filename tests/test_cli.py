@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from bimlab import cli, emit_bimachine, parse_bimachine
+from bimlab import cli, emit_bimachine, parse_bimachine, transducer
 from bimlab.cli import main
 from helpers import built, merge_bimachine_states
 
@@ -112,6 +112,23 @@ def test_equiv_machines_agree(tmp_path, capsys):
     # Without --oracle the first transducer side is the pivot.
     assert run_cli("equiv", "--a", str(handcrafted), "--b", str(machine)) == 0
     assert capsys.readouterr().out == "EQUIVALENT(pairs=10)\n"
+
+
+def test_equiv_prepares_an_epsilon_input_pivot_once(tmp_path, capsys, monkeypatch):
+    machine = tmp_path / "t.txt"  # the generated transducer reads epsilons
+    run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine))
+    handcrafted = tmp_path / "h.txt"
+    run_cli("construct", "--method", "handcrafted", "--k", "2", "--n", "1",
+            "--out", str(handcrafted))
+    capsys.readouterr()
+    calls = []
+    real = transducer.remove_input_epsilons
+    monkeypatch.setattr(transducer, "remove_input_epsilons", lambda t: calls.append(t) or real(t))
+    # Side a is the pivot: b and the oracle are each compared with it.
+    assert run_cli("equiv", "--a", str(machine), "--b", str(handcrafted),
+                   "--oracle", "2,1") == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "EQUIVALENT(pairs=14)\n"
 
 
 def test_equiv_two_bimachines_without_a_transducer(tmp_path, capsys):

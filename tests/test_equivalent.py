@@ -22,8 +22,11 @@ from bimlab import (
     build_right_automaton,
     check_functional,
     equivalent,
+    handcrafted_bimachine,
     instance_transducer,
     oracle,
+    remove_input_epsilons,
+    trim,
 )
 from bimlab import transducer
 from bimlab.fsm import STATE_CAP, explore
@@ -652,6 +655,66 @@ def test_the_domain_check_steps_as_many_subsets_as_the_letter_views_did(monkeypa
         sizes.clear()
         assert transducer._domain_difference(_view(cell[index].reduce()), _view(cell[2])) is None
         assert sizes == [want]
+
+
+def test_the_largest_handcrafted_cells_step_as_many_subsets(monkeypatch):
+    # The domain checks that remember their steps most often: reduced
+    # handcrafted (3,5) and (2,8) against their prepared transducers.
+    sizes = []
+
+    def counting(*args, **kwargs):
+        dfa, states = explore(*args, **kwargs)
+        sizes.append(dfa.state_count)
+        return dfa, states
+
+    monkeypatch.setattr(transducer, "explore", counting)
+    for k, n, want in ((3, 5, 370), (2, 8, 520)):
+        params = InstanceParams(k, n)
+        prepared = trim(remove_input_epsilons(instance_transducer(params)))
+        machine = handcrafted_bimachine(params).reduce()
+        sizes.clear()
+        assert transducer._domain_difference(_view(machine), _view(prepared)) is None
+        assert sizes == [want]
+
+
+def test_one_row_read_on_two_letters_steps_each_letter_by_its_own_column():
+    # Left state 0 reads "a" and "b" through one row, defined at right
+    # states 0 and 1, while R's columns differ: a keeps 0 and takes 1 to
+    # 2, b takes 0 to 1 and keeps 1. So a word is defined exactly when no
+    # "a" after its first letter comes before a "b". A step remembered
+    # for the row and the right states alone would read "b" as "a".
+    ab, x = Alphabet(("a", "b")), Alphabet(("x",))
+    right = Dfa(ab, 3, 0, [(0, 1), (2, 1), (2, 2)])
+    psi = {(0, a, r): ("x",) for a in "ab" for r in (0, 1)}
+    machine = Bimachine(Dfa(ab, 1, 0, [(0, 0)]), right, psi, (), x)
+    assert machine.psi.distinct == 1
+    total = Transducer(ab, x, 1, {0}, {0}, [Arc(0, "a", ("x",), 0), Arc(0, "b", ("x",), 0)])
+    want = least_domain_difference(machine.evaluate, total.evaluate, ab.symbols, 4)
+    assert want == ("a", "a", "b")
+    assert equivalent(machine, total) == equivalent(total, machine) == want
+
+
+def test_left_states_with_other_rows_on_the_same_letters_share_no_edges():
+    # After "a" and after "b" the bimachine is in left states 1 and 2 with
+    # one right guess, and the transducer in its state 1. Both left states
+    # read "a" and "b", through rows that emit "x" and "y". Edges shared
+    # by the guess and the transducer state alone would emit "x" after
+    # "b" too.
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    left = Dfa(ab, 4, 0, [(1, 2), (3, 3), (3, 3), (3, 3)])
+    right = Dfa(ab, 3, 0, [(1, 1), (2, 2), (2, 2)])  # suffix length, capped at 2
+    psi = {(0, a, 1): () for a in "ab"}
+    psi.update({(l, a, 0): (out,) for l, out in ((1, "x"), (2, "y")) for a in "ab"})
+    machine = Bimachine(left, right, psi, None, xy)
+    # The transducer emits at the first letter what the bimachine emits at
+    # the second.
+    t = Transducer(ab, xy, 3, {0}, {2}, [Arc(0, "a", ("x",), 1), Arc(0, "b", ("y",), 1),
+                                        Arc(1, "a", (), 2), Arc(1, "b", (), 2)])
+    assert _compare(machine, t) == _compare(t, machine) == (None, 4)
+    psi.update({(2, a, 0): ("x",) for a in "ab"})
+    changed = with_psi(machine, psi)
+    word = equivalent(changed, t)
+    assert word in (("b", "a"), ("b", "b")) and changed.evaluate(word) == ("x",)
 
 
 def test_raw_3_4_handcrafted_is_decided_exactly():
