@@ -73,7 +73,7 @@ def test_golden_experiment_csv():
 
 # SHA-256 of the emitted text of the machines each grid cell builds, raw and
 # reduced; of generic (3,4) and (2,6), raw and reduced; and of the
-# handcrafted machines of the large cells, raw and reduced.
+# handcrafted machines of the large cells and of k = 4 and 5, raw and reduced.
 EMIT_SHA256 = {
     ("generic", 2, 1, "raw"): "110f0da39605949c98b0bc42f3ca2672d5fa1a67b6e4190b4b739847cf792814",
     ("generic", 2, 1, "reduced"): "110f0da39605949c98b0bc42f3ca2672d5fa1a67b6e4190b4b739847cf792814",
@@ -111,6 +111,14 @@ EMIT_SHA256 = {
     ("handcrafted", 3, 5, "reduced"): "dd74847090a6289fbd7363cb4c0556d73ce31eaac9b36cd3415e3a35b147f766",
     ("handcrafted", 2, 8, "raw"): "716675551187b1764873088251932134a3acb8e71e707855f6e95c07d355d4a9",
     ("handcrafted", 2, 8, "reduced"): "8a6cedff040a4d6adbb7127ebfb7088486e764189317e52228625ae72a89cb0e",
+    ("handcrafted", 4, 1, "raw"): "e08839b13c68964097f99fc96eaa7941ee206b2b4552db713b127e5dceb09739",
+    ("handcrafted", 4, 1, "reduced"): "f554123fe148d9c06c9cba6ef42e64b46218f5fdaf01c9f04d13d709faac3ec1",
+    ("handcrafted", 4, 2, "raw"): "f107677643d4188a2153797114ab8537505b3f3415a133164b8512e03a67f917",
+    ("handcrafted", 4, 2, "reduced"): "a93bf62862d5aff1ced905e5bb874494f409ffc27334bd0c39379230c2e6c3b9",
+    ("handcrafted", 4, 3, "raw"): "450c9da368430db6a2261b181068752c6f5ab3205cc8676ffa1746286d8a07b0",
+    ("handcrafted", 4, 3, "reduced"): "365ee54374fea2b775a0a5b181ced359c72966cc32f080bb82418dbb36fc86cb",
+    ("handcrafted", 5, 2, "raw"): "c9e91d5b7fe788779152964c021553ed1c9f8092d3521d276f002b66c812b1a4",
+    ("handcrafted", 5, 2, "reduced"): "f7349ade6d8ad64e93a0961ad071e154d40b36746cf66debd1708ec30ce49e9c",
 }
 
 
@@ -118,8 +126,9 @@ EMIT_SHA256 = {
 def test_emitted_machines_keep_their_bytes(construction, k, n, form):
     if (k, n) in ((3, 5), (2, 8)) and form == "reduced":
         text = reduced_handcrafted_text(k, n)
-    elif (k, n) in ((3, 5), (2, 8)):
-        text = emit_bimachine(handcrafted_bimachine(InstanceParams(k, n)))
+    elif (k, n) in ((3, 5), (2, 8)) or k > 3:
+        machine = handcrafted_bimachine(InstanceParams(k, n))
+        text = emit_bimachine(machine.reduce() if form == "reduced" else machine)
     else:
         _, _, _, generic, handcrafted = built(k, n)
         machine = generic if construction == "generic" else handcrafted
