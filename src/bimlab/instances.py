@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .bimachine import Bimachine, RowInterner
 from .errors import ResourceLimitError
-from .fsm import STATE_CAP, Alphabet, Word, explore
+from .fsm import STATE_CAP, Alphabet, Dfa, Word
 from .transducer import Arc, Transducer
 
 
@@ -129,8 +129,33 @@ def instance_transducer(params: InstanceParams, merged: bool = True) -> Transduc
     return Transducer(sigma, sigma, count, initial, final, tuple(arcs))
 
 
+def _numbering(blocks, size: list[int]) -> dict:
+    """The first state id of each block, in block order: a window level c
+    holds ``size[c]`` states, a named block one."""
+    first, at = {}, 0
+    for block in blocks:
+        first[block] = at
+        at += size[block] if isinstance(block, int) else 1
+    return first
+
+
+def _extensions(first: dict, size: list[int]) -> list[list[tuple[int, ...]]]:
+    """Per window level, the targets of each window on the k letters that
+    extend it, one k-tuple per window: a window of level c < n reaches
+    level c + 1, and a full window slides to ``(x*k + t) mod k^n``."""
+    n, k = len(size) - 1, size[1]
+    levels = []
+    for c in range(n + 1):
+        if c < n:
+            targets = range(first[c + 1], first[c + 1] + size[c + 1])
+        else:
+            targets = [*range(first[n], first[n] + size[n])] * k
+        levels.append(list(zip(*[iter(targets)] * k)))
+    return levels
+
+
 def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
-    """Sliding-window bimachine for the instance family.
+    """Sliding-window bimachine for the instance family, built in closed form.
 
     Left automaton: inside the first block, remember the window of the last
     <= n first-half symbols; one state for "inside the second block"; dead on
@@ -140,63 +165,88 @@ def handcrafted_bimachine(params: InstanceParams) -> Bimachine:
     whether the block behind was long enough; dead on a second-half symbol
     after crossing. The only nonempty outputs sit on the block boundary,
     where both windows are long enough to name the output pair.
+
+    States are numbered in the order a breadth-first search from the start
+    state finds them, successors in alphabet order. Window level c holds the
+    k^c windows of length c in lexicographic order, the empty window being
+    the start state. Left: the start state, level 1, inside-second-block,
+    level 2, dead, then levels 3..n; for n = 1 dead follows
+    inside-second-block. Right: the start state, crossed-short, level 1,
+    dead, levels 2..n, and crossed-long last. A side of more than STATE_CAP
+    states raises ResourceLimitError, the left side checked first, and then
+    the psi cap is checked, all before any table is built.
     """
     k, n = params.k, params.n
     sigma = params.alphabet
-    first = set(params.first_half)
+    windows = (k ** (n + 1) - 1) // (k - 1)  # of every length 0..n
+    left_count, right_count = windows + 2, windows + 3
+    for count in (left_count, right_count):
+        if count > STATE_CAP:
+            raise ResourceLimitError(f"state space exceeded {STATE_CAP} states")
+    interner = RowInterner(sigma, left_count, right_count)
+    size = [k**c for c in range(n + 1)]
 
-    def left_step(state, tok):
-        if state[0] == "first":
-            if tok in first:
-                return ("first", (state[1] + (tok,))[-n:])
-            return ("second",)
-        if state[0] == "second":
-            return ("second",) if tok not in first else ("dead",)
-        return ("dead",)
+    # Letters 0..k-1 are the first half, k..2k-1 the second.
+    lat = _numbering([0, 1, "second", *([2] if n > 1 else ()), "dead", *range(3, n + 1)], size)
+    to_second, to_dead = (lat["second"],) * k, (lat["dead"],) * k
+    rows = {c: [ext + to_second for ext in level] for c, level in enumerate(_extensions(lat, size))}
+    rows["second"], rows["dead"] = [to_dead + to_second], [to_dead + to_dead]
+    left = Dfa(sigma, left_count, 0, [row for block in lat for row in rows[block]])
 
-    def right_step(state, tok):
-        if state[0] == "tail":
-            if tok not in first:
-                return ("tail", (state[1] + (tok,))[-n:])
-            return ("crossed", len(state[1]) >= n)
-        if state[0] == "crossed":
-            return state if tok in first else ("dead",)
-        return ("dead",)
-
-    left, left_states = explore(sigma, ("first", ()), left_step)
-    right, right_states = explore(sigma, ("tail", ()), right_step)
+    rat = _numbering([0, "short", 1, "dead", *range(2, n + 1), "long"], size)
+    to_short, to_long, to_dead = (rat["short"],) * k, (rat["long"],) * k, (rat["dead"],) * k
+    rows = {c: [(to_long if c == n else to_short) + ext for ext in level]
+            for c, level in enumerate(_extensions(rat, size))}
+    rows["short"], rows["long"] = [to_short + to_dead], [to_long + to_dead]
+    rows["dead"] = [to_dead + to_dead]
+    right = Dfa(sigma, right_count, 0, [row for block in rat for row in rows[block]])
 
     # Every cell of a row (left state, letter) over all right states comes
-    # from one of these rows: a first-half letter inside the first block, a
-    # second-half letter inside the second block, or the boundary, where the
-    # row depends on the oldest first-block symbol i and, for n = 1 only, on
-    # the letter. For n > 1 the output's first symbol comes from the right
-    # window, so one boundary row per i serves every second-half letter.
-    interner = RowInterner(sigma, left.state_count, right.state_count)
-    word = interner.word
+    # from one of these rows, interned, and their words numbered, in the
+    # order the cells first use them: a first-half letter inside the first
+    # block (defined on full right windows and on crossed-long), a
+    # second-half letter inside the second block (on every right window), or
+    # the boundary. The boundary row depends on the oldest first-block symbol
+    # i and, for n = 1 only, on the letter. It is defined on the right
+    # windows of length n - 1 and n, whose symbol n - 1 places from the
+    # newest is the output's first; a full window holds it one place after
+    # the oldest, so level n repeats level n - 1 k times.
+    word, intern = interner.word, interner.intern
+    blank = array("i", [-1]) * right_count
+    empty = array("i", [word(())])
+    cells = blank[:]
+    cells[rat[n] : rat[n] + size[n]] = empty * size[n]
+    cells[rat["long"]] = empty[0]
+    inside_first = intern(cells)
+    cells = blank[:]
+    for c in range(n + 1):
+        cells[rat[c] : rat[c] + size[c]] = empty * size[c]
+    inside_second = intern(cells)
+    boundary = []  # per i, the row index on each second-half letter
+    for i in params.first_half:
+        patterns = [array("i", [word((j, i))]) for j in params.second_half]
+        if n > 1:  # one row: level n - 1 by its oldest symbol
+            pattern = array("i")
+            for w in patterns:
+                pattern += w * size[n - 2]
+            patterns = [pattern]
+        indices = array("i")
+        for pattern in patterns:
+            cells = blank[:]
+            cells[rat[n - 1] : rat[n - 1] + size[n - 1]] = pattern
+            cells[rat[n] : rat[n] + size[n]] = pattern * k
+            indices.append(intern(cells))
+        boundary.append(indices if n == 1 else indices * k)
 
-    def row(outputs) -> int:
-        return interner.intern(array("i", [-1 if out is None else word(out) for out in outputs]))
-
-    inside_first = row(() if rs == ("crossed", True) or (rs[0] == "tail" and len(rs[1]) == n)
-                       else None for rs in right_states)
-    inside_second = row(() if rs[0] == "tail" else None for rs in right_states)
-    boundary = {  # by (i, letter) for n = 1, by (i, None) for n > 1
-        (i, tok): row((tok if n == 1 else rs[1][len(rs[1]) - (n - 1)], i)
-                      if rs[0] == "tail" and len(rs[1]) >= n - 1 else None
-                      for rs in right_states)
-        for i in params.first_half for tok in (params.second_half if n == 1 else (None,))
-    }
-    row_of = interner.row_of
-    slot = 0
-    for ls in left_states:
-        for tok in sigma.symbols:
-            if ls[0] == "first":
-                if tok in first:
-                    row_of[slot] = inside_first
-                elif len(ls[1]) == n:
-                    row_of[slot] = boundary[(ls[1][0], tok if n == 1 else None)]
-            elif ls[0] == "second" and tok not in first:
-                row_of[slot] = inside_second
-            slot += 1
+    row_of, width = interner.row_of, 2 * k
+    on_first = array("i", [inside_first]) * k
+    short_window = on_first + array("i", [-1]) * k
+    for c in range(n):
+        row_of[lat[c] * width : (lat[c] + size[c]) * width] = short_window * size[c]
+    full = array("i")
+    for indices in boundary:  # the full windows with oldest symbol i
+        full += (on_first + indices) * size[n - 1]
+    row_of[lat[n] * width : (lat[n] + size[n]) * width] = full
+    slot = lat["second"] * width + k
+    row_of[slot : slot + k] = array("i", [inside_second]) * k
     return Bimachine(left, right, interner.table(), None, sigma)

@@ -166,7 +166,10 @@ Verdict = BoundRespected | Mismatch | SoundnessAlarm
 
 
 def refute(b: Bimachine, params: InstanceParams) -> Verdict:
-    """Collision search plus the three-candidate evaluation."""
+    """Collision search plus the three-candidate evaluation. Raises
+    ValueError when the machine reads another alphabet than the instance."""
+    if b.input_alphabet.symbols != params.alphabet.symbols:
+        raise ValueError("instance alphabet differs from the machine's")
     left_pair, right_pair = find_collisions(b, params)
     if left_pair is None or right_pair is None:
         return BoundRespected(left_pair, right_pair)

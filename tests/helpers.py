@@ -30,6 +30,7 @@ from bimlab import (
     trim,
 )
 from bimlab.bimachine import PsiTable, RowInterner
+from bimlab.fsm import explore
 
 
 def unpruned(monkeypatch):
@@ -360,3 +361,79 @@ def reference_build_psi(t, left_lists, coaccessible) -> PsiTable:
             interner.row_of[slot] = interner.intern(array("i", row))
             slot += 1
     return interner.table()
+
+
+def reference_handcrafted_bimachine(params: InstanceParams) -> Bimachine:
+    """``handcrafted_bimachine`` as it was built on ``explore``: the states
+    are tuples, numbered in the order a breadth-first search finds them.
+
+    Sliding-window bimachine for the instance family.
+
+    Left automaton: inside the first block, remember the window of the last
+    <= n first-half symbols; one state for "inside the second block"; dead on
+    a first-half symbol after the second block started. Right automaton
+    (reading the word reversed): remember the window of the last <= n
+    second-half symbols read; on crossing into the first block keep only
+    whether the block behind was long enough; dead on a second-half symbol
+    after crossing. The only nonempty outputs sit on the block boundary,
+    where both windows are long enough to name the output pair.
+    """
+    k, n = params.k, params.n
+    sigma = params.alphabet
+    first = set(params.first_half)
+
+    def left_step(state, tok):
+        if state[0] == "first":
+            if tok in first:
+                return ("first", (state[1] + (tok,))[-n:])
+            return ("second",)
+        if state[0] == "second":
+            return ("second",) if tok not in first else ("dead",)
+        return ("dead",)
+
+    def right_step(state, tok):
+        if state[0] == "tail":
+            if tok not in first:
+                return ("tail", (state[1] + (tok,))[-n:])
+            return ("crossed", len(state[1]) >= n)
+        if state[0] == "crossed":
+            return state if tok in first else ("dead",)
+        return ("dead",)
+
+    left, left_states = explore(sigma, ("first", ()), left_step)
+    right, right_states = explore(sigma, ("tail", ()), right_step)
+
+    # Every cell of a row (left state, letter) over all right states comes
+    # from one of these rows: a first-half letter inside the first block, a
+    # second-half letter inside the second block, or the boundary, where the
+    # row depends on the oldest first-block symbol i and, for n = 1 only, on
+    # the letter. For n > 1 the output's first symbol comes from the right
+    # window, so one boundary row per i serves every second-half letter.
+    interner = RowInterner(sigma, left.state_count, right.state_count)
+    word = interner.word
+
+    def row(outputs) -> int:
+        return interner.intern(array("i", [-1 if out is None else word(out) for out in outputs]))
+
+    inside_first = row(() if rs == ("crossed", True) or (rs[0] == "tail" and len(rs[1]) == n)
+                       else None for rs in right_states)
+    inside_second = row(() if rs[0] == "tail" else None for rs in right_states)
+    boundary = {  # by (i, letter) for n = 1, by (i, None) for n > 1
+        (i, tok): row((tok if n == 1 else rs[1][len(rs[1]) - (n - 1)], i)
+                      if rs[0] == "tail" and len(rs[1]) >= n - 1 else None
+                      for rs in right_states)
+        for i in params.first_half for tok in (params.second_half if n == 1 else (None,))
+    }
+    row_of = interner.row_of
+    slot = 0
+    for ls in left_states:
+        for tok in sigma.symbols:
+            if ls[0] == "first":
+                if tok in first:
+                    row_of[slot] = inside_first
+                elif len(ls[1]) == n:
+                    row_of[slot] = boundary[(ls[1][0], tok if n == 1 else None)]
+            elif ls[0] == "second" and tok not in first:
+                row_of[slot] = inside_second
+            slot += 1
+    return Bimachine(left, right, interner.table(), None, sigma)

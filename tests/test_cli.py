@@ -176,6 +176,19 @@ def test_refute_verdicts(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("MISMATCH word=")
 
 
+def test_refute_of_an_instance_over_another_alphabet_is_usage_error(tmp_path, capsys):
+    machine = tmp_path / "m.txt"
+    assert run_cli("construct", "--method", "handcrafted", "--k", "3", "--n", "2",
+                   "--reduce", "--out", str(machine)) == 0
+    capsys.readouterr()
+    for k in ("2", "4"):
+        assert run_cli("refute", "--machine", str(machine), "--k", k, "--n", "2") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: instance alphabet differs from the machine's\n"
+    assert run_cli("refute", "--machine", str(machine), "--k", "3", "--n", "2") == 0
+
+
 def test_experiment_csv_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from bimlab import (
     remove_input_epsilons,
     trim,
 )
-from helpers import built, random_word, words_upto
+from helpers import built, random_word, reference_handcrafted_bimachine, words_upto
 
 
 def w(text):
@@ -159,6 +160,36 @@ def test_handcrafted_sizes_golden():
         hc = handcrafted_bimachine(InstanceParams(k, n))
         assert (hc.left.state_count, hc.right.state_count) == (left, right)
         assert hc.total_states <= 6 * k**n + 12
+
+
+HANDCRAFTED_CELLS = [(k, n) for k in range(2, 6) for n in range(1, 6) if k**n <= 1024] + [(2, 8)]
+
+
+@pytest.mark.parametrize("k,n", HANDCRAFTED_CELLS, ids=[f"{k}-{n}" for k, n in HANDCRAFTED_CELLS])
+def test_handcrafted_matches_the_explored_machine(k, n):
+    params = InstanceParams(k, n)
+    got, want = handcrafted_bimachine(params), reference_handcrafted_bimachine(params)
+    for side in ("left", "right"):
+        a, b = getattr(got, side), getattr(want, side)
+        assert (a.state_count, a.start, a.delta) == (b.state_count, b.start, b.delta)
+    assert got.psi.row_of == want.psi.row_of
+    assert got.psi.rows == want.psi.rows
+    assert got.psi.words == want.psi.words
+
+
+def test_handcrafted_caps_refuse_before_building():
+    # (2,17) has 2^18 + 1 = 262,145 left states: refused from (k, n) alone.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^state space exceeded 100000 states$"):
+            handcrafted_bimachine(InstanceParams(2, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ResourceLimitError,
+                       match="^psi table of 3282 x 6 x 3283 cells exceeds 16777216$"):
+        handcrafted_bimachine(InstanceParams(3, 7))
 
 
 def test_handcrafted_matches_oracle_exhaustively_2_2():

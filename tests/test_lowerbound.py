@@ -156,6 +156,15 @@ def test_refute_constant_machine():
     assert verdict.actual == ()
 
 
+@pytest.mark.parametrize("machine_k,params_k", [(3, 2), (2, 3)])
+def test_refute_refuses_an_instance_over_another_alphabet(machine_k, params_k):
+    # Before the check, a (3,2) machine against (2,2) was BOUND-RESPECTED
+    # and a (2,2) machine against (3,2) failed on an unknown symbol.
+    machine = handcrafted_bimachine(InstanceParams(machine_k, 2)).reduce()
+    with pytest.raises(ValueError, match="instance alphabet differs from the machine's"):
+        refute(machine, InstanceParams(params_k, 2))
+
+
 def test_exponent_constant_values():
     c3 = exponent_constant(3)
     assert abs(c3 - math.log2(3) / 6) < 1e-12
