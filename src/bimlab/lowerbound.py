@@ -77,7 +77,10 @@ def find_collisions(
     """Scan all k^n probe words per side in lexicographic order and report the
     first collision on each, or None for a side whose images are pairwise
     distinct (which certifies that side has at least k^n states). More than
-    PROBE_CAP probe words per side raise ResourceLimitError."""
+    PROBE_CAP probe words per side raise ResourceLimitError; a machine over
+    another alphabet than the instance's raises ValueError."""
+    if b.input_alphabet.symbols != params.alphabet.symbols:
+        raise ValueError("instance alphabet differs from the machine's")
     if params.k**params.n > PROBE_CAP:
         raise ResourceLimitError(
             f"{params.k}^{params.n} probe words exceed the cap of {PROBE_CAP}"
@@ -167,9 +170,8 @@ Verdict = BoundRespected | Mismatch | SoundnessAlarm
 
 def refute(b: Bimachine, params: InstanceParams) -> Verdict:
     """Collision search plus the three-candidate evaluation. Raises
-    ValueError when the machine reads another alphabet than the instance."""
-    if b.input_alphabet.symbols != params.alphabet.symbols:
-        raise ValueError("instance alphabet differs from the machine's")
+    ValueError, through ``find_collisions``, when the machine reads another
+    alphabet than the instance."""
     left_pair, right_pair = find_collisions(b, params)
     if left_pair is None or right_pair is None:
         return BoundRespected(left_pair, right_pair)

@@ -158,11 +158,13 @@ def test_refute_constant_machine():
 
 @pytest.mark.parametrize("machine_k,params_k", [(3, 2), (2, 3)])
 def test_refute_refuses_an_instance_over_another_alphabet(machine_k, params_k):
-    # Before the check, a (3,2) machine against (2,2) was BOUND-RESPECTED
-    # and a (2,2) machine against (3,2) failed on an unknown symbol.
+    # Before the check, a (3,2) machine against (2,2) was BOUND-RESPECTED on
+    # a right collision of 33 and 34, and a (2,2) machine against (3,2)
+    # failed on an unknown symbol.
     machine = handcrafted_bimachine(InstanceParams(machine_k, 2)).reduce()
-    with pytest.raises(ValueError, match="instance alphabet differs from the machine's"):
-        refute(machine, InstanceParams(params_k, 2))
+    for search in (refute, find_collisions):
+        with pytest.raises(ValueError, match="instance alphabet differs from the machine's"):
+            search(machine, InstanceParams(params_k, 2))
 
 
 def test_exponent_constant_values():
