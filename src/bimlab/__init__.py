@@ -38,7 +38,6 @@ from .lowerbound import (
     ExperimentRow,
     FoolingPair,
     Mismatch,
-    SoundnessAlarm,
     build_candidates,
     exponent_constant,
     find_collisions,
@@ -89,7 +88,6 @@ __all__ = [
     "NonFunctionalError",
     "PreconditionError",
     "ResourceLimitError",
-    "SoundnessAlarm",
     "Transducer",
     "UnknownSymbolError",
     "Word",

@@ -3,6 +3,10 @@ refuter for undersized bimachines, the blow-up exponent constant, and the
 experiment grid with its CSV report. The grid checks every machine it builds
 with the exact equivalence test (``transducer.equivalent``), not on sampled
 words.
+
+A bimachine with a collision on both sides gets one of the three candidate
+words wrong, so ``refute`` has two verdicts; a machine that gets all three
+right can only mean a bug, and raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -38,24 +42,19 @@ class FoolingPair:
     side: str  # "left" or "right"
     word1: Word
     word2: Word
-    collision_state: int
     common: Word
     symbol1: str
     symbol2: str
-    residue1: Word
-    residue2: Word
 
 
-def _decompose(side: str, w1: Word, w2: Word, state: int) -> FoolingPair:
+def _decompose(side: str, w1: Word, w2: Word) -> FoolingPair:
     """Split colliding probe words where they first differ (from the end on the right side)."""
     step = 1 if side == "left" else -1
     v1, v2 = w1[::step], w2[::step]
     d = 0
     while v1[d] == v2[d]:
         d += 1
-    return FoolingPair(
-        side, w1, w2, state, v1[:d][::step], v1[d], v2[d], v1[d + 1 :][::step], v2[d + 1 :][::step]
-    )
+    return FoolingPair(side, w1, w2, v1[:d][::step], v1[d], v2[d])
 
 
 def _first_collision(b: Bimachine, params: InstanceParams, side: str) -> FoolingPair | None:
@@ -66,7 +65,7 @@ def _first_collision(b: Bimachine, params: InstanceParams, side: str) -> Fooling
     for word in itertools.product(half, repeat=params.n):
         state = dfa.run(word if left else reversed(word))
         if state in seen:
-            return _decompose(side, seen[state], word, state)
+            return _decompose(side, seen[state], word)
         seen[state] = word
     return None
 
@@ -106,9 +105,10 @@ def build_candidates(
     symbol1^|common|, so both still drive the left automaton to the same
     state while naming different output symbols; the second blocks b3/b4
     prepend symbol1^|common| to the colliding right words symmetrically. Any
-    machine equivalent to the reference function must then get one of
-    a1+b3, a2+b3, a1+b4 wrong, because it cannot tell them apart where it
-    matters. All expectations are verified against the reference function.
+    machine whose two sides both collide must then get one of a1+b3, a2+b3,
+    a1+b4 wrong: with L(a1) = L(a2) and R(b3) = R(b4), its outputs factor
+    as X1.Y3, X2.Y3 and X1.Y4, and no such words give the three expected
+    outputs. All expectations are verified against the reference function.
     """
     pad1 = (left_pair.symbol1,) * len(left_pair.common)
     a1 = left_pair.word1 + pad1
@@ -134,7 +134,8 @@ def build_candidates(
 
 @dataclass(frozen=True)
 class BoundRespected:
-    """No usable collision pair: at least one side is certified >= k^n."""
+    """At least one side has no collision, which certifies that side has at
+    least k^n states; the pair found on the other side, if any, is kept."""
 
     left_pair: FoolingPair | None
     right_pair: FoolingPair | None
@@ -157,21 +158,16 @@ class Mismatch:
     actual: Word | None
 
 
-@dataclass(frozen=True)
-class SoundnessAlarm:
-    """Both sides collide yet all three candidates match: the machine cannot
-    be equivalent to the reference function, or there is a bug."""
-
-    candidates: CandidateWords
-
-
-Verdict = BoundRespected | Mismatch | SoundnessAlarm
+Verdict = BoundRespected | Mismatch
 
 
 def refute(b: Bimachine, params: InstanceParams) -> Verdict:
-    """Collision search plus the three-candidate evaluation. Raises
-    ValueError, through ``find_collisions``, when the machine reads another
-    alphabet than the instance."""
+    """Collision search plus the three-candidate evaluation: BoundRespected
+    when a side has no collision, else the Mismatch on the first candidate
+    word the machine gets wrong. Raises ValueError, through
+    ``find_collisions``, when the machine reads another alphabet than the
+    instance, and ConsistencyError when the machine gets every candidate
+    right, which ``build_candidates`` rules out."""
     left_pair, right_pair = find_collisions(b, params)
     if left_pair is None or right_pair is None:
         return BoundRespected(left_pair, right_pair)
@@ -180,7 +176,7 @@ def refute(b: Bimachine, params: InstanceParams) -> Verdict:
         got = b.evaluate(word)
         if got != want:
             return Mismatch(word, want, got)
-    return SoundnessAlarm(candidates)
+    raise ConsistencyError("both sides collide, yet every candidate word matches")
 
 
 def exponent_constant(k: int) -> float:

@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Callable, Collection, Container, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
+    ConsistencyError,
     DivergingRelationError,
     NonFunctionalError,
     PreconditionError,
@@ -156,7 +157,7 @@ class Transducer:
             outputs = self.relation(word)
             if len(outputs) >= 2:
                 return FunctionalityReport(False, word, (outputs[0], outputs[1]))
-        raise AssertionError("internal: conflicting delays without a witness")
+        raise ConsistencyError("conflicting delays without a witness")
 
     @cached_property
     def _epsilon_closures(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
@@ -475,8 +476,9 @@ def check_functional(t: Transducer) -> FunctionalityReport:
 
     A letter-input machine is functional exactly when no two of its
     accepting paths read one word and emit different outputs. The word the
-    search reports is checked with ``relation`` before it is returned. Caps
-    as in ``_delay_search``. The report is computed once per machine.
+    search reports is checked with ``relation`` before it is returned, and
+    ConsistencyError is raised when none shows two outputs. Caps as in
+    ``_delay_search``. The report is computed once per machine.
     """
     return t._functionality
 
@@ -885,7 +887,7 @@ def _compare(x, y) -> tuple[Word | None, int]:
         if x.evaluate(word) != y.evaluate(word):
             return word, pairs
     if words:
-        raise AssertionError("internal: a difference without a witness")
+        raise ConsistencyError("a difference without a witness")
     return None, pairs
 
 
@@ -909,7 +911,8 @@ def equivalent(x, y) -> Word | None:
     suffix together, and two transducers' pairs must be able to reach a
     final pair. When the pairs that fit are too many to find, the search
     runs with every pair fitting. Every returned word is checked with both
-    machines' ``evaluate``.
+    machines' ``evaluate``; ConsistencyError is raised when the search finds
+    a difference and no word it yields shows one.
 
     A transducer with epsilon inputs is compared through
     ``trim(remove_input_epsilons(...))``, which raises PreconditionError when

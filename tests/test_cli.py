@@ -2,7 +2,21 @@ import tracemalloc
 
 import pytest
 
-from bimlab import cli, emit_bimachine, parse_bimachine, transducer
+from bimlab import (
+    ConsistencyError,
+    FoolingPair,
+    check_functional,
+    cli,
+    emit_bimachine,
+    equivalent,
+    lowerbound,
+    parse_bimachine,
+    parse_transducer,
+    refute,
+    remove_input_epsilons,
+    transducer,
+    trim,
+)
 from bimlab.cli import main
 from helpers import built, merge_bimachine_states
 
@@ -265,6 +279,62 @@ def test_equiv_shows_only_a_word_every_side_was_evaluated_on(tmp_path, capsys, m
     monkeypatch.setattr(cli, "_compare", lambda x, y: (("1",), 0))
     assert run_cli("equiv", "--a", str(good), "--b", str(good), "--oracle", "2,1") == 2
     assert "every side agrees on 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", ["2", "2,1,3"])
+def test_equiv_malformed_oracle_is_usage_error(tmp_path, capsys, oracle):
+    machine = tmp_path / "inst.txt"
+    assert run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine)) == 0
+    capsys.readouterr()
+    assert run_cli("equiv", "--a", str(machine), "--b", str(machine), "--oracle", oracle) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --oracle wants k,n, got '{oracle}'\n"
+
+
+def _rule_out_refute(tmp_path, monkeypatch):
+    """The correct (2,1) handcrafted machine, with find_collisions made to
+    report a collision on each side."""
+    params, _, _, _, hc = built(2, 1)
+    machine = tmp_path / "hc.txt"
+    machine.write_text(emit_bimachine(hc), encoding="utf-8")
+    pairs = (FoolingPair("left", ("1",), ("2",), (), "1", "2"),
+             FoolingPair("right", ("3",), ("4",), (), "3", "4"))
+    monkeypatch.setattr(lowerbound, "find_collisions", lambda b, p: pairs)
+    return (lambda: refute(hc, params),
+            ["refute", "--machine", str(machine), "--k", "2", "--n", "1"])
+
+
+def _rule_out_equiv(tmp_path, monkeypatch):
+    """Two equal machines, with the delay search made to report 1.3."""
+    machine = tmp_path / "inst.txt"
+    assert run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine)) == 0
+    t = parse_transducer(machine.read_text(encoding="utf-8"))
+    monkeypatch.setattr(transducer, "_delay_search", lambda *args: ([("1", "3")], 0))
+    return (lambda: equivalent(t, t),
+            ["equiv", "--a", str(machine), "--b", str(machine)])
+
+
+def _rule_out_functional(tmp_path, monkeypatch):
+    """The (2,1) instance transducer, with the delay search made to report 1.3."""
+    machine = tmp_path / "inst.txt"
+    assert run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine)) == 0
+    prepared = trim(remove_input_epsilons(parse_transducer(machine.read_text(encoding="utf-8"))))
+    monkeypatch.setattr(transducer, "_delay_search", lambda *args: ([("1", "3")], 0))
+    return (lambda: check_functional(prepared), ["functional", "--in", str(machine)])
+
+
+@pytest.mark.parametrize("rule_out", [_rule_out_refute, _rule_out_equiv, _rule_out_functional],
+                         ids=["refute", "equiv", "functional"])
+def test_a_ruled_out_result_is_a_consistency_error(tmp_path, capsys, monkeypatch, rule_out):
+    check, argv = rule_out(tmp_path, monkeypatch)
+    with pytest.raises(ConsistencyError):
+        check()
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_equiv_product_too_large_is_input_error(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Every module of ``bimlab`` uses each name it imports, and every private
 name a module defines at its top level is read somewhere in the package.
 The package's ``__init__.py`` imports names to export them, so it is left
-out of the first check. Tests do not count as readers."""
+out of the first check; instead its ``__all__`` must list exactly the names
+it imports. Tests do not count as readers."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import bimlab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bimlab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -91,6 +94,12 @@ def unread_private_names(texts: dict[str, str]) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_export_list_is_sorted_and_names_every_import():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert bimlab.__all__ == sorted(bimlab.__all__)
+    assert set(bimlab.__all__) == set(imported_names(tree))
 
 
 def test_an_unused_import_is_found():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -70,8 +71,8 @@ def test_find_collisions_enumeration_cap(monkeypatch):
 
 def test_build_candidates_n1():
     params = InstanceParams(2, 1)
-    left = FoolingPair("left", ("1",), ("2",), 0, (), "1", "2", (), ())
-    right = FoolingPair("right", ("3",), ("4",), 0, (), "3", "4", (), ())
+    left = FoolingPair("left", ("1",), ("2",), (), "1", "2")
+    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
     cands = build_candidates(left, right, params)
     assert cands.words == (("1", "3"), ("2", "3"), ("1", "4"))
     assert cands.expected == (("3", "1"), ("3", "2"), ("4", "1"))
@@ -79,8 +80,8 @@ def test_build_candidates_n1():
 
 def test_build_candidates_padding():
     params = InstanceParams(2, 2)
-    left = FoolingPair("left", ("1", "1"), ("1", "2"), 0, ("1",), "1", "2", (), ())
-    right = FoolingPair("right", ("3", "3"), ("4", "3"), 0, ("3",), "3", "4", (), ())
+    left = FoolingPair("left", ("1", "1"), ("1", "2"), ("1",), "1", "2")
+    right = FoolingPair("right", ("3", "3"), ("4", "3"), ("3",), "3", "4")
     cands = build_candidates(left, right, params)
     a1 = ("1", "1", "1")
     a2 = ("1", "2", "1")
@@ -110,10 +111,46 @@ def test_build_candidates_padding_keeps_collision():
 
 def test_build_candidates_rejects_malformed_pairs():
     params = InstanceParams(2, 1)
-    bogus_left = FoolingPair("left", ("3",), ("4",), 0, (), "3", "4", (), ())
-    right = FoolingPair("right", ("3",), ("4",), 0, (), "3", "4", (), ())
+    bogus_left = FoolingPair("left", ("3",), ("4",), (), "3", "4")
+    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
     with pytest.raises(ConsistencyError):
         build_candidates(bogus_left, right, params)
+
+
+def _crossed_words_factor(e1: tuple, e2: tuple, e3: tuple) -> bool:
+    """Whether some words X1, X2, Y3, Y4 give X1.Y3 = e1, X2.Y3 = e2 and
+    X1.Y4 = e3. X1 and Y3 split e1; X2 and Y4 are then what is left of e2
+    and e3."""
+    for i in range(len(e1) + 1):
+        x1, y3 = e1[:i], e1[i:]
+        if len(y3) <= len(e2) and e2[len(e2) - len(y3):] == y3 and e3[:i] == x1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_three_crossed_words_cannot_all_match(k, n):
+    # A machine with L(a1) = L(a2) and R(b3) = R(b4) emits X1.Y3, X2.Y3 and
+    # X1.Y4 on a1.b3, a2.b3 and a1.b4, so refute needs no third verdict.
+    params = InstanceParams(k, n)
+    lefts = list(itertools.combinations(itertools.product(params.first_half, repeat=n), 2))
+    rights = list(itertools.combinations(itertools.product(params.second_half, repeat=n), 2))
+    for w1, w2 in lefts:
+        left = lowerbound._decompose("left", w1, w2)
+        for w3, w4 in rights:
+            cands = build_candidates(left, lowerbound._decompose("right", w3, w4), params)
+            assert not _crossed_words_factor(*cands.expected)
+    assert len(lefts) * len(rights) == math.comb(k**n, 2) ** 2
+
+
+def test_crossed_words_with_a_repeated_word_factor():
+    # The control: had the third word been the first again, the check
+    # above would find the factors.
+    params = InstanceParams(2, 1)
+    left = lowerbound._decompose("left", ("1",), ("2",))
+    right = lowerbound._decompose("right", ("3",), ("4",))
+    e1, e2, _ = build_candidates(left, right, params).expected
+    assert _crossed_words_factor(e1, e2, e1)
 
 
 def test_refute_bound_respected():
@@ -154,6 +191,15 @@ def test_refute_constant_machine():
     assert verdict.word == ("1", "3")
     assert verdict.expected == ("3", "1")
     assert verdict.actual == ()
+
+
+def test_refute_of_a_machine_matching_every_candidate_is_a_consistency_error(monkeypatch):
+    params, _, _, _, hc = built(2, 1)
+    left = FoolingPair("left", ("1",), ("2",), (), "1", "2")
+    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
+    monkeypatch.setattr(lowerbound, "find_collisions", lambda b, p: (left, right))
+    with pytest.raises(ConsistencyError, match="every candidate word matches"):
+        refute(hc, params)
 
 
 @pytest.mark.parametrize("machine_k,params_k", [(3, 2), (2, 3)])
