@@ -101,7 +101,7 @@ def cmd_equiv(args) -> int:
         raise ValueError("machines have different input alphabets")
     # (name, machine compared, function shown on a mismatch)
     sides = [("a", a, a.evaluate), ("b", b, b.evaluate)]
-    if args.oracle:
+    if args.oracle is not None:
         try:
             k, n = map(int, args.oracle.split(","))
         except ValueError:

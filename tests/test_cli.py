@@ -281,7 +281,7 @@ def test_equiv_shows_only_a_word_every_side_was_evaluated_on(tmp_path, capsys, m
     assert "every side agrees on 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("oracle", ["2", "2,1,3"])
+@pytest.mark.parametrize("oracle", ["2", "2,1,3", ""])
 def test_equiv_malformed_oracle_is_usage_error(tmp_path, capsys, oracle):
     machine = tmp_path / "inst.txt"
     assert run_cli("instance", "--k", "2", "--n", "1", "--out", str(machine)) == 0
