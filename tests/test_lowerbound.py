@@ -193,15 +193,6 @@ def test_refute_constant_machine():
     assert verdict.actual == ()
 
 
-def test_refute_of_a_machine_matching_every_candidate_is_a_consistency_error(monkeypatch):
-    params, _, _, _, hc = built(2, 1)
-    left = FoolingPair("left", ("1",), ("2",), (), "1", "2")
-    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
-    monkeypatch.setattr(lowerbound, "find_collisions", lambda b, p: (left, right))
-    with pytest.raises(ConsistencyError, match="every candidate word matches"):
-        refute(hc, params)
-
-
 @pytest.mark.parametrize("machine_k,params_k", [(3, 2), (2, 3)])
 def test_refute_refuses_an_instance_over_another_alphabet(machine_k, params_k):
     # Before the check, a (3,2) machine against (2,2) was BOUND-RESPECTED on
