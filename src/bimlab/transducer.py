@@ -302,7 +302,9 @@ def _strip_common_prefix(u: Word, v: Word) -> tuple[Word, Word]:
 
 
 def _word_to(parents: dict[int, tuple[int, str] | None], pair: int) -> Word:
-    """The letters along the ``parents`` links from a root to ``pair``."""
+    """The letters along the ``parents`` links from a root to ``pair``. The
+    links are a breadth-first search's: each node's first (parent, letter),
+    None at a root."""
     toks = []
     while parents[pair] is not None:
         pair, tok = parents[pair]
@@ -326,8 +328,8 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     about to examine; ``spend`` raises ResourceLimitError past the cap.
 
     One breadth-first pass keeps, for every pair reached from the start
-    pairs, its parent and the two outstanding outputs with their common
-    prefix cancelled (the delay). A final pair reached with a nonzero delay
+    pairs, only the two outstanding outputs with their common prefix
+    cancelled (the delay). A final pair reached with a nonzero delay
     shows such paths exist. So does a conflict, a pair reached with two
     different delays or a delay with both sides outstanding, but only if a
     final pair can be reached from it: a shortest forward search from the
@@ -341,6 +343,14 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
     that can show it; the caller checks which one does. Otherwise the list
     is empty. The second value counts the pairs reached by then.
 
+    The pass keeps no parents, so a witness's words are rebuilt: a second
+    walk of the pass's queue from the start pairs records each pair's first
+    (parent, letter), in the order the pass reached it, and stops once the
+    pairs the words lead to have one. The words are those of the pass's
+    breadth-first tree. The walk asks ``successors`` only for groups the
+    pass walked, so it builds none and takes no more steps than the pass
+    did; it spends nothing.
+
     Delays are interned: each distinct delay gets a small integer, and the
     step from a delay over an edge's two outputs to the next delay (or a
     conflict) is computed once and remembered. No edge is stored here; the
@@ -348,7 +358,8 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
 
     The cap is one rule, the same for every alphabet. The search holds at
     most STATE_CAP pairs, each with only the id of its delay, and its
-    distinct delays hold at most STATE_CAP tokens. The pass and the
+    distinct delays hold at most STATE_CAP tokens; a rebuild adds a link
+    for each pair it meets, at most one per pair held. The pass and the
     continuation searches together examine at most EDGE_CAP arc pairs: an
     arc pair counts when ``successors`` scans it to build a group of edges
     (a group counts at least 1), and an edge counts each time it is walked.
@@ -404,8 +415,29 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
         if len(order) >= STATE_CAP:
             raise ResourceLimitError(too_large)
         order.append(pair)
+    roots = len(order)
     delays: dict[int, int] = dict.fromkeys(order, 0)
-    parents: dict[int, tuple[int, str] | None] = dict.fromkeys(order)
+
+    def nothing(n: int) -> None:
+        """The rebuild's spend: the pass paid for every group it walks."""
+
+    def links(*targets: int) -> dict[int, tuple[int, str] | None]:
+        """The pass's (parent, letter) links, walked again up to the first
+        point where every one of ``targets``, pairs it reached, has one."""
+        back: dict[int, tuple[int, str] | None] = dict.fromkeys(order[:roots])
+        missing = set(targets).difference(back)
+        for pair in order:
+            if not missing:
+                break
+            for tok, base, edges in successors(pair, nothing):
+                for _, offset, _ in edges:
+                    nxt = base + offset
+                    if nxt not in back:
+                        back[nxt] = (pair, tok)
+                        missing.discard(nxt)
+                if not missing:
+                    break
+        return back
 
     # Delay d is table[d]; 0 is the empty delay. split[d] tells a conflict:
     # both sides outstanding.
@@ -450,24 +482,23 @@ def _delay_search(starts: Iterable[int], successors: Successors, what: str,
                     if split[delay]:
                         z = continuation(nxt, final)
                         if z is not None:
-                            return [_word_to(parents, pair) + (tok,) + z], len(order)
+                            return [_word_to(links(pair), pair) + (tok,) + z], len(order)
                 else:
                     delay = d
                 if delay and final:
-                    return [_word_to(parents, pair) + (tok,)], len(order)
+                    return [_word_to(links(pair), pair) + (tok,)], len(order)
                 seen = delays.get(nxt)
                 if seen is None:
                     if len(order) >= STATE_CAP:
                         raise ResourceLimitError(too_large)
                     delays[nxt] = delay
-                    parents[nxt] = (pair, tok)
                     order.append(nxt)
                 elif seen != delay and nxt not in dead:
                     z = continuation(nxt, final)
                     if z is not None:
-                        words_found = [_word_to(parents, pair) + (tok,) + z,
-                                       _word_to(parents, nxt) + z]
-                        return words_found, len(order)
+                        back = links(pair, nxt)
+                        found = [_word_to(back, pair) + (tok,) + z, _word_to(back, nxt) + z]
+                        return found, len(order)
     return [], len(order)
 
 

@@ -1,6 +1,7 @@
 """Exact equivalence (``equivalent``) against the reference function and
 against brute-force enumeration."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -540,6 +541,133 @@ def test_pruning_keeps_every_witness(monkeypatch):
     assert searched >= 80
 
 
+def random_pairs():
+    """50 seeded random transducers, each with a copy in which one arc emits
+    another word: mostly equal domains, so most pairs reach the search."""
+    rng = random.Random(26)
+    pairs = []
+    for _ in range(50):
+        x = random_letter_transducer(rng)
+        arcs = list(x.arcs)
+        if arcs:
+            at = rng.randrange(len(arcs))
+            arcs[at] = arcs[at]._replace(out=tuple(rng.choice("xy")
+                                                   for _ in range(rng.randint(0, 3))))
+        pairs.append((x, Transducer(x.input_alphabet, x.output_alphabet, x.state_count,
+                                    x.initial, x.final, arcs)))
+    return pairs
+
+
+def pinned_outcomes():
+    """``outcome`` of every corruption case and of ``random_pairs``, and the
+    witness of each of 60 seeded random transducers that
+    ``check_functional`` finds not functional, as a list."""
+    found = [outcome(bad, t) for _, bad, t in corruption_cases()]
+    found += [outcome(x, y) for x, y in random_pairs()]
+    rng = random.Random(2026)
+    for _ in range(60):
+        report = check_functional(random_letter_transducer(rng))
+        if not report.functional:
+            found.append(report.witness)
+    return found
+
+
+# SHA-256 of the repr of ``pinned_outcomes()`` and of what each delay
+# search it runs returns, recorded while the search still kept a parent per
+# pair. Those searches stop on all three witnesses: 28 on a final pair
+# reached with a delay, 33 on a split delay whose continuation reaches a
+# final pair and 38 on a pair reached with two delays (two words).
+OUTCOMES_SHA256 = "9129b56a63f88f22c7f347376cf539b999f503749ee5aa03fe269b3a12733e9c"
+
+
+def test_the_searches_keep_their_words_and_pair_counts(monkeypatch):
+    searched = []
+    search = transducer._delay_search
+
+    def recording(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    corruption_cases()  # built first: building checks each transducer's functionality
+    monkeypatch.setattr(transducer, "_delay_search", recording)
+    found = pinned_outcomes()
+    assert len(found) == 84 + 50 + 24
+    assert len([words for words, _ in searched if len(words) == 2]) == 38
+    digest = hashlib.sha256(repr((found, searched)).encode()).hexdigest()
+    assert digest == OUTCOMES_SHA256
+
+
+def watched_search(x, y):
+    """The delay search of the product of ``x`` and ``y``, watched: what it
+    returns, the (rebuild?, pair, letter) of each group ``successors``
+    yields, the groups built by the time the rebuild starts (None without
+    one) and in all. A call with another ``spend`` than the first call's is
+    the rebuild's."""
+    builds = 0
+
+    def counted(view):
+        def moves(index, fitting):
+            units, arcs = view.moves(index, fitting)
+
+            def counting(key, pos):
+                nonlocal builds
+                builds += 1
+                return arcs(key, pos)
+
+            return units, counting
+
+        return view._replace(moves=moves)
+
+    vx = counted(_view(x))
+    vy = vx if y is x else counted(_view(y))
+    starts, successors, words = transducer._product(vx, vy)
+    walked, first, before = [], [], []
+
+    def watching(pair, spend):
+        if not first:
+            first.append(spend)
+        rebuild = spend is not first[0]
+        if rebuild and not before:
+            before.append(builds)
+        for tok, base, edges in successors(pair, spend):
+            walked.append((rebuild, pair, tok))
+            yield tok, base, edges
+
+    found = transducer._delay_search(starts, watching, "check", words)
+    return found, walked, (before or [None])[0], builds
+
+
+def test_the_rebuild_walks_only_groups_the_search_walked():
+    # On "a" the start pair reaches pair (1, 1), id 4, with the empty delay
+    # and then with the delay ((), x), and from (1, 1) "a" accepts. So the
+    # search stops inside the start pair's walk, before it builds the group
+    # on "b", and the word to (1, 1) is rebuilt by walking the start pair's
+    # group on "a" again, with a spend that counts nothing.
+    t = Transducer(Alphabet(("a", "b")), Alphabet(("x",)), 3, {0}, {2},
+                   [Arc(0, "a", (), 1), Arc(0, "a", ("x",), 1), Arc(1, "a", (), 2),
+                    Arc(0, "b", (), 2)])
+    (words, pairs), walked, before, builds = watched_search(t, t)
+    assert (words, pairs) == ([("a", "a"), ("a", "a")], 2)
+    assert walked == [(False, 0, "a"), (False, 4, "a"), (True, 0, "a")]
+    assert before == builds
+    _, successors, _ = transducer._product(_view(t), _view(t))
+    assert [tok for tok, _, _ in successors(0, lambda n: None)] == ["a", "b"]
+    assert check_functional(t).witness == ("a", "a")
+    # On every seeded case the rebuild yields only groups the search
+    # yielded and builds none.
+    cases = ([(bad, prepared) for _, bad, prepared in corruption_cases()]
+             + list(random_row_cases()) + list(random_total_cases()))
+    rebuilds = 0
+    for x, y in cases:
+        _, walked, before, builds = watched_search(x, y)
+        searched = {(pair, tok) for rebuild, pair, tok in walked if not rebuild}
+        again = [(pair, tok) for rebuild, pair, tok in walked if rebuild]
+        assert set(again) <= searched
+        assert before in (None, builds)
+        rebuilds += bool(again)
+    assert rebuilds >= 50
+
+
 def nth_letter_is_a(m):
     """``w -> w`` on the words over {a, b} whose letter m+1 is ``a``: a
     transducer with m+2 states, whose reversed determinization has 2^(m+1)+1
@@ -605,7 +733,7 @@ def test_too_many_fitting_pairs_run_the_search_unpruned():
     # 10,000 right states and 10,000 counter states: 10^8 pairs fit. A set
     # of fitting states per right state would take gigabytes. The search
     # holds the 10,000 reachable pairs, and the whole comparison peaks at
-    # about 12 MB, most of it the suffix filter's search up to STATE_CAP.
+    # 21.8 MiB, most of it the suffix filter's search up to STATE_CAP.
     size = 10**4
     junk = [Arc(q, "a", ("x",), 1 + q % size) for q in range(1, size + 1)]
     t = Transducer(a, x, size + 1, {0}, set(range(size + 1)), [Arc(0, "a", ("x",), 0)] + junk)
@@ -804,6 +932,23 @@ def test_reduced_3_4_examines_few_arc_pairs():
 
     assert transducer._delay_search(starts, counting, "check", words) == ([], 7277)
     assert (sum(spent), sum(walked)) == (46122, 41592)
+
+
+def test_reduced_3_4_is_checked_in_little_memory():
+    # The search keeps one delay id per pair and no parent link. Keeping a
+    # (parent, letter) link per pair, this check peaked at 1.84-2.07 MiB
+    # under tracemalloc; with a delay id alone, at 1.22-1.40 MiB (the lower
+    # figures once the process has run one check).
+    _, _, prepared, _, handcrafted = built(3, 4)
+    reduced = handcrafted.reduce()
+    tracemalloc.start()
+    try:
+        found = _compare(reduced, prepared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (None, 7277)
+    assert peak < 1.7 * 2**20
 
 
 def decoded(product, pairs):
