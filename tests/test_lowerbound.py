@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -202,6 +203,73 @@ def test_refute_refuses_an_instance_over_another_alphabet(machine_k, params_k):
     for search in (refute, find_collisions):
         with pytest.raises(ValueError, match="instance alphabet differs from the machine's"):
             search(machine, InstanceParams(params_k, 2))
+
+
+def _probe_images(b, params, rng, side):
+    """The states one side of ``b`` drives two random probe words to, drawn
+    among the pairs of probe words whose states differ."""
+    half = params.first_half if side == "left" else params.second_half
+    dfa, step = (b.left, 1) if side == "left" else (b.right, -1)
+    words = itertools.product(half, repeat=params.n)
+    states = sorted({dfa.run(word[::step]) for word in words})
+    return tuple(rng.sample(states, 2))
+
+
+def refuter_cases():
+    """(label, params, machine) for every machine the refuter pin covers: the
+    built machines of each cell, seeded merges of the handcrafted machine's
+    probe images on the left, the right and both sides, and seeded
+    ``corrupt_handcrafted`` cases."""
+    for k, n in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3)):
+        params, _, _, generic, hc = built(k, n)
+        yield f"{k},{n} reduced generic", params, generic.reduce()
+        yield f"{k},{n} reduced handcrafted", params, hc.reduce()
+        yield f"{k},{n} raw handcrafted", params, hc
+        for seed in range(4):
+            rng = random.Random(seed)
+            left = _probe_images(hc, params, rng, "left")
+            right = _probe_images(hc, params, rng, "right")
+            yield f"{k},{n} left merge {seed}", params, merge_bimachine_states(
+                hc, left_pair=left)
+            yield f"{k},{n} right merge {seed}", params, merge_bimachine_states(
+                hc, right_pair=right)
+            yield f"{k},{n} both merge {seed}", params, merge_bimachine_states(
+                hc, left_pair=left, right_pair=right)
+            yield f"{k},{n} corrupt {seed}", params, corrupt_handcrafted(
+                hc, params, random.Random(seed))
+
+
+def refuter_outcome(b, params):
+    """The colliding words ``find_collisions`` reports and ``refute``'s verdict."""
+    pairs = tuple(
+        None if pair is None else (pair.side, pair.word1, pair.word2)
+        for pair in find_collisions(b, params)
+    )
+    verdict = refute(b, params)
+    if isinstance(verdict, Mismatch):
+        return pairs, ("mismatch", verdict.word, verdict.expected, verdict.actual)
+    return pairs, ("bound", verdict.left_certified, verdict.right_certified)
+
+
+# SHA-256 of the repr of every ``refuter_cases()`` label with its
+# ``refuter_outcome``, recorded while each FoolingPair still carried its
+# decomposition (common, symbol1, symbol2) and build_candidates returned a
+# CandidateWords record.
+REFUTER_SHA256 = "eb2118618c1a64bc8a2dc0b990c43ce572a9d1fc32d65a051b876b26b4c25bbf"
+
+
+def test_the_refuter_keeps_its_collisions_and_verdicts():
+    outcomes = [(label, refuter_outcome(b, params)) for label, params, b in refuter_cases()]
+    kinds = [verdict[0] for _, (_, verdict) in outcomes]
+    assert len(outcomes) == 5 * (3 + 4 * 4)
+    assert kinds.count("mismatch") == 5 * 4 * 2
+    for label, (pairs, verdict) in outcomes:
+        if "both" in label or "corrupt" in label:
+            assert None not in pairs and verdict[0] == "mismatch"
+        else:
+            assert verdict == ("bound", pairs[0] is None, pairs[1] is None)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == REFUTER_SHA256
 
 
 def test_exponent_constant_values():
