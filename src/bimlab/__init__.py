@@ -34,7 +34,6 @@ from .instances import (
 )
 from .lowerbound import (
     BoundRespected,
-    CandidateWords,
     ExperimentRow,
     FoolingPair,
     Mismatch,
@@ -73,7 +72,6 @@ __all__ = [
     "Bimachine",
     "BimlabError",
     "BoundRespected",
-    "CandidateWords",
     "ConsistencyError",
     "Dfa",
     "DivergingRelationError",

@@ -30,123 +30,91 @@ PROBE_CAP = 10**6
 
 @dataclass(frozen=True)
 class FoolingPair:
-    """Two distinct probe words driven to the same automaton state.
-
-    Left pairs run forward from the left start state over first-half words of
-    length n and decompose at the first differing position; right pairs run
-    the reversed words from the right start state and decompose at the last
-    differing position, so ``common`` is a shared prefix on the left side and
-    a shared suffix on the right side.
-    """
+    """Two distinct probe words that drive one side's automaton to the same
+    state: first-half words run forward from the left start state, and
+    second-half words run reversed from the right start state."""
 
     side: str  # "left" or "right"
     word1: Word
     word2: Word
-    common: Word
-    symbol1: str
-    symbol2: str
-
-
-def _decompose(side: str, w1: Word, w2: Word) -> FoolingPair:
-    """Split colliding probe words where they first differ (from the end on the right side)."""
-    step = 1 if side == "left" else -1
-    v1, v2 = w1[::step], w2[::step]
-    d = 0
-    while v1[d] == v2[d]:
-        d += 1
-    return FoolingPair(side, w1, w2, v1[:d][::step], v1[d], v2[d])
-
-
-def _first_collision(b: Bimachine, params: InstanceParams, side: str) -> FoolingPair | None:
-    """The first two probe words of one side, in lexicographic order, that reach one state."""
-    left = side == "left"
-    dfa, half = (b.left, params.first_half) if left else (b.right, params.second_half)
-    seen: dict[int, Word] = {}
-    for word in itertools.product(half, repeat=params.n):
-        state = dfa.run(word if left else reversed(word))
-        if state in seen:
-            return _decompose(side, seen[state], word)
-        seen[state] = word
-    return None
 
 
 def find_collisions(
     b: Bimachine, params: InstanceParams
 ) -> tuple[FoolingPair | None, FoolingPair | None]:
     """Scan all k^n probe words per side in lexicographic order and report the
-    first collision on each, or None for a side whose images are pairwise
-    distinct (which certifies that side has at least k^n states). More than
-    PROBE_CAP probe words per side raise ResourceLimitError; a machine over
-    another alphabet than the instance's raises ValueError."""
+    first two that reach one state on each side, or None for a side whose
+    images are pairwise distinct (which certifies that side has at least k^n
+    states). More than PROBE_CAP probe words per side raise
+    ResourceLimitError; a machine over another alphabet than the instance's
+    raises ValueError."""
     if b.input_alphabet.symbols != params.alphabet.symbols:
         raise ValueError("instance alphabet differs from the machine's")
     if params.k**params.n > PROBE_CAP:
         raise ResourceLimitError(
             f"{params.k}^{params.n} probe words exceed the cap of {PROBE_CAP}"
         )
-    return _first_collision(b, params, "left"), _first_collision(b, params, "right")
-
-
-@dataclass(frozen=True)
-class CandidateWords:
-    """The three probe words built from a pair of collisions, with the outputs
-    the reference function assigns to them."""
-
-    words: tuple[Word, Word, Word]
-    expected: tuple[Word, Word, Word]
+    pairs: list[FoolingPair | None] = []
+    sides = (("left", b.left, params.first_half, 1), ("right", b.right, params.second_half, -1))
+    for side, dfa, half, step in sides:
+        seen: dict[int, Word] = {}
+        for word in itertools.product(half, repeat=params.n):
+            state = dfa.run(word[::step])
+            if state in seen:
+                pairs.append(FoolingPair(side, seen[state], word))
+                break
+            seen[state] = word
+        else:
+            pairs.append(None)
+    return pairs[0], pairs[1]
 
 
 def build_candidates(
     left_pair: FoolingPair, right_pair: FoolingPair, params: InstanceParams
-) -> CandidateWords:
-    """Pad each collision pair to a full block and cross-combine.
+) -> tuple[tuple[Word, Word], tuple[Word, Word], tuple[Word, Word]]:
+    """The three candidate words crossed from a pair of collisions, each with
+    the output the reference function assigns to it.
 
-    The first blocks a1/a2 extend the colliding left words by the fixed word
-    symbol1^|common|, so both still drive the left automaton to the same
-    state while naming different output symbols; the second blocks b3/b4
-    prepend symbol1^|common| to the colliding right words symmetrically. Any
-    machine whose two sides both collide must then get one of a1+b3, a2+b3,
-    a1+b4 wrong: with L(a1) = L(a2) and R(b3) = R(b4), its outputs factor
-    as X1.Y3, X2.Y3 and X1.Y4, and no such words give the three expected
-    outputs. All expectations are verified against the reference function.
+    Each pair's words first differ at position d (counted from the end on the
+    right side), naming symbols x1 and x2 on the left and y3 and y4 on the
+    right. The first blocks a1/a2 extend the colliding left words by the pad
+    x1^d, so both still drive the left automaton to the same state while
+    naming different output symbols; the second blocks b3/b4 prepend y3^d to
+    the colliding right words symmetrically. Any machine whose two sides
+    both collide must then get one of a1+b3, a2+b3, a1+b4 wrong: with
+    L(a1) = L(a2) and R(b3) = R(b4), its outputs factor as X1.Y3, X2.Y3 and
+    X1.Y4, and no such words give the three expected outputs y3.x1, y3.x2
+    and y4.x1. Every expectation is checked against the reference function,
+    and a pair whose words never differ, or any expectation the reference
+    function contradicts, raises ConsistencyError.
     """
-    pad1 = (left_pair.symbol1,) * len(left_pair.common)
-    a1 = left_pair.word1 + pad1
-    a2 = left_pair.word2 + pad1
-    pad2 = (right_pair.symbol1,) * len(right_pair.common)
-    b3 = pad2 + right_pair.word1
-    b4 = pad2 + right_pair.word2
-    words = (a1 + b3, a2 + b3, a1 + b4)
-    expected = (
-        (right_pair.symbol1, left_pair.symbol1),
-        (right_pair.symbol1, left_pair.symbol2),
-        (right_pair.symbol2, left_pair.symbol1),
-    )
-    for word, want in zip(words, expected):
+    padded = []
+    for pair, step in ((left_pair, 1), (right_pair, -1)):
+        v1, v2 = pair.word1[::step], pair.word2[::step]
+        d = next((i for i, (s1, s2) in enumerate(zip(v1, v2)) if s1 != s2), None)
+        if d is None:
+            raise ConsistencyError(f"{pair.side} words {pair.word1} and {pair.word2} never differ")
+        pad = (v1[d],) * d
+        padded.append(((v1 + pad)[::step], (v2 + pad)[::step], v1[d], v2[d]))
+    (a1, a2, x1, x2), (b3, b4, y3, y4) = padded
+    candidates = ((a1 + b3, (y3, x1)), (a2 + b3, (y3, x2)), (a1 + b4, (y4, x1)))
+    for word, want in candidates:
         got = oracle(params, word)
         if got != want:
             raise ConsistencyError(
                 f"candidate {'.'.join(word)} expected {want} but the reference "
                 f"function gives {got}"
             )
-    return CandidateWords(words, expected)
+    return candidates
 
 
 @dataclass(frozen=True)
 class BoundRespected:
-    """At least one side has no collision, which certifies that side has at
-    least k^n states; the pair found on the other side, if any, is kept."""
+    """At least one side has no collision; each flag that is set certifies
+    that its side has at least k^n states."""
 
-    left_pair: FoolingPair | None
-    right_pair: FoolingPair | None
-
-    @property
-    def left_certified(self) -> bool:
-        return self.left_pair is None
-
-    @property
-    def right_certified(self) -> bool:
-        return self.right_pair is None
+    left_certified: bool
+    right_certified: bool
 
 
 @dataclass(frozen=True)
@@ -170,9 +138,8 @@ def refute(b: Bimachine, params: InstanceParams) -> Verdict:
     right, which ``build_candidates`` rules out."""
     left_pair, right_pair = find_collisions(b, params)
     if left_pair is None or right_pair is None:
-        return BoundRespected(left_pair, right_pair)
-    candidates = build_candidates(left_pair, right_pair, params)
-    for word, want in zip(candidates.words, candidates.expected):
+        return BoundRespected(left_pair is None, right_pair is None)
+    for word, want in build_candidates(left_pair, right_pair, params):
         got = b.evaluate(word)
         if got != want:
             return Mismatch(word, want, got)
@@ -259,7 +226,7 @@ def run_experiment(
                 f"cell k={k} n={n}: instance transducer is not functional "
                 f"(witness {'.'.join(report.witness)})"
             )
-        for tag in sorted(constructions):
+        for tag in sorted(set(constructions)):
             started = time.perf_counter()
             if tag == "generic":
                 if k > generic_max_k or n > generic_max_n:

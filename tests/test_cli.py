@@ -298,8 +298,7 @@ def _rule_out_refute(tmp_path, monkeypatch):
     params, _, _, _, hc = built(2, 1)
     machine = tmp_path / "hc.txt"
     machine.write_text(emit_bimachine(hc), encoding="utf-8")
-    pairs = (FoolingPair("left", ("1",), ("2",), (), "1", "2"),
-             FoolingPair("right", ("3",), ("4",), (), "3", "4"))
+    pairs = (FoolingPair("left", ("1",), ("2",)), FoolingPair("right", ("3",), ("4",)))
     monkeypatch.setattr(lowerbound, "find_collisions", lambda b, p: pairs)
     return (lambda: refute(hc, params),
             ["refute", "--machine", str(machine), "--k", "2", "--n", "1"])

@@ -1,7 +1,12 @@
 import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,9 +47,13 @@ def test_find_collisions_after_left_merge():
     left_pair, right_pair = find_collisions(merged, params)
     assert right_pair is None
     assert left_pair is not None
-    assert {left_pair.word1, left_pair.word2} == {("1",), ("2",)}
-    assert left_pair.common == ()
-    assert {left_pair.symbol1, left_pair.symbol2} == {"1", "2"}
+    assert (left_pair.side, left_pair.word1, left_pair.word2) == ("left", ("1",), ("2",))
+    # The words differ at once, so the candidates carry no pad, and the two
+    # left symbols are the last output symbols of the first two candidates.
+    right = FoolingPair("right", ("3",), ("4",))
+    (a1b3, e1), (a2b3, e2), _ = build_candidates(left_pair, right, params)
+    assert (a1b3, a2b3) == (("1", "3"), ("2", "3"))
+    assert (e1[1], e2[1]) == ("1", "2")
 
 
 def test_find_collisions_one_state_side():
@@ -72,24 +81,28 @@ def test_find_collisions_enumeration_cap(monkeypatch):
 
 def test_build_candidates_n1():
     params = InstanceParams(2, 1)
-    left = FoolingPair("left", ("1",), ("2",), (), "1", "2")
-    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
-    cands = build_candidates(left, right, params)
-    assert cands.words == (("1", "3"), ("2", "3"), ("1", "4"))
-    assert cands.expected == (("3", "1"), ("3", "2"), ("4", "1"))
+    left = FoolingPair("left", ("1",), ("2",))
+    right = FoolingPair("right", ("3",), ("4",))
+    assert build_candidates(left, right, params) == (
+        (("1", "3"), ("3", "1")),
+        (("2", "3"), ("3", "2")),
+        (("1", "4"), ("4", "1")),
+    )
 
 
 def test_build_candidates_padding():
     params = InstanceParams(2, 2)
-    left = FoolingPair("left", ("1", "1"), ("1", "2"), ("1",), "1", "2")
-    right = FoolingPair("right", ("3", "3"), ("4", "3"), ("3",), "3", "4")
-    cands = build_candidates(left, right, params)
+    left = FoolingPair("left", ("1", "1"), ("1", "2"))
+    right = FoolingPair("right", ("3", "3"), ("4", "3"))
     a1 = ("1", "1", "1")
     a2 = ("1", "2", "1")
     b3 = ("3", "3", "3")
     b4 = ("3", "4", "3")
-    assert cands.words == (a1 + b3, a2 + b3, a1 + b4)
-    assert cands.expected == (("3", "1"), ("3", "2"), ("4", "1"))
+    assert build_candidates(left, right, params) == (
+        (a1 + b3, ("3", "1")),
+        (a2 + b3, ("3", "2")),
+        (a1 + b4, ("4", "1")),
+    )
 
 
 def test_build_candidates_padding_keeps_collision():
@@ -105,17 +118,23 @@ def test_build_candidates_padding_keeps_collision():
         ),
     )
     left_pair, right_pair = find_collisions(merged, params)
-    cands = build_candidates(left_pair, right_pair, params)
-    a1, a2 = cands.words[0][:3], cands.words[1][:3]
+    (w1, _), (w2, _), _ = build_candidates(left_pair, right_pair, params)
+    a1, a2 = w1[:3], w2[:3]
     assert merged.left.run(a1) == merged.left.run(a2)
 
 
 def test_build_candidates_rejects_malformed_pairs():
     params = InstanceParams(2, 1)
-    bogus_left = FoolingPair("left", ("3",), ("4",), (), "3", "4")
-    right = FoolingPair("right", ("3",), ("4",), (), "3", "4")
+    bogus_left = FoolingPair("left", ("3",), ("4",))
+    right = FoolingPair("right", ("3",), ("4",))
     with pytest.raises(ConsistencyError):
         build_candidates(bogus_left, right, params)
+    # Words that never differ give no position to pad from.
+    left = FoolingPair("left", ("1",), ("2",))
+    for same in (FoolingPair("left", ("1",), ("1",)), FoolingPair("right", ("4",), ("4",))):
+        pairs = (same, right) if same.side == "left" else (left, same)
+        with pytest.raises(ConsistencyError, match="never differ"):
+            build_candidates(*pairs, params)
 
 
 def _crossed_words_factor(e1: tuple, e2: tuple, e3: tuple) -> bool:
@@ -137,10 +156,10 @@ def test_three_crossed_words_cannot_all_match(k, n):
     lefts = list(itertools.combinations(itertools.product(params.first_half, repeat=n), 2))
     rights = list(itertools.combinations(itertools.product(params.second_half, repeat=n), 2))
     for w1, w2 in lefts:
-        left = lowerbound._decompose("left", w1, w2)
+        left = FoolingPair("left", w1, w2)
         for w3, w4 in rights:
-            cands = build_candidates(left, lowerbound._decompose("right", w3, w4), params)
-            assert not _crossed_words_factor(*cands.expected)
+            cands = build_candidates(left, FoolingPair("right", w3, w4), params)
+            assert not _crossed_words_factor(*(expected for _, expected in cands))
     assert len(lefts) * len(rights) == math.comb(k**n, 2) ** 2
 
 
@@ -148,9 +167,9 @@ def test_crossed_words_with_a_repeated_word_factor():
     # The control: had the third word been the first again, the check
     # above would find the factors.
     params = InstanceParams(2, 1)
-    left = lowerbound._decompose("left", ("1",), ("2",))
-    right = lowerbound._decompose("right", ("3",), ("4",))
-    e1, e2, _ = build_candidates(left, right, params).expected
+    left = FoolingPair("left", ("1",), ("2",))
+    right = FoolingPair("right", ("3",), ("4",))
+    (_, e1), (_, e2), _ = build_candidates(left, right, params)
     assert _crossed_words_factor(e1, e2, e1)
 
 
@@ -272,6 +291,43 @@ def test_the_refuter_keeps_its_collisions_and_verdicts():
     assert digest == REFUTER_SHA256
 
 
+# Runs refute on a one-state machine, which collides on both sides, under
+# the benchmark's tracer and prints the verdict's type and the span table.
+TRACED_REFUTE = """
+import json
+import tracer
+from bimlab import Bimachine, Dfa, InstanceParams, lowerbound
+
+params = InstanceParams(2, 1)
+sigma = params.alphabet
+row = (0,) * len(sigma.symbols)
+one_state = Dfa(sigma, 1, 0, (row,))
+constant = Bimachine(one_state, one_state, {(0, tok, 0): () for tok in sigma.symbols},
+                     None, sigma)
+spans = tracer.Tracer()
+spans.install()
+verdict = lowerbound.refute(constant, params)
+print(json.dumps([type(verdict).__name__, spans.table()]))
+"""
+
+
+def test_the_benchmark_tracer_binds_the_refuter():
+    # The traced benchmark wraps find_collisions and build_candidates by name
+    # and reads FoolingPair.side and .word2 to count probes.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_REFUTE], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    kind, table = json.loads(proc.stdout)
+    assert kind == "Mismatch"
+    # Both sides collide on their first two probe words.
+    assert table["lowerbound.find_collisions"]["probes"] == 4
+    assert table["lowerbound.build_candidates"]["calls"] == 1
+    assert table["lowerbound.refute"]["calls"] == 1
+
+
 def test_exponent_constant_values():
     c3 = exponent_constant(3)
     assert abs(c3 - math.log2(3) / 6) < 1e-12
@@ -331,6 +387,20 @@ def test_run_experiment_checks_each_cell_once(monkeypatch):
     # The generic construction reuses the cell's functionality report.
     assert [r.construction for r in rows].count("generic") == 3
     assert searches.count("functionality check") == 3
+
+
+def test_run_experiment_builds_a_repeated_construction_once(monkeypatch):
+    built_cells = []
+
+    def counting(params):
+        built_cells.append((params.k, params.n))
+        return handcrafted_bimachine(params)
+
+    monkeypatch.setattr(lowerbound, "handcrafted_bimachine", counting)
+    rows = run_experiment([(2, 1), (2, 1)], constructions=("handcrafted", "handcrafted"))
+    assert built_cells == [(2, 1)]
+    assert render_csv(rows) == render_csv(run_experiment([(2, 1)], constructions=("handcrafted",)))
+    assert [row.construction for row in rows] == ["handcrafted"]
 
 
 def test_run_experiment_budget_skips_generic():
