@@ -4,9 +4,12 @@ experiment grid with its CSV report. The grid checks every machine it builds
 with the exact equivalence test (``transducer.equivalent``), not on sampled
 words.
 
-A bimachine with a collision on both sides gets one of the three candidate
-words wrong, so ``refute`` has two verdicts; a machine that gets all three
-right can only mean a bug, and raises ConsistencyError.
+The refuter keeps only the colliding words: ``find_collisions`` reports, per
+side, the first two probe words that reach one state, and
+``build_candidates`` pads and crosses the two pairs into three candidate
+words. A bimachine with a collision on both sides gets one of the three
+candidate words wrong, so ``refute`` has two verdicts; a machine that gets
+all three right can only mean a bug, and raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -203,7 +206,8 @@ def run_experiment(
     """Per cell: generate, strip epsilons, trim, verify functionality, build
     each construction, reduce, check the reduced machine against the prepared
     transducer with the exact ``equivalent``, and assert the state bounds.
-    Rows come out ordered by (k, n, construction).
+    Rows come out ordered by (k, n, construction), one per distinct cell and
+    construction name, however often either is repeated.
 
     Cells outside the per-construction budget are skipped for that
     construction. ``elapsed_ms`` is reported as 0 unless ``measure_timings``
