@@ -1084,6 +1084,61 @@ def test_every_emitted_file_takes_the_side_fast_path(monkeypatch):
     assert checked == ["left", "right", "left"]
 
 
+# For each emitted file: the runs scanned with ``_ROW``, the runs and blocks
+# that ``_repeat`` finds repeated, and the rows written line by line
+# (``RowInterner.row`` calls).
+EMITTED_READS = {
+    "handcrafted 2 1": (6, 6, 6), "handcrafted 2 1 reduced": (6, 6, 6),
+    "generic 2 1": (3, 5, 3), "generic 2 1 reduced": (3, 5, 3),
+    "handcrafted 2 2": (4, 12, 4), "handcrafted 2 2 reduced": (4, 12, 4),
+    "generic 2 2": (5, 12, 5), "generic 2 2 reduced": (5, 11, 5),
+    "handcrafted 2 3": (4, 20, 4), "handcrafted 2 3 reduced": (4, 20, 4),
+    "generic 2 3": (7, 19, 7), "generic 2 3 reduced": (7, 18, 7),
+    "handcrafted 2 4": (4, 36, 4), "handcrafted 2 4 reduced": (4, 36, 4),
+    "handcrafted 3 1": (11, 13, 11), "handcrafted 3 1 reduced": (11, 13, 11),
+    "generic 3 1": (4, 8, 4), "generic 3 1 reduced": (4, 8, 4),
+    "handcrafted 3 2": (5, 28, 5), "handcrafted 3 2 reduced": (5, 28, 5),
+    "generic 3 2": (6, 28, 6), "generic 3 2 reduced": (6, 27, 6),
+    "handcrafted 3 3": (5, 55, 5), "handcrafted 3 3 reduced": (5, 55, 5),
+    "generic 3 3": (8, 46, 8), "generic 3 3 reduced": (8, 45, 8),
+    "handcrafted 3 4": (5, 136, 5), "handcrafted 3 4 reduced": (5, 136, 5),
+    "handcrafted 3 5 reduced": (5, 379, 5),
+    "handcrafted 2 8 reduced": (4, 516, 4),
+}
+
+
+def test_emitted_files_are_read_with_the_pinned_work(monkeypatch):
+    texts = {}
+    for k, n in GRID:
+        _, _, _, generic, handcrafted = built(k, n)
+        machines = {"handcrafted": handcrafted, "generic": generic} if n <= 3 else {
+            "handcrafted": handcrafted}
+        for name, machine in machines.items():
+            texts[f"{name} {k} {n}"] = emit_bimachine(machine)
+            texts[f"{name} {k} {n} reduced"] = emit_bimachine(machine.reduce())
+    for k, n in ((3, 5), (2, 8)):
+        texts[f"handcrafted {k} {n} reduced"] = reduced_handcrafted_text(k, n)
+    pattern = CountingPattern(textfmt._ROW)
+    monkeypatch.setattr(textfmt, "_ROW", pattern)
+    repeats = count_repeats(monkeypatch)
+    written = []
+    real = textfmt.RowInterner.row
+
+    def writing(self, slot):
+        written.append(slot)
+        return real(self, slot)
+
+    monkeypatch.setattr(textfmt.RowInterner, "row", writing)
+    reads = {}
+    for name, text in texts.items():
+        pattern.calls = 0
+        repeats.clear()
+        written.clear()
+        assert emit_bimachine(load_machine(text)) == text
+        reads[name] = (pattern.calls, len(repeats), len(written))
+    # Each run scanned is written line by line once: no other memo finds it.
+    assert reads == EMITTED_READS
+
 @pytest.mark.parametrize("text", [
     lambda: reduced_handcrafted_text(3, 3), lambda: emit_bimachine(built(3, 3)[3]),
 ], ids=["reduced_3_3", "raw_generic_3_3"])
