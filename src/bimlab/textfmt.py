@@ -404,11 +404,11 @@ class _PsiRows:
     line's right state and output, and the source of every psi error. It
     writes into the rows being written (``RowInterner.row``), which the
     interner's ``table`` interns when the read ends. ``read`` is one fast
-    loop over the lines written as ``emit_bimachine`` writes them, a row at
-    a time, which hands each run it has not seen to ``check``; from the
-    first line it cannot take, ``check`` reads the rest of the section. The
-    fast loop leaves no row being written, so a row is blank there when its
-    index is -1.
+    loop over lines written as ``emit_bimachine`` writes them, a row at a
+    time; it hands ``check`` each run that no memo finds. From the first
+    line the fast loop cannot take, ``check`` reads the rest of the section.
+    The fast loop leaves no row being written, so there a row is blank when
+    its index is -1.
 
     A block is the canonical runs of one left state that follow each other.
     A block that repeats the text of a block read before, with only its

@@ -1,6 +1,7 @@
-"""The README's command-line example runs as written: each ``bimlab`` line of
-its ``sh`` block goes through ``bimlab.cli.main`` in a fresh directory, and
-each ``# -> X`` comment is a prefix of that command's output."""
+"""The README's examples run as written. Each ``bimlab`` line of its ``sh``
+block goes through ``bimlab.cli.main`` in a fresh directory, and each
+``# -> X`` comment is a prefix of that command's output. Its ``python`` block
+prints its ``# `` comment lines."""
 
 import re
 import shlex
@@ -39,3 +40,12 @@ def test_the_readme_example_runs_as_written(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if expected is not None:
             assert out.startswith(expected), (argv, out)
+
+
+def test_the_readme_library_example_prints_its_comments(capsys):
+    block = re.search(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    expected = [line[len("# "):] for line in block.splitlines() if line.startswith("# ")]
+    assert expected
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
