@@ -21,23 +21,6 @@ from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
 from .fsm import PSI_CAP, Alphabet, Dfa, Word, moore_reduce
 
 
-def check_psi_shape(left_count: int, letters: int, right_count: int) -> None:
-    """Refuse an output table of this shape when it has more than PSI_CAP
-    cells: raise ResourceLimitError. Every table is checked here before any
-    of its memory is taken."""
-    if left_count * letters * right_count > PSI_CAP:
-        raise ResourceLimitError(
-            f"psi table of {left_count} x {letters} x {right_count} cells exceeds {PSI_CAP}"
-        )
-
-
-def psi_cells(left_count: int, letters: int, right_count: int) -> array:
-    """The cells of a flat output table of this shape, all undefined (-1),
-    after the cap check."""
-    check_psi_shape(left_count, letters, right_count)
-    return array("i", [-1]) * (left_count * letters * right_count)
-
-
 def _slot(shape: tuple[Alphabet, int, int], l, a, r) -> int | None:
     """The slot of key ``(l, a, r)`` in a table of this shape, or None when
     the key names a state or letter outside the table."""
@@ -68,7 +51,7 @@ class PsiTable(Mapping):
     output words, so ``len`` counts the defined cells.
     """
 
-    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "words", "_len")
+    __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "words")
 
     def __init__(self, alphabet: Alphabet, left_count: int, right_count: int,
                  row_of: array, rows: array, words: tuple[Word, ...]):
@@ -80,7 +63,6 @@ class PsiTable(Mapping):
             raise ValueError("psi rows name a row or an output word the table lacks")
         self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
         self.row_of, self.rows, self.words = row_of, rows, words
-        self._len: int | None = None
 
     @classmethod
     def from_items(cls, alphabet: Alphabet, left_count: int, right_count: int,
@@ -107,46 +89,28 @@ class PsiTable(Mapping):
         """The number of distinct rows."""
         return len(self.rows) // self.right_count
 
-    @property
-    def cells(self) -> array:
-        """A flat copy of the table: cell ``(l * |Σ| + a) * right_count + r``
-        is that of left state ``l``, the ``a``-th letter and right state ``r``."""
-        width = self.right_count
-        cells = psi_cells(self.left_count, len(self.alphabet), width)
-        for slot, i in enumerate(self.row_of):
-            if i >= 0:
-                cells[slot * width : (slot + 1) * width] = self.rows[i * width : (i + 1) * width]
-        return cells
-
     def defined_cells(self) -> list[list[tuple[int, int]]]:
         """Per distinct row, its defined cells as ``(r, word index)`` pairs."""
         rows, width = self.rows, self.right_count
         return [[(r, v) for r, v in enumerate(rows[i * width : (i + 1) * width]) if v >= 0]
                 for i in range(self.distinct)]
 
-    def entries(self) -> Iterator[tuple[int, int, int, Word]]:
-        """``(l, letter position, r, output)`` for each defined cell, in cell order."""
-        words, letters = self.words, len(self.alphabet)
+    def items(self) -> Iterator[tuple[tuple[int, str, int], Word]]:
+        """``((l, letter, r), output)`` for each defined cell, in cell order."""
+        symbols, words, letters = self.alphabet.symbols, self.words, len(self.alphabet)
         defined = [[(r, words[v]) for r, v in row] for row in self.defined_cells()]
         for slot, i in enumerate(self.row_of):
             if i >= 0:
                 l, pos = divmod(slot, letters)
                 for r, out in defined[i]:
-                    yield l, pos, r, out
-
-    def items(self):
-        symbols = self.alphabet.symbols
-        return (((l, symbols[pos], r), out) for l, pos, r, out in self.entries())
+                    yield (l, symbols[pos], r), out
 
     def __iter__(self):
-        symbols = self.alphabet.symbols
-        return ((l, symbols[pos], r) for l, pos, r, _ in self.entries())
+        return (key for key, _ in self.items())
 
     def __len__(self) -> int:
-        if self._len is None:
-            sizes = [len(row) for row in self.defined_cells()]
-            self._len = sum(sizes[i] for i in self.row_of if i >= 0)
-        return self._len
+        sizes = [len(row) for row in self.defined_cells()]
+        return sum(sizes[i] for i in self.row_of if i >= 0)
 
     def __getitem__(self, key) -> Word:
         try:
@@ -171,17 +135,21 @@ class RowInterner:
     that is all undefined. A builder writes the indices into ``row_of``
     itself, or writes a slot's row cell by cell into ``row(slot)``. ``table``
     interns the rows still being written and drops the rows that no slot
-    uses, so a builder may intern a row it ends up not using. The cap is
-    checked before anything is allocated.
+    uses, so a builder may intern a row it ends up not using. A table of
+    more than PSI_CAP cells is refused with ResourceLimitError before
+    anything is allocated.
     """
 
     __slots__ = ("alphabet", "left_count", "right_count", "row_of", "rows", "index",
                  "words", "begun")
 
     def __init__(self, alphabet: Alphabet, left_count: int, right_count: int):
-        check_psi_shape(left_count, len(alphabet), right_count)
+        letters = len(alphabet)
+        if left_count * letters * right_count > PSI_CAP:
+            raise ResourceLimitError(
+                f"psi table of {left_count} x {letters} x {right_count} cells exceeds {PSI_CAP}")
         self.alphabet, self.left_count, self.right_count = alphabet, left_count, right_count
-        self.row_of = array("i", [-1]) * (left_count * len(alphabet))
+        self.row_of = array("i", [-1]) * (left_count * letters)
         self.rows = array("i")
         self.index: dict[bytes, int] = {}  # by the row's bytes
         self.words: dict[Word, int] = {}
@@ -290,8 +258,13 @@ class Bimachine:
         ``right_state`` directly, earlier letters against the right state
         advanced over the reversed suffix behind them. Undefined as soon as
         one lookup is undefined. A token outside the input alphabet raises
-        UnknownSymbolError, wherever it sits in the word.
+        UnknownSymbolError, wherever it sits in the word, and a state outside
+        its automaton ValueError.
         """
+        for side, state, dfa in (("left", left_state, self.left),
+                                 ("right", right_state, self.right)):
+            if not 0 <= state < dfa.state_count:
+                raise ValueError(f"{side} state {state} out of range")
         index = self.left.alphabet.indices(word)
         left_delta, right_delta = self.left.delta, self.right.delta
         row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words
@@ -320,53 +293,40 @@ class Bimachine:
         return self.psi_star(self.left.start, word, self.right.start)
 
     def reduce(self) -> "Bimachine":
-        """Merge states indistinguishable by their output rows and transitions,
-        left side first, then the right side with recomputed rows.
+        """Merge states indistinguishable by their output rows and transitions.
 
-        The represented function is unchanged. One pass per side reaches the
-        fixpoint: merging one side never changes row-distinguishability on the
-        other, because merged states have literally identical rows.
-        """
-        return self._merge("left")._merge("right")
-
-    def _merge(self, side: str) -> "Bimachine":
-        """Moore-reduce one side. A left state's signature is its |Σ| row
-        indices; a right state's is its column across the distinct rows. Rows
+        The represented function is unchanged. Both sides are Moore-reduced
+        from this one table: a left state's signature is its |Σ| row
+        indices, a right state's its column across the distinct rows. Rows
         are interned, so equal indices mean equal rows, and each output word
-        has one index, so equal columns mean equal outputs. A side where
-        nothing merges is returned as it is.
+        has one index, so equal columns mean equal outputs. Merged states
+        have literally identical rows, so merging one side never changes the
+        other side's signatures: one pass per side reaches the fixpoint.
 
-        A left block keeps its first state's row indices, and every row stays
-        in use. A right block keeps its first state's column: each distinct
-        row is projected onto the blocks' first states. Merged columns are
-        equal in every row, so the projections stay distinct and defined."""
-        psi = self.psi
-        row_of, rows, letters = psi.row_of, psi.rows, len(psi.alphabet)
-        left_count, width = psi.left_count, psi.right_count
-        if side == "left":
-            dfa = self.left
-            signature = [row_of[q * letters : (q + 1) * letters].tobytes()
-                         for q in range(left_count)]
-        else:
-            dfa = self.right
-            signature = [rows[r::width].tobytes() for r in range(width)]
-        reduced, block = moore_reduce(dfa, signature)
-        count = reduced.state_count
-        if count == dfa.state_count:
+        A block's states share their signature, so a left block takes its
+        states' row indices, and every row stays in use. A right block takes
+        its states' column: each distinct row is projected onto the blocks.
+        Merged columns are equal in every row, so the projections stay
+        distinct and defined. A side where nothing merges keeps its automaton
+        and arrays, and a machine where nothing merges is returned as it is.
+        """
+        psi, left, right = self.psi, self.left, self.right
+        row_of, rows, letters, width = psi.row_of, psi.rows, len(psi.alphabet), psi.right_count
+        left_q, left_block = moore_reduce(left, [row_of[q * letters : (q + 1) * letters].tobytes()
+                                                 for q in range(left.state_count)])
+        right_q, right_block = moore_reduce(right, [rows[r::width].tobytes() for r in range(width)])
+        if left_q.state_count == left.state_count and right_q.state_count == width:
             return self
-        first: dict[int, int] = {}
-        for q, b in enumerate(block):
-            first.setdefault(b, q)
-        if side == "left":
-            new_of = array("i", [-1]) * (count * letters)
-            for b, q in first.items():
-                new_of[b * letters : (b + 1) * letters] = row_of[q * letters : (q + 1) * letters]
-            table = PsiTable(psi.alphabet, count, width, new_of, rows, psi.words)
-            left, right = reduced, self.right
-        else:
-            new_rows = array("i", [-1]) * (psi.distinct * count)
-            for b, r in first.items():
-                new_rows[b::count] = rows[r::width]
-            table = PsiTable(psi.alphabet, left_count, count, row_of, new_rows, psi.words)
-            left, right = self.left, reduced
+        if left_q.state_count < left.state_count:
+            left, row_of = left_q, array("i", [-1]) * (left_q.state_count * letters)
+            for q, b in enumerate(left_block):
+                to = b * letters
+                row_of[to : to + letters] = psi.row_of[q * letters : (q + 1) * letters]
+        if right_q.state_count < width:
+            right, count = right_q, right_q.state_count
+            rows = array("i", [-1]) * (psi.distinct * count)
+            for r, b in enumerate(right_block):
+                rows[b::count] = psi.rows[r::width]
+        table = PsiTable(psi.alphabet, left.state_count, right.state_count, row_of, rows, psi.words)
         return Bimachine(left, right, table, self.empty_word_output, self.output_alphabet)
+

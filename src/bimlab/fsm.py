@@ -142,8 +142,11 @@ class Dfa:
         return self.delta[state][self.alphabet.index(token)]
 
     def run(self, word: Iterable[str], start: int | None = None) -> int:
-        """Fold the transition function over ``word`` from the left."""
+        """Fold the transition function over ``word`` from the left. A start
+        state outside the automaton raises ValueError."""
         state = self.start if start is None else start
+        if not 0 <= state < self.state_count:
+            raise ValueError(f"start state {state} out of range")
         delta = self.delta
         for i in self.alphabet.indices(word):
             state = delta[state][i]

@@ -1,8 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +84,27 @@ def test_psi_star_unknown_symbol():
     b = tiny_bimachine()
     with pytest.raises(UnknownSymbolError):
         b.psi_star(0, ("z",), 0)
+
+
+def test_states_outside_the_automata_are_refused():
+    # Reduced handcrafted (2,1) has 5 left and 4 right states. An unchecked
+    # -1 would read the last state, or a cell of another row.
+    machine = handcrafted_bimachine(InstanceParams(2, 1)).reduce()
+    left, right = machine.left, machine.right
+    assert (left.state_count, right.state_count) == (5, 4)
+    for l, r, bad in ((-1, 0, "left state -1"), (5, 0, "left state 5"),
+                      (0, -1, "right state -1"), (0, 4, "right state 4"),
+                      (99, 0, "left state 99")):
+        with pytest.raises(ValueError, match=f"^{bad} out of range$"):
+            machine.psi_star(l, ("1", "3"), r)
+    for l, r in product((0, 4), (0, 3)):
+        assert machine.psi_star(l, ("1",), r) == machine.psi.get((l, "1", r))
+    for dfa in (left, right):
+        for start in (-1, dfa.state_count):
+            with pytest.raises(ValueError, match=f"^start state {start} out of range$"):
+                dfa.run(("1",), start=start)
+        last = dfa.state_count - 1
+        assert dfa.run(("1",), start=last) == dfa.step(last, "1")
 
 
 def test_unknown_symbol_raises_where_the_output_is_undefined():
@@ -192,7 +218,7 @@ def test_psi_tables_are_capped_before_allocation(monkeypatch):
     with pytest.raises(ResourceLimitError, match="psi table of 3 x 2 x 3 cells exceeds 17"):
         Bimachine(wide, wide, {}, None, xy)
     with pytest.raises(ResourceLimitError):
-        bimachine.psi_cells(3, 2, 3)
+        bimachine.RowInterner(ab, 3, 3)
 
 
 @pytest.mark.parametrize("row_of,cell", [(0, 3), (5, 0), (0, -2), (-2, 0)])
@@ -461,6 +487,20 @@ def test_reduce_matches_the_flat_table_reference_when_every_row_differs():
         assert (reduced is machine) == (not copies)
 
 
+def test_reduce_keeps_states_whose_outputs_are_permuted():
+    # Left state 1 has state 0's rows with the letters swapped, and right
+    # state 1 has state 0's column with the rows swapped. Every transition
+    # goes to state 0, so only the signatures tell the states apart.
+    ab, xy = Alphabet(("a", "b")), Alphabet(("x", "y"))
+    sink = Dfa(ab, 2, 0, ((0, 0), (0, 0)))
+    x, y = ("x",), ("y",)
+    psi = {(0, "a", 0): x, (0, "a", 1): y, (0, "b", 0): y, (0, "b", 1): x,
+           (1, "a", 0): y, (1, "a", 1): x, (1, "b", 0): x, (1, "b", 1): y}
+    machine = Bimachine(sink, sink, psi, None, xy)
+    assert machine.psi.distinct == 2
+    assert machine.reduce() is machine
+
+
 def test_a_row_only_a_merged_away_left_state_uses_stays_used():
     # Left states 1 and 2 are copies, and no other state uses their rows on
     # b; no word reaches state 2.
@@ -486,3 +526,65 @@ def test_building_and_reducing_a_raw_machine_takes_no_flat_table():
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert machine.psi.distinct == reduced.psi.distinct == 4
+
+
+def test_reduce_builds_one_table_and_one_machine(monkeypatch):
+    # Both sides are reduced from the machine's own table, so a machine
+    # whose two sides merge is built once, and one where nothing merges is
+    # not built again.
+    builds = Counter()
+
+    def count(cls, name):
+        build = getattr(cls, name)
+
+        def counted(self, *args):
+            builds[cls.__name__] += 1
+            build(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    count(bimachine.PsiTable, "__init__")
+    count(Bimachine, "__post_init__")
+    merged = Counter()
+    for k, n in GRID:
+        _, _, _, generic, handcrafted = built(k, n)
+        for machine in [handcrafted] + ([generic] if n <= 3 else []):
+            builds.clear()
+            reduced = machine.reduce()
+            sides = (reduced.left.state_count < machine.left.state_count,
+                     reduced.right.state_count < machine.right.state_count)
+            merged[sides] += 1
+            if any(sides):
+                assert builds == {"PsiTable": 1, "Bimachine": 1}
+            else:
+                assert not builds and reduced is machine
+    assert merged[True, True] and merged[False, False]
+
+
+TRACED_REDUCE = """
+import json
+import tracer
+from bimlab import lowerbound
+
+spans = tracer.Tracer()
+spans.install()
+lowerbound.run_experiment([(2, 1), (2, 2)])
+table = spans.table()
+print(json.dumps([table["fsm.moore_reduce"]["calls"], table["bimachine.reduce"]]))
+"""
+
+
+def test_the_benchmark_tracer_binds_reduce():
+    # The traced benchmark counts moore_reduce through bimachine's binding,
+    # once per side of each reduced machine, and reads states and psi sizes
+    # around Bimachine.reduce.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_REDUCE], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    moore_calls, reduce = json.loads(proc.stdout)
+    assert moore_calls == 2 * 4  # two sides, 2 cells x 2 constructions
+    assert reduce["calls"] == 4
+    assert (reduce["states_in"], reduce["states_out"]) == (57, 50)
+    assert (reduce["psi_in"], reduce["psi_out"]) == (296, 212)

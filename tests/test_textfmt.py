@@ -661,7 +661,7 @@ def outcome(text):
         machine = parse_bimachine(text)
     except FormatError as exc:
         return str(exc)
-    return emit_bimachine(machine), machine.psi.cells.tobytes(), machine.psi.words
+    return emit_bimachine(machine), machine.psi.words
 
 
 def longer_run(lines, rows):
@@ -1146,7 +1146,7 @@ def read(text):
         return type(exc).__name__, str(exc)
     if isinstance(machine, Transducer):
         return emit_transducer(machine)
-    return emit_bimachine(machine), machine.psi.cells.tobytes(), machine.psi.words
+    return emit_bimachine(machine), machine.psi.words
 
 
 def workload_texts():
