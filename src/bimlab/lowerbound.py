@@ -213,8 +213,9 @@ def run_experiment(
     construction. ``elapsed_ms`` is reported as 0 unless ``measure_timings``
     is set, keeping the CSV byte-deterministic. ``seed``,
     ``exhaustive_word_cap`` and ``sample_count`` have no effect: they sized
-    the sampled check that ``equivalent`` replaced, and stay so that existing
-    callers keep working.
+    the sampled check that ``equivalent`` replaced, and stay because the
+    benchmark's ``grid`` workload (``perfbench/workloads.py``) still passes
+    all three; ROADMAP item 1 removes them with it.
     """
     for name in constructions:
         if name not in ("generic", "handcrafted"):
