@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
-from .fsm import PSI_CAP, Alphabet, Dfa, Word, moore_reduce
+from .fsm import PSI_CAP, Alphabet, Dfa, Frozen, Word, moore_reduce
 
 
 def _slot(shape: tuple[Alphabet, int, int], l, a, r) -> int | None:
@@ -199,8 +198,7 @@ class RowInterner:
         return PsiTable(self.alphabet, self.left_count, width, row_of, rows, tuple(self.words))
 
 
-@dataclass(frozen=True)
-class Bimachine:
+class Bimachine(Frozen):
     """A left and a right automaton over one input alphabet, with an output
     table. Construction refuses a machine that breaks a rule of this shape:
 
@@ -216,14 +214,11 @@ class Bimachine:
       ``output_alphabet``, else UnknownSymbolError.
     """
 
-    left: Dfa
-    right: Dfa
-    psi: PsiTable
-    empty_word_output: Word | None
-    output_alphabet: Alphabet
+    _fields = ("left", "right", "psi", "empty_word_output", "output_alphabet")
 
-    def __post_init__(self):
-        alphabet, right = self.left.alphabet, self.right
+    def __init__(self, left: Dfa, right: Dfa, psi: Mapping[tuple[int, str, int], Word],
+                 empty_word_output: Word | None, output_alphabet: Alphabet):
+        alphabet = left.alphabet
         if not alphabet:
             raise PreconditionError("a bimachine needs at least one input letter")
         if right.alphabet != alphabet:
@@ -233,15 +228,17 @@ class Bimachine:
                         f"symbol {tok!r} is in only one of the bimachine's alphabets")
             order = right.alphabet.indices(alphabet)
             delta = tuple(tuple(row[i] for i in order) for row in right.delta)
-            object.__setattr__(self, "right", Dfa(alphabet, right.state_count, right.start, delta))
-        shape = (alphabet, self.left.state_count, right.state_count)
-        if not (isinstance(self.psi, PsiTable) and self.psi.shape == shape):
-            object.__setattr__(self, "psi", PsiTable.from_items(*shape, self.psi.items()))
-        check = self.output_alphabet.check_word
-        for word in self.psi.words:
+            right = Dfa(alphabet, right.state_count, right.start, delta)
+        shape = (alphabet, left.state_count, right.state_count)
+        if not (isinstance(psi, PsiTable) and psi.shape == shape):
+            psi = PsiTable.from_items(*shape, psi.items())
+        check = output_alphabet.check_word
+        for word in psi.words:
             check(word)
-        if self.empty_word_output is not None:
-            object.__setattr__(self, "empty_word_output", check(self.empty_word_output))
+        if empty_word_output is not None:
+            empty_word_output = check(empty_word_output)
+        self.__dict__.update(left=left, right=right, psi=psi, empty_word_output=empty_word_output,
+                             output_alphabet=output_alphabet)
 
     @property
     def input_alphabet(self) -> Alphabet:
@@ -258,13 +255,11 @@ class Bimachine:
         ``right_state`` directly, earlier letters against the right state
         advanced over the reversed suffix behind them. Undefined as soon as
         one lookup is undefined. A token outside the input alphabet raises
-        UnknownSymbolError, wherever it sits in the word, and a state outside
-        its automaton ValueError.
+        UnknownSymbolError, wherever it sits in the word, and a state that is
+        no int in range of its automaton ValueError (``Dfa.check_state``).
         """
-        for side, state, dfa in (("left", left_state, self.left),
-                                 ("right", right_state, self.right)):
-            if not 0 <= state < dfa.state_count:
-                raise ValueError(f"{side} state {state} out of range")
+        self.left.check_state(left_state, "left state")
+        self.right.check_state(right_state, "right state")
         index = self.left.alphabet.indices(word)
         left_delta, right_delta = self.left.delta, self.right.delta
         row_of, rows, words = self.psi.row_of, self.psi.rows, self.psi.words

@@ -8,7 +8,7 @@ States are dense integer indices and every iteration order is fixed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, UnknownSymbolError
@@ -28,27 +28,63 @@ EDGE_CAP = 3 * STATE_CAP // 2
 PSI_CAP = 2**24
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Frozen:
+    """Base of the classes that check or normalise their fields when built.
+
+    ``_fields`` names the fields in order. A subclass's ``__init__`` checks
+    its arguments and stores the fields in the instance ``__dict__``, which
+    is also where ``cached_property`` keeps what it computes. Assigning or
+    deleting an attribute raises AttributeError. ``==`` and ``hash`` read
+    the tuple of the fields, and an instance equals only instances of its
+    own class. ``repr`` spells each field as ``name=value``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name gives the value, not a 1-tuple.
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Alphabet(Frozen):
     """Ordered set of symbol tokens; the order fixes deterministic iteration.
 
     Tokens are nonempty and free of whitespace and of the characters the text
     format reserves: a token may not be ``-`` or contain ``.`` or ``#``.
     """
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+    def __init__(self, symbols: Iterable[str]):
+        symbols = tuple(symbols)
         index: dict[str, int] = {}
-        for pos, tok in enumerate(self.symbols):
+        for pos, tok in enumerate(symbols):
             # split() == [tok]: nonempty and free of whitespace.
             if tok.split() != [tok] or tok == "-" or "." in tok or "#" in tok:
                 raise ValueError(f"invalid symbol token {tok!r}")
             if tok in index:
                 raise ValueError(f"duplicate symbol token {tok!r}")
             index[tok] = pos
-        object.__setattr__(self, "_index", index)
+        self.__dict__.update(symbols=symbols, _index=index)
 
     def index(self, token: str) -> int:
         try:
@@ -84,69 +120,71 @@ def _nfa_arc_key(arc: tuple[int, str | None, int]):
     return (src, label is not None, label or "", dst)
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Frozen):
     """Nondeterministic automaton; a ``None`` label marks an epsilon arc."""
 
-    alphabet: Alphabet
-    state_count: int
-    initial: tuple[int, ...]
-    final: frozenset[int]
-    arcs: tuple[tuple[int, str | None, int], ...]
+    _fields = ("alphabet", "state_count", "initial", "final", "arcs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", tuple(dict.fromkeys(self.initial)))
-        object.__setattr__(self, "final", frozenset(self.final))
-        arcs = tuple(sorted({(s, l, d) for (s, l, d) in self.arcs}, key=_nfa_arc_key))
-        object.__setattr__(self, "arcs", arcs)
-        for q in (*self.initial, *self.final):
-            if not 0 <= q < self.state_count:
+    def __init__(self, alphabet: Alphabet, state_count: int, initial: Iterable[int],
+                 final: Iterable[int], arcs: Iterable[tuple[int, str | None, int]]):
+        initial = tuple(dict.fromkeys(initial))
+        final = frozenset(final)
+        arcs = tuple(sorted({(s, l, d) for (s, l, d) in arcs}, key=_nfa_arc_key))
+        for q in (*initial, *final):
+            if not 0 <= q < state_count:
                 raise ValueError(f"state {q} out of range")
         for src, label, dst in arcs:
-            if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
+            if not (0 <= src < state_count and 0 <= dst < state_count):
                 raise ValueError(f"arc ({src},{label},{dst}) out of range")
             if label is not None:
-                self.alphabet.index(label)
+                alphabet.index(label)
+        self.__dict__.update(alphabet=alphabet, state_count=state_count, initial=initial,
+                             final=final, arcs=arcs)
 
     @property
     def has_epsilon_arcs(self) -> bool:
         return any(label is None for _, label, _ in self.arcs)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Frozen):
     """Total deterministic automaton: ``delta[state][symbol_index]`` is always
-    defined (acceptance plays no role here; every state counts as final)."""
+    defined (acceptance plays no role here; every state counts as final).
+    A state passed to a method must be an int in ``range(state_count)``,
+    else the method raises ValueError naming it."""
 
-    alphabet: Alphabet
-    state_count: int
-    start: int
-    delta: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "state_count", "start", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if self.state_count < 1:
+    def __init__(self, alphabet: Alphabet, state_count: int, start: int,
+                 delta: Iterable[Iterable[int]]):
+        delta = tuple(tuple(row) for row in delta)
+        if state_count < 1:
             raise ValueError("a DFA needs at least one state")
-        if not 0 <= self.start < self.state_count:
-            raise ValueError(f"start state {self.start} out of range")
-        if len(self.delta) != self.state_count:
+        if not 0 <= start < state_count:
+            raise ValueError(f"start state {start} out of range")
+        if len(delta) != state_count:
             raise ValueError("delta must have one row per state")
-        for q, row in enumerate(self.delta):
-            if len(row) != len(self.alphabet):
+        for q, row in enumerate(delta):
+            if len(row) != len(alphabet):
                 raise ValueError(f"delta row of state {q} is not total")
             for t in row:
-                if not 0 <= t < self.state_count:
+                if not 0 <= t < state_count:
                     raise ValueError(f"delta target {t} out of range")
+        self.__dict__.update(alphabet=alphabet, state_count=state_count, start=start, delta=delta)
+
+    def check_state(self, state, what: str = "state") -> int:
+        """``state``, when it is a state of this automaton; else ValueError
+        that names it as ``what``."""
+        if isinstance(state, int) and 0 <= state < self.state_count:
+            return state
+        raise ValueError(f"{what} {state} out of range")
 
     def step(self, state: int, token: str) -> int:
-        return self.delta[state][self.alphabet.index(token)]
+        return self.delta[self.check_state(state)][self.alphabet.index(token)]
 
     def run(self, word: Iterable[str], start: int | None = None) -> int:
-        """Fold the transition function over ``word`` from the left. A start
-        state outside the automaton raises ValueError."""
-        state = self.start if start is None else start
-        if not 0 <= state < self.state_count:
-            raise ValueError(f"start state {state} out of range")
+        """Fold the transition function over ``word`` from the left, from
+        ``start`` or else the automaton's own start state."""
+        state = self.check_state(self.start if start is None else start, "start state")
         delta = self.delta
         for i in self.alphabet.indices(word):
             state = delta[state][i]

@@ -14,34 +14,32 @@ head and tail), and a sliding-window bimachine of size Θ(k^n).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .bimachine import Bimachine, RowInterner
 from .errors import ResourceLimitError
-from .fsm import STATE_CAP, Alphabet, Dfa, Word
+from .fsm import STATE_CAP, Alphabet, Dfa, Frozen, Word
 from .transducer import Arc, Transducer
 
 
-@dataclass(frozen=True)
-class InstanceParams:
-    k: int
-    n: int
+class InstanceParams(Frozen):
+    _fields = ("k", "n")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, n: int):
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be at least 1")
-        states = 2 * self.k * (self.n + 1)  # of the unmerged transducer
+        states = 2 * k * (n + 1)  # of the unmerged transducer
         if states > STATE_CAP:
             raise ResourceLimitError(
-                f"k={self.k}, n={self.n} needs {states} states, over the cap of {STATE_CAP}"
+                f"k={k}, n={n} needs {states} states, over the cap of {STATE_CAP}"
             )
+        self.__dict__.update(k=k, n=n)
 
-    # Cached in the instance __dict__, which a frozen dataclass without
-    # __slots__ still has; equality and hashing keep using (k, n) alone.
+    # Cached in the instance __dict__, beside the fields; equality and
+    # hashing keep using (k, n) alone.
     @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(tuple(str(i) for i in range(1, 2 * self.k + 1)))

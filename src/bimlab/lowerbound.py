@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bimachine import Bimachine
 from .construct import to_bimachine
@@ -31,8 +30,7 @@ from .transducer import check_functional, equivalent, remove_input_epsilons, tri
 PROBE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class FoolingPair:
+class FoolingPair(NamedTuple):
     """Two distinct probe words that drive one side's automaton to the same
     state: first-half words run forward from the left start state, and
     second-half words run reversed from the right start state."""
@@ -111,8 +109,7 @@ def build_candidates(
     return candidates
 
 
-@dataclass(frozen=True)
-class BoundRespected:
+class BoundRespected(NamedTuple):
     """At least one side has no collision; each flag that is set certifies
     that its side has at least k^n states."""
 
@@ -120,8 +117,7 @@ class BoundRespected:
     right_certified: bool
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """The machine disagrees with the reference function on ``word``."""
 
     word: Word
@@ -163,8 +159,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     k: int
     n: int
     construction: str

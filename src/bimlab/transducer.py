@@ -15,7 +15,6 @@ stepped straight from its psi rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Container, Hashable, Iterable, NamedTuple, Sequence
 
@@ -27,7 +26,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .bimachine import Bimachine
-from .fsm import EDGE_CAP, STATE_CAP, Alphabet, Nfa, Word, explore
+from .fsm import EDGE_CAP, STATE_CAP, Alphabet, Frozen, Nfa, Word, explore
 
 
 # successors(pair, spend) of a product: see ``_delay_search``.
@@ -49,32 +48,27 @@ def arc_key(arc: Arc):
     return (arc.src, arc.inp is not None, arc.inp or "", arc.out, arc.dst)
 
 
-@dataclass(frozen=True)
-class Transducer:
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
-    state_count: int
-    initial: frozenset[int]
-    final: frozenset[int]
-    arcs: tuple[Arc, ...]
+class Transducer(Frozen):
+    _fields = ("input_alphabet", "output_alphabet", "state_count", "initial", "final", "arcs")
 
-    def __post_init__(self):
-        if self.state_count > STATE_CAP:
-            raise ResourceLimitError(f"{self.state_count} states exceed the cap of {STATE_CAP}")
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        arcs = {Arc(a[0], a[1], tuple(a[2]), a[3]) for a in self.arcs}
-        object.__setattr__(self, "arcs", tuple(sorted(arcs, key=arc_key)))
-        for q in (*self.initial, *self.final):
-            if not 0 <= q < self.state_count:
+    def __init__(self, input_alphabet: Alphabet, output_alphabet: Alphabet, state_count: int,
+                 initial: Iterable[int], final: Iterable[int], arcs: Iterable[Sequence]):
+        if state_count > STATE_CAP:
+            raise ResourceLimitError(f"{state_count} states exceed the cap of {STATE_CAP}")
+        initial, final = frozenset(initial), frozenset(final)
+        arcs = tuple(sorted({Arc(a[0], a[1], tuple(a[2]), a[3]) for a in arcs}, key=arc_key))
+        for q in (*initial, *final):
+            if not 0 <= q < state_count:
                 raise ValueError(f"state {q} out of range")
-        for arc in self.arcs:
-            if not (0 <= arc.src < self.state_count and 0 <= arc.dst < self.state_count):
+        for arc in arcs:
+            if not (0 <= arc.src < state_count and 0 <= arc.dst < state_count):
                 raise ValueError(f"arc {arc} out of range")
             if arc.inp is not None:
-                self.input_alphabet.index(arc.inp)
+                input_alphabet.index(arc.inp)
             for tok in arc.out:
-                self.output_alphabet.index(tok)
+                output_alphabet.index(tok)
+        self.__dict__.update(input_alphabet=input_alphabet, output_alphabet=output_alphabet,
+                             state_count=state_count, initial=initial, final=final, arcs=arcs)
 
     @property
     def has_input_epsilons(self) -> bool:
@@ -286,8 +280,7 @@ def is_trim(t: Transducer) -> bool:
     return len(useful_states(t)) == t.state_count
 
 
-@dataclass(frozen=True)
-class FunctionalityReport:
+class FunctionalityReport(NamedTuple):
     functional: bool
     witness: Word | None = None
     outputs: tuple[Word, Word] | None = None

@@ -107,6 +107,26 @@ def test_states_outside_the_automata_are_refused():
         assert dfa.run(("1",), start=last) == dfa.step(last, "1")
 
 
+def test_a_state_is_an_int_of_its_automaton():
+    # A state that is no int in range(state_count) is refused by name on
+    # every method that takes one; -1 would read the last state, 0.5 raise
+    # TypeError from a tuple index.
+    machine = handcrafted_bimachine(InstanceParams(2, 1)).reduce()
+    left, right = machine.left, machine.right
+    for side, dfa in (("left", left), ("right", right)):
+        last = dfa.state_count - 1
+        for bad in (-1, dfa.state_count, 0.5, 1.0, "0"):
+            with pytest.raises(ValueError, match=rf"^state {bad} out of range$"):
+                dfa.step(bad, "1")
+            with pytest.raises(ValueError, match=rf"^start state {bad} out of range$"):
+                dfa.run(("1",), start=bad)
+            states = (bad, 0) if side == "left" else (0, bad)
+            with pytest.raises(ValueError, match=rf"^{side} state {bad} out of range$"):
+                machine.psi_star(states[0], ("1",), states[1])
+        assert dfa.step(last, "1") == dfa.run(("1",), start=last) == dfa.delta[last][0]
+    assert machine.psi_star(4, ("1",), 3) == machine.psi.get((4, "1", 3))
+
+
 def test_unknown_symbol_raises_where_the_output_is_undefined():
     b = with_psi(tiny_bimachine(), {(0, "a", 0): ("x",)})
     assert b.evaluate(("a", "b")) is None
@@ -543,7 +563,7 @@ def test_reduce_builds_one_table_and_one_machine(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
 
     count(bimachine.PsiTable, "__init__")
-    count(Bimachine, "__post_init__")
+    count(Bimachine, "__init__")
     merged = Counter()
     for k, n in GRID:
         _, _, _, generic, handcrafted = built(k, n)

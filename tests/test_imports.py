@@ -5,6 +5,9 @@ out of the first check; instead its ``__all__`` must list exactly the names
 it imports. Tests do not count as readers."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +133,32 @@ def test_an_unread_private_name_is_found():
                       "from a import _helper\n"
                       "print(a._LIMIT)\n")}
     assert unread_private_names(texts) == ["a.py line 3: _helper", "a.py line 5: _Kind"]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The top-level name of each absolute module an import names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # Building a dataclass compiles its generated methods at import time.
+    assert imported_modules(ast.parse("import dataclasses as dc\n"
+                                      "from dataclasses import field\n"
+                                      "from .fsm import Frozen\n")) == {"dataclasses"}
+    assert [path.name for path in PACKAGE.glob("*.py") if "dataclasses" in
+            imported_modules(ast.parse(path.read_text(encoding="utf-8")))] == []
+
+
+def test_importing_the_package_and_its_command_leaves_out_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, bimlab, bimlab.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
