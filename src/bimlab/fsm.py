@@ -149,8 +149,9 @@ class Nfa(Frozen):
 class Dfa(Frozen):
     """Total deterministic automaton: ``delta[state][symbol_index]`` is always
     defined (acceptance plays no role here; every state counts as final).
-    A state passed to a method must be an int in ``range(state_count)``,
-    else the method raises ValueError naming it."""
+    The start state, and a state passed to a method, must be an int in
+    ``range(state_count)``, else construction or the method raises
+    ValueError naming it."""
 
     _fields = ("alphabet", "state_count", "start", "delta")
 
@@ -159,7 +160,7 @@ class Dfa(Frozen):
         delta = tuple(tuple(row) for row in delta)
         if state_count < 1:
             raise ValueError("a DFA needs at least one state")
-        if not 0 <= start < state_count:
+        if not (isinstance(start, int) and 0 <= start < state_count):
             raise ValueError(f"start state {start} out of range")
         if len(delta) != state_count:
             raise ValueError("delta must have one row per state")
@@ -184,7 +185,7 @@ class Dfa(Frozen):
     def run(self, word: Iterable[str], start: int | None = None) -> int:
         """Fold the transition function over ``word`` from the left, from
         ``start`` or else the automaton's own start state."""
-        state = self.check_state(self.start if start is None else start, "start state")
+        state = self.start if start is None else self.check_state(start, "start state")
         delta = self.delta
         for i in self.alphabet.indices(word):
             state = delta[state][i]

@@ -123,6 +123,8 @@ def test_a_state_is_an_int_of_its_automaton():
             states = (bad, 0) if side == "left" else (0, bad)
             with pytest.raises(ValueError, match=rf"^{side} state {bad} out of range$"):
                 machine.psi_star(states[0], ("1",), states[1])
+            with pytest.raises(ValueError, match=rf"^start state {bad} out of range$"):
+                Dfa(dfa.alphabet, dfa.state_count, bad, dfa.delta)
         assert dfa.step(last, "1") == dfa.run(("1",), start=last) == dfa.delta[last][0]
     assert machine.psi_star(4, ("1",), 3) == machine.psi.get((4, "1", 3))
 

@@ -127,7 +127,7 @@ def test_cached_properties_are_computed_once(monkeypatch):
         cached = cls.__dict__[name]
         monkeypatch.setattr(cached, "func",
                             lambda self, func=cached.func, name=name: calls.append(name) or func(self))
-    names, values, _ = CASES[Transducer]
+    _, values, _ = CASES[Transducer]
     t = Transducer(*values)
     params = InstanceParams(2, 3)
     first = (t._letter_arcs, params.alphabet)
