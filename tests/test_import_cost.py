@@ -6,7 +6,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "import_cost.py"
-MODULES = sorted(["bimlab"] + [f"bimlab.{path.stem}" for path in (ROOT / "src" / "bimlab").glob("*.py")
+MODULES = sorted(["bimlab"] + [f"bimlab.{path.stem}"
+                               for path in (ROOT / "src" / "bimlab").glob("*.py")
                                if path.name != "__init__.py"])
 
 

@@ -125,8 +125,8 @@ def test_cached_properties_are_computed_once(monkeypatch):
     calls = []
     for cls, name in ((Transducer, "_letter_arcs"), (InstanceParams, "alphabet")):
         cached = cls.__dict__[name]
-        monkeypatch.setattr(cached, "func",
-                            lambda self, func=cached.func, name=name: calls.append(name) or func(self))
+        counted = lambda self, func=cached.func, name=name: calls.append(name) or func(self)
+        monkeypatch.setattr(cached, "func", counted)
     _, values, _ = CASES[Transducer]
     t = Transducer(*values)
     params = InstanceParams(2, 3)
@@ -142,7 +142,8 @@ def pinned_reprs() -> str:
     """The reprs of a fixed list of objects, one a line."""
     params, _, prepared, _, handcrafted = built(2, 2)
     reduced = handcrafted.reduce()
-    nonfunctional = Transducer(AB, XY, 2, {0}, {1}, (Arc(0, "a", ("x",), 1), Arc(0, "a", ("y",), 1)))
+    nonfunctional = Transducer(AB, XY, 2, {0}, {1},
+                               (Arc(0, "a", ("x",), 1), Arc(0, "a", ("y",), 1)))
     corrupted = corrupt_handcrafted(reduced, params, random.Random(3))
     objects = [
         params, params.alphabet, prepared, prepared.input_projection(), reduced.left,
